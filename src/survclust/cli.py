@@ -3,7 +3,8 @@
 Exit codes: 0 success, 1 I/O failure, 2 invalid input or configuration,
 3 infeasible request (e.g. more clusters than the tree can support).
 All randomness sits behind --seed; identical flags produce identical
-output bytes regardless of SURVCLUST_THREADS.
+output bytes. SURVCLUST_THREADS is accepted but ignored: fitting runs in
+one thread.
 """
 
 from __future__ import annotations

@@ -61,22 +61,16 @@ class SurvivalCurve:
                    int(d["n_events"]), int(d["n_subjects"]))
 
 
-def km_fit_arrays(times: np.ndarray, events: np.ndarray, presorted: bool = False) -> SurvivalCurve:
-    """Fit a survival curve from parallel time/event arrays.
-
-    ``presorted=True`` skips the time sort (the split search keeps node
-    arrays sorted so per-candidate fits stay linear).
-    """
+def km_fit_arrays(times: np.ndarray, events: np.ndarray) -> SurvivalCurve:
+    """Fit a survival curve from parallel time/event arrays."""
     times = np.asarray(times, dtype=np.float64)
     events = np.asarray(events, dtype=bool)
     if times.size == 0:
         raise EmptySampleError("cannot fit a survival curve on an empty sample")
     if not events.any():
         raise NoEventsError("cannot fit a survival curve without observed events")
-    if not presorted:
-        order = np.argsort(times, kind="stable")
-        times = times[order]
-        events = events[order]
+    order = np.argsort(times, kind="stable")
+    times, events = times[order], events[order]
     death_times, d = np.unique(times[events], return_counts=True)
     # n_j = #(time >= t_j); censored subjects tied with a death time stay at risk
     n_at_risk = times.size - np.searchsorted(times, death_times, side="left")

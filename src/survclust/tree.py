@@ -4,14 +4,15 @@ Each node enumerates attribute-value tests (numeric "value < threshold",
 categorical "value = level"), fits survival curves on both induced child
 populations, and keeps the candidate with the lowest Kuiper p-value. The
 split is accepted only if that p-value clears the Bonferroni-corrected
-level alpha/m, m being the number of candidates tested at the node.
+level alpha/m, m being the number of candidates tested at the node; both
+ranking and gate use log p-values, which stay ordered where p underflows.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+import itertools
+import math
+from dataclasses import dataclass, field, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -19,21 +20,7 @@ import numpy as np
 from .core import CATEGORICAL, NUMERIC, FeatureSchema, Subject, SurvivalDataset
 from .errors import NoEventsAtRootError, SchemaMismatchError
 from .kaplan_meier import SurvivalCurve, km_fit_arrays
-from .twosample import bonferroni_threshold, kuiper_pvalue, kuiper_statistic
-
-THREADS_ENV_VAR = "SURVCLUST_THREADS"
-
-
-def worker_count() -> int:
-    """Parallelism cap from SURVCLUST_THREADS (0 or unset = auto)."""
-    raw = os.environ.get(THREADS_ENV_VAR, "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    if n <= 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
+from .twosample import kuiper_log_pvalue, kuiper_pvalue
 
 
 @dataclass(frozen=True)
@@ -108,28 +95,16 @@ class SurvivalTree:
     leaf_ids: list[int] = field(default_factory=list)
 
     def leaves(self) -> list[TreeNode]:
+        return [node for node in self.nodes() if node.is_leaf]
+
+    def nodes(self) -> list[TreeNode]:  # preorder, left subtree first
         out: list[TreeNode] = []
-
-        def walk(node: TreeNode):
-            if node.is_leaf:
-                out.append(node)
-            else:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
-        return out
-
-    def nodes(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-
-        def walk(node: TreeNode):
+        stack = [self.root]
+        while stack:
+            node = stack.pop()
             out.append(node)
             if not node.is_leaf:
-                walk(node.left)
-                walk(node.right)
-
-        walk(self.root)
+                stack += [node.right, node.left]
         return out
 
 
@@ -148,15 +123,14 @@ def enumerate_splits(data: SurvivalDataset, schema: FeatureSchema,
     if n == 0:
         return []
     events = data.events
+    total_events = int(events.sum())
     out: list[SplitCandidate] = []
     for j, feature in enumerate(schema):
         col = data.columns[j]
         if feature.kind == NUMERIC:
             order = np.argsort(col, kind="stable")
             sorted_col = col[order]
-            sorted_events = events[order]
-            distinct_mask = np.r_[True, sorted_col[1:] != sorted_col[:-1]]
-            distinct = sorted_col[distinct_mask]
+            distinct = sorted_col[np.r_[True, sorted_col[1:] != sorted_col[:-1]]]
             if distinct.size < 2:
                 continue
             mids = 0.5 * (distinct[:-1] + distinct[1:])
@@ -164,104 +138,103 @@ def enumerate_splits(data: SurvivalDataset, schema: FeatureSchema,
                 pick = np.round(np.linspace(0, mids.size - 1,
                                             config.max_numeric_thresholds)).astype(int)
                 mids = np.unique(mids[pick])
-            cum_events = np.cumsum(sorted_events)
-            total_events = int(cum_events[-1])
-            for theta in mids:
-                k = int(np.searchsorted(sorted_col, theta, side="left"))
-                n_true, n_false = k, n - k
-                e_true = int(cum_events[k - 1]) if k > 0 else 0
-                e_false = total_events - e_true
-                if (min(n_true, n_false) >= config.min_leaf_subjects
-                        and min(e_true, e_false) >= config.min_leaf_events):
-                    out.append(SplitCandidate(j, NumericTest(float(theta))))
+            tests = [NumericTest(float(theta)) for theta in mids]
+            n_true = np.searchsorted(sorted_col, mids, side="left")
+            e_true = np.r_[0, np.cumsum(events[order])][n_true]
         else:
-            for level in range(len(feature.categories)):
-                mask = col == level
-                n_true = int(mask.sum())
-                if n_true == 0:
-                    continue  # unobserved level
-                e_true = int(events[mask].sum())
-                n_false = n - n_true
-                e_false = int(events.sum()) - e_true
-                if (min(n_true, n_false) >= config.min_leaf_subjects
-                        and min(e_true, e_false) >= config.min_leaf_events):
-                    out.append(SplitCandidate(j, CategoryTest(level)))
+            tests = [CategoryTest(level) for level in range(len(feature.categories))]
+            true_side = col == np.arange(len(tests))[:, None]
+            n_true, e_true = true_side.sum(axis=1), (true_side & events).sum(axis=1)
+        keep = ((np.minimum(n_true, n - n_true) >= config.min_leaf_subjects)
+                & (np.minimum(e_true, total_events - e_true) >= config.min_leaf_events))
+        out.extend(SplitCandidate(j, test) for test, ok in zip(tests, keep) if ok)
     return out
 
 
-def _score_candidate(candidate: SplitCandidate, columns, times_sorted, events_sorted):
-    """Kuiper p-value of the split; node arrays are pre-sorted by time."""
-    mask = candidate.test.evaluate(columns[candidate.feature])
-    curve_true = km_fit_arrays(times_sorted[mask], events_sorted[mask], presorted=True)
-    curve_false = km_fit_arrays(times_sorted[~mask], events_sorted[~mask], presorted=True)
-    v = kuiper_statistic(curve_true, curve_false)
-    result = kuiper_pvalue(v, curve_true.n_events, curve_false.n_events)
-    return result.p_value, result.statistic
+def _survival_on_grid(at_risk: np.ndarray, deaths: np.ndarray) -> np.ndarray:
+    """Product-limit curve on a shared death-time grid; factor 1 where nobody is at risk."""
+    factor = deaths / np.maximum(at_risk, 1)
+    np.subtract(1.0, factor, out=factor)
+    return np.cumprod(factor, axis=-1, out=factor)
+
+
+def score_candidates(data: SurvivalDataset, candidates: list[SplitCandidate]
+                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Kuiper V and child event counts (true side, false side) per candidate.
+
+    Child curves are evaluated on the node's distinct death times, so V
+    equals :func:`kuiper_statistic` on the fitted child curves. Each
+    feature's candidates are scored together from their candidates x
+    subjects mask in time order.
+    """
+    order = np.argsort(data.times, kind="stable")
+    times, events = data.times[order], data.events[order]
+    # Segment g holds the subjects with grid[g] <= time < grid[g + 1], so its
+    # events all die at grid[g]; reverse cumulative sums of segment counts are
+    # risk sets that keep subjects censored at a death time.
+    starts = np.searchsorted(times, np.unique(times[events]), side="left")
+    node_at_risk = times.size - starts
+    node_deaths = np.add.reduceat(events, starts, dtype=np.int64)
+
+    v = np.zeros(len(candidates))
+    events_true = np.zeros(len(candidates), dtype=np.int64)
+    by_feature: dict[int, list[int]] = {}
+    for i, c in enumerate(candidates):
+        by_feature.setdefault(c.feature, []).append(i)
+    for feature, idx in by_feature.items():
+        col = data.columns[feature][order]
+        mask = np.array([candidates[i].test.evaluate(col) for i in idx])
+        segments = np.add.reduceat(mask, starts, axis=1, dtype=np.int64)
+        at_risk = np.cumsum(segments[:, ::-1], axis=1)[:, ::-1]
+        deaths = np.add.reduceat(mask & events, starts, axis=1, dtype=np.int64)
+        diff = _survival_on_grid(at_risk, deaths)
+        diff -= _survival_on_grid(node_at_risk - at_risk, node_deaths - deaths)
+        v[idx] = diff.max(axis=1, initial=0.0) - diff.min(axis=1, initial=0.0)
+        events_true[idx] = deaths.sum(axis=1)
+    return v, events_true, int(events.sum()) - events_true
 
 
 def best_split(data: SurvivalDataset, candidates: list[SplitCandidate],
                config: TreeConfig) -> Optional[SplitCandidate]:
     """Lowest-p candidate iff it clears the Bonferroni-corrected level.
 
-    Ties break toward the earlier candidate in enumeration order (lower
-    schema index, then lower threshold / category index), so the reduction
-    is order-independent under any evaluation schedule.
+    Ranks by log p-value (ordered even where p underflows to 0) and gates on
+    log p < log(alpha) - log(m). Ties go to the earlier candidate.
     """
     if not candidates:
         return None
-    order = np.argsort(data.times, kind="stable")
-    times_sorted = data.times[order]
-    events_sorted = data.events[order]
-    columns = [col[order] for col in data.columns]
-
-    workers = min(worker_count(), len(candidates))
-    if workers > 1 and len(candidates) >= 8:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scores = list(pool.map(
-                lambda c: _score_candidate(c, columns, times_sorted, events_sorted),
-                candidates))
-    else:
-        scores = [_score_candidate(c, columns, times_sorted, events_sorted)
-                  for c in candidates]
-
-    best_idx = min(range(len(candidates)), key=lambda i: (scores[i][0], i))
-    p, v = scores[best_idx]
-    if p < bonferroni_threshold(config.alpha, len(candidates)):
-        chosen = candidates[best_idx]
-        return SplitCandidate(chosen.feature, chosen.test, p, v)
-    return None
+    v, events_true, events_false = score_candidates(data, candidates)
+    log_p = kuiper_log_pvalue(v, events_true, events_false)
+    best = int(np.argmin(log_p))
+    if log_p[best] >= math.log(config.alpha) - math.log(len(candidates)):
+        return None
+    result = kuiper_pvalue(v[best], int(events_true[best]), int(events_false[best]))
+    return replace(candidates[best], p_value=result.p_value, statistic=result.statistic)
 
 
 def grow_tree(data: SurvivalDataset, config: TreeConfig = TreeConfig()) -> SurvivalTree:
     """Recursively grow the significance-gated tree on a validated dataset."""
     if len(data) == 0 or not data.events.any():
         raise NoEventsAtRootError("tree growth requires at least one observed event")
-    counter = {"node": 0, "leaf": 0}
+    node_ids = itertools.count()
     leaf_ids: list[int] = []
 
     def make_node(node_data: SurvivalDataset, depth: int) -> TreeNode:
-        node_id = counter["node"]
-        counter["node"] += 1
+        node_id = next(node_ids)
         n = len(node_data)
         n_events = node_data.n_events
-        chosen = None
-        n_candidates = 0
-        splittable = (depth < config.max_depth
-                      and n >= 2 * config.min_leaf_subjects
-                      and n_events >= 2 * config.min_leaf_events)
-        if splittable:
+        chosen, candidates = None, []
+        if (depth < config.max_depth and n >= 2 * config.min_leaf_subjects
+                and n_events >= 2 * config.min_leaf_events):
             candidates = enumerate_splits(node_data, node_data.schema, config)
-            n_candidates = len(candidates)
             chosen = best_split(node_data, candidates, config)
         if chosen is None:
-            leaf_id = counter["leaf"]
-            counter["leaf"] += 1
-            leaf_ids.append(leaf_id)
+            leaf_ids.append(len(leaf_ids))
             curve = km_fit_arrays(node_data.times, node_data.events)
-            return TreeNode(node_id, leaf_id=leaf_id, n_subjects=n,
+            return TreeNode(node_id, leaf_id=leaf_ids[-1], n_subjects=n,
                             n_events=n_events, curve=curve)
         mask = chosen.test.evaluate(node_data.columns[chosen.feature])
-        node = TreeNode(node_id, split=chosen, n_candidates=n_candidates)
+        node = TreeNode(node_id, split=chosen, n_candidates=len(candidates))
         node.left = make_node(node_data.subset_mask(mask), depth + 1)
         node.right = make_node(node_data.subset_mask(~mask), depth + 1)
         return node

@@ -44,25 +44,55 @@ def kuiper_statistic(curve_a: SurvivalCurve, curve_b: SurvivalCurve) -> float:
     return d_plus + d_minus
 
 
-def kuiper_pvalue(v: float, n_a: int, n_b: int) -> TestResult:
-    """Asymptotic p-value for Kuiper statistic ``v`` at the given event counts."""
-    if n_a < 1 or n_b < 1:
+def _kuiper_lambda(v, n_a, n_b):
+    """Validated Kuiper lambda and effective event count, elementwise."""
+    if np.any(np.asarray(n_a) < 1) or np.any(np.asarray(n_b) < 1):
         raise InvalidEventCountError("both samples need at least one event")
-    if v < 0:
+    if np.any(np.asarray(v) < 0):
         raise ValueError("Kuiper statistic must be nonnegative")
     n_eff = n_a * n_b / (n_a + n_b)
-    lam = (np.sqrt(n_eff) + 0.155 + 0.24 / np.sqrt(n_eff)) * v
-    if lam < _LAMBDA_FLOOR:
-        return TestResult(float(v), 1.0, float(n_eff))
-    total = 0.0
+    return (np.sqrt(n_eff) + 0.155 + 0.24 / np.sqrt(n_eff)) * v, n_eff
+
+
+def _kuiper_series(lam: np.ndarray) -> np.ndarray:
+    """Q_KP(lam) = 2 sum_j (4 j^2 lam^2 - 1) exp(-2 j^2 lam^2), each element
+    truncated after its own first term below the tolerance."""
+    total = np.zeros_like(lam)
+    active = np.ones(lam.shape, dtype=bool)
     for j in range(1, _SERIES_MAX_TERMS + 1):
         jjll = j * j * lam * lam
         term = (4.0 * jjll - 1.0) * np.exp(-2.0 * jjll)
-        total += term
-        if abs(term) < _SERIES_TERM_TOL:
+        total += np.where(active, term, 0.0)
+        active &= np.abs(term) >= _SERIES_TERM_TOL
+        if not active.any():
             break
-    p = min(max(2.0 * total, 0.0), 1.0)
-    return TestResult(float(v), float(p), float(n_eff))
+    return 2.0 * total
+
+
+def kuiper_pvalue(v: float, n_a: int, n_b: int) -> TestResult:
+    """Asymptotic p-value for Kuiper statistic ``v`` at the given event counts."""
+    lam, n_eff = _kuiper_lambda(v, n_a, n_b)
+    p = 1.0 if lam < _LAMBDA_FLOOR else min(float(_kuiper_series(np.array([lam]))[0]), 1.0)
+    return TestResult(float(v), p, float(n_eff))
+
+
+def kuiper_log_pvalue(v, n_a, n_b):
+    """Natural log of :func:`kuiper_pvalue`'s p, for scalars or arrays.
+
+    Where Q_KP is not a normal float, the log of its leading term
+    2(4 lam^2 - 1) exp(-2 lam^2) plus a log1p correction for the second term
+    keeps p-values that round to 0 finite and ordered by lambda.
+    """
+    lam = np.atleast_1d(_kuiper_lambda(v, n_a, n_b)[0])
+    above = lam >= _LAMBDA_FLOOR
+    q = np.ones_like(lam)
+    q[above] = _kuiper_series(lam[above])
+    ll = lam * lam
+    with np.errstate(divide="ignore", invalid="ignore"):
+        leading = (np.log(8.0 * ll - 2.0) - 2.0 * ll
+                   + np.log1p((16.0 * ll - 1.0) / (4.0 * ll - 1.0) * np.exp(-6.0 * ll)))
+        out = np.where(q >= np.finfo(np.float64).tiny, np.log(q), leading)
+    return out if np.ndim(v) or np.ndim(n_a) or np.ndim(n_b) else float(out[0])
 
 
 def kuiper_test(curve_a: SurvivalCurve, curve_b: SurvivalCurve) -> TestResult:

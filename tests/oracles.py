@@ -21,6 +21,16 @@ def brute_force_km(samples, t):
     return value
 
 
+def brute_force_split_v(times, events, mask):
+    """Kuiper V of one split: naive KM curves of both sides at the node's death times."""
+    samples = [(float(t), bool(e)) for t, e in zip(times, events)]
+    true_side = [s for s, m in zip(samples, mask) if m]
+    false_side = [s for s, m in zip(samples, mask) if not m]
+    grid = sorted({t for t, e in samples if e})
+    diff = [brute_force_km(true_side, t) - brute_force_km(false_side, t) for t in grid]
+    return max(max(diff, default=0.0), 0.0) + max(max((-x for x in diff), default=0.0), 0.0)
+
+
 def two_sample_kuiper_v(sample_a, sample_b):
     """Classic two-sample Kuiper V from empirical CDFs of uncensored data."""
     a = np.sort(np.asarray(sample_a, dtype=float))

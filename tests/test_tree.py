@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+from oracles import brute_force_split_v
 from survclust import Feature, FeatureSchema, Subject, SurvivalDataset
 from survclust.errors import NoEventsAtRootError, SchemaMismatchError
+from survclust.synth import SynthConfig, default_group_specs, generate
 from survclust.tree import (CategoryTest, NumericTest, TreeConfig, assign_leaf,
                             assign_leaves, best_split, enumerate_splits,
-                            grow_tree)
-from survclust.twosample import bonferroni_threshold
+                            grow_tree, score_candidates)
+from survclust.twosample import bonferroni_threshold, kuiper_pvalue
 
 
 def numeric_dataset(values, times=None, events=None, name="x"):
@@ -155,6 +159,107 @@ class TestBestSplit:
             if best_split(data, cands, config) is None:
                 none_count += 1
         assert none_count >= int(0.9 * trials)
+
+
+def assert_matches_oracle(data, candidates):
+    v, events_true, events_false = score_candidates(data, candidates)
+    assert len(v) == len(candidates)
+    for i, c in enumerate(candidates):
+        mask = c.test.evaluate(data.columns[c.feature])
+        expected = brute_force_split_v(data.times, data.events, mask)
+        assert abs(v[i] - expected) <= 1e-12
+        assert events_true[i] == data.events[mask].sum()
+        assert events_false[i] == data.events[~mask].sum()
+
+
+def mixed_dataset(values, levels, times, events):
+    schema = FeatureSchema((Feature("x", "numeric"),
+                            Feature("g", "categorical", ("a", "b", "c"))))
+    return SurvivalDataset(schema, [f"s{i}" for i in range(len(times))],
+                           [np.asarray(values, dtype=float), np.asarray(levels)],
+                           np.asarray(times, dtype=float), np.asarray(events, dtype=bool))
+
+
+class TestScoreCandidates:
+    def test_numeric_many_ties(self):
+        rng = np.random.default_rng(20)
+        n = 80
+        data = numeric_dataset(rng.integers(0, 5, n), times=rng.integers(1, 15, n).astype(float),
+                               events=rng.random(n) < 0.7)
+        cands = enumerate_splits(data, data.schema, SMALL)
+        assert len(cands) == 4
+        assert_matches_oracle(data, cands)
+
+    def test_censoring_tied_to_death_times(self):
+        rng = np.random.default_rng(21)
+        times = np.repeat(np.arange(1.0, 11.0), 4)
+        events = np.tile([True, False, True, False], 10)
+        data = numeric_dataset(rng.normal(size=40), times=times, events=events)
+        cands = enumerate_splits(data, data.schema, SMALL)
+        assert len(cands) == 32
+        assert_matches_oracle(data, cands)
+
+    def test_one_vs_rest_levels(self):
+        rng = np.random.default_rng(22)
+        n = 90
+        levels = rng.integers(0, 3, n)
+        times = rng.exponential(np.array([0.5, 1.0, 3.0])[levels]).round(1) + 0.1
+        data = mixed_dataset(rng.normal(size=n), levels, times, rng.random(n) < 0.8)
+        cands = [c for c in enumerate_splits(data, data.schema, SMALL) if c.feature == 1]
+        assert [c.test.category_index for c in cands] == [0, 1, 2]
+        assert_matches_oracle(data, cands)
+
+    def test_child_risk_set_empties_before_last_death(self):
+        times = np.arange(1.0, 31.0)
+        events = np.ones(30, dtype=bool)
+        events[[4, 9, 14]] = False
+        data = numeric_dataset(times, times=times, events=events)
+        cands = enumerate_splits(data, data.schema, SMALL)
+        emptied = [c for c in cands
+                   if data.times[c.test.evaluate(data.columns[0])].max() < data.times.max()]
+        assert len(emptied) == len(cands) == 29
+        assert_matches_oracle(data, cands)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.tuples(st.integers(1, 6), st.booleans(), st.integers(0, 4),
+                              st.integers(0, 2)), min_size=2, max_size=25))
+    def test_matches_oracle_on_small_populations(self, rows):
+        times, events, values, levels = (list(c) for c in zip(*rows))
+        assume(any(events))
+        data = mixed_dataset(values, levels, times, events)
+        assert_matches_oracle(data, enumerate_splits(data, data.schema, SMALL))
+
+    def test_mixed_candidate_order(self):
+        # the scorer groups candidates by feature; results stay in input order
+        rng = np.random.default_rng(23)
+        n = 60
+        data = mixed_dataset(rng.normal(size=n), rng.integers(0, 3, n),
+                             rng.exponential(1.0, n), rng.random(n) < 0.8)
+        cands = enumerate_splits(data, data.schema, SMALL)
+        shuffled = [cands[i] for i in rng.permutation(len(cands))]
+        assert_matches_oracle(data, shuffled)
+
+
+class TestUnderflowedPvalues:
+    def test_root_split_has_largest_lambda_among_underflowed(self):
+        # the population of `simulate --groups 3 --n 50000 --seed 7`: many root
+        # candidates have p-values that round to 0 in float64
+        data, _ = generate(SynthConfig(default_group_specs(3, 5), 50_000, 4.0, 12.0, 20, 7))
+        config = TreeConfig()
+        cands = enumerate_splits(data, data.schema, config)
+        v, events_true, events_false = score_candidates(data, cands)
+        p = np.array([kuiper_pvalue(v[i], int(events_true[i]), int(events_false[i])).p_value
+                      for i in range(len(cands))])
+        underflowed = np.flatnonzero(p == 0.0)
+        assert underflowed.size > 100
+        n_eff = events_true * events_false / (events_true + events_false)
+        lam = (np.sqrt(n_eff) + 0.155 + 0.24 / np.sqrt(n_eff)) * v
+        chosen = best_split(data, cands, config)
+        idx = next(i for i, c in enumerate(cands)
+                   if c.feature == chosen.feature and c.test == chosen.test)
+        assert idx in underflowed
+        assert idx != underflowed[0]
+        assert lam[idx] == lam[underflowed].max()
 
 
 def three_group_dataset(rng, n=900):

@@ -7,6 +7,7 @@ from survclust import (bonferroni_threshold, km_eval, km_fit, kuiper_pvalue,
 from survclust.errors import (EmptySampleError, InvalidAlphaError,
                               InvalidCountError, InvalidEventCountError,
                               NoEventsError)
+from survclust.twosample import kuiper_log_pvalue
 
 
 def uncensored(times):
@@ -92,6 +93,57 @@ class TestKuiperPvalue:
         p_asymptotic = kuiper_pvalue(0.26, 50, 50).p_value
         p_perm = kuiper_permutation_pvalue(xs, ys, 0.25, n_perm=10_000, seed=99)
         assert abs(p_asymptotic - p_perm) <= 0.02
+
+
+def kuiper_lambda(v, n_a, n_b):
+    n_eff = n_a * n_b / (n_a + n_b)
+    return (np.sqrt(n_eff) + 0.155 + 0.24 / np.sqrt(n_eff)) * v
+
+
+class TestKuiperLogPvalue:
+    SIZES = [(5, 7), (40, 60), (1000, 3000), (20000, 25000)]
+
+    def test_matches_pvalue_where_representable(self):
+        checked = 0
+        for n_a, n_b in self.SIZES:
+            for v in np.linspace(0.0, 2.0, 400):
+                p = kuiper_pvalue(v, n_a, n_b).p_value
+                if p > 1e-300:
+                    assert np.exp(kuiper_log_pvalue(v, n_a, n_b)) == pytest.approx(p, rel=1e-12)
+                    checked += 1
+        assert checked > 500
+
+    def test_strictly_decreasing_above_floor(self):
+        for n_a, n_b in self.SIZES:
+            vs = np.linspace(0.0, 2.0, 2000)
+            vs = vs[kuiper_lambda(vs, n_a, n_b) >= 0.4]
+            log_p = kuiper_log_pvalue(vs, n_a, n_b)
+            assert np.all(np.isfinite(log_p))
+            assert np.all(np.diff(log_p) < 0)
+
+    def test_finite_where_pvalue_underflows(self):
+        # lambda = 40: p rounds to 0 but the log keeps its magnitude
+        v = 40.0 / kuiper_lambda(1.0, 10000, 10000)
+        assert kuiper_pvalue(v, 10000, 10000).p_value == 0.0
+        log_p = kuiper_log_pvalue(v, 10000, 10000)
+        assert log_p == pytest.approx(np.log(2 * (4 * 1600 - 1)) - 2 * 1600, rel=1e-12)
+
+    def test_zero_below_floor(self):
+        assert kuiper_log_pvalue(0.0, 10, 10) == 0.0
+        assert kuiper_log_pvalue(0.05, 10, 10) == 0.0
+
+    def test_arrays_match_scalars(self):
+        vs = np.array([0.0, 0.3, 0.8, 1.5])
+        n_a = np.array([10, 50, 200, 5000])
+        batch = kuiper_log_pvalue(vs, n_a, 80)
+        assert batch.shape == (4,)
+        assert list(batch) == [kuiper_log_pvalue(v, int(a), 80) for v, a in zip(vs, n_a)]
+
+    def test_invalid_inputs(self):
+        with pytest.raises(InvalidEventCountError):
+            kuiper_log_pvalue(np.array([0.5, 0.5]), np.array([3, 0]), 10)
+        with pytest.raises(ValueError):
+            kuiper_log_pvalue(-0.1, 10, 10)
 
 
 class TestLogrank:
