@@ -13,8 +13,7 @@ from .clustering import (ClusterModel, LeafGraph, build_leaf_graph,
                          cluster_assign, cluster_assign_dataset, coarsen_to_k,
                          fit_cluster_model, leaf_samples, mcl, sinkhorn_knopp)
 from .core import (CATEGORICAL, NUMERIC, Feature, FeatureSchema, Subject,
-                   SurvivalDataset, ValidationReport, Violation, subset,
-                   validate_dataset)
+                   SurvivalDataset, ValidationReport, Violation, validate_dataset)
 from .evaluation import (ClassificationReport, HazardRatioResult,
                          classify_and_score, cox_hazard_ratio, logistic_fit,
                          one_hot, predict_proba, survival_labels)
@@ -31,7 +30,7 @@ from .twosample import (TestResult, bonferroni_threshold, kuiper_pvalue,
 __all__ = [
     "errors",
     "CATEGORICAL", "NUMERIC", "Feature", "FeatureSchema", "Subject",
-    "SurvivalDataset", "ValidationReport", "Violation", "subset", "validate_dataset",
+    "SurvivalDataset", "ValidationReport", "Violation", "validate_dataset",
     "SurvivalCurve", "km_eval", "km_fit",
     "TestResult", "bonferroni_threshold", "kuiper_pvalue", "kuiper_statistic",
     "kuiper_test", "logrank_test",

@@ -13,16 +13,14 @@ import argparse
 import json
 import os
 import sys
-import tempfile
 
 import numpy as np
 
-from .clustering import cluster_assign, cluster_assign_dataset, fit_cluster_model
-from .core import NUMERIC, SurvivalDataset, validate_dataset
-from .dataio import (atomic_write_text, dump_json, iter_subjects_csv,
-                     load_dataset_csv, load_json, load_model,
-                     save_dataset_csv, save_json, save_model,
-                     schema_from_dict, schema_to_dict)
+from .clustering import cluster_assign_dataset, fit_cluster_model
+from .core import SurvivalDataset, validate_dataset
+from .dataio import (atomic_open, dump_json, iter_subject_chunks,
+                     load_dataset_csv, load_json, load_model, save_dataset_csv,
+                     save_json, save_model, schema_from_dict, schema_to_dict)
 from .errors import SurvClustError, UnreachableKError
 from .evaluation import (classify_and_score, cox_hazard_ratio, logistic_fit,
                          one_hot, survival_labels)
@@ -30,7 +28,7 @@ from .ingest import (activity_to_survival, build_activity_log,
                      early_window_features, read_activity_csv,
                      read_profiles_csv)
 from .synth import GroupSpec, SynthConfig, default_group_specs, generate
-from .tree import SurvivalTree, TreeConfig, TreeNode, grow_tree
+from .tree import TreeConfig, grow_tree
 from .twosample import logrank_test
 
 
@@ -111,7 +109,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--unknown-as-majority-child", action="store_true",
-                   help="route unknown categories toward the larger training child")
+                   help="route NaN and unknown categories to the larger training child")
     p.set_defaults(func=cmd_predict)
 
     p = sub.add_parser("report", help="export per-cluster survival curves")
@@ -171,7 +169,8 @@ def cmd_simulate(args) -> int:
     save_dataset_csv(dataset, os.path.join(args.out, "subjects.csv"))
     save_json(schema_to_dict(dataset.schema), os.path.join(args.out, "schema.json"))
     lines = ["id,group"] + [f"{sid},{int(g)}" for sid, g in zip(dataset.ids, labels)]
-    atomic_write_text(os.path.join(args.out, "labels.csv"), "\n".join(lines) + "\n")
+    with atomic_open(os.path.join(args.out, "labels.csv")) as fh:
+        fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(dataset)} subjects "
           f"({int(dataset.events.sum())} events) to {args.out}")
     return 0
@@ -198,11 +197,7 @@ def cmd_fit(args) -> int:
     internal = [n for n in tree.nodes() if not n.is_leaf]
     print(f"tree: {len(tree.leaf_ids)} leaves, {len(internal)} splits")
     for node in internal[:10]:
-        feature = tree.schema[node.split.feature]
-        if hasattr(node.split.test, "threshold"):
-            test = f"{feature.name} < {node.split.test.threshold:g}"
-        else:
-            test = f"{feature.name} = {feature.categories[node.split.test.category_index]}"
+        test = node.split.test.describe(tree.schema[node.split.feature])
         print(f"  node {node.node_id}: {test}  "
               f"p={node.split.p_value:.3e} (m={node.n_candidates})")
     labels = cluster_assign_dataset(model, dataset)
@@ -292,59 +287,14 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def _subtree_sizes(tree: SurvivalTree) -> dict[int, int]:
-    sizes: dict[int, int] = {}
-
-    def walk(node: TreeNode) -> int:
-        if node.is_leaf:
-            sizes[node.node_id] = node.n_subjects
-        else:
-            sizes[node.node_id] = walk(node.left) + walk(node.right)
-        return sizes[node.node_id]
-
-    walk(tree.root)
-    return sizes
-
-
-def _route_with_fallback(tree: SurvivalTree, values, sizes) -> int:
-    node = tree.root
-    while not node.is_leaf:
-        value = values[node.split.feature]
-        feature = tree.schema[node.split.feature]
-        unknown = (np.isnan(value) if feature.kind == NUMERIC
-                   else not (0 <= int(value) < len(feature.categories)))
-        if unknown:
-            node = (node.left if sizes[node.left.node_id] >= sizes[node.right.node_id]
-                    else node.right)
-        elif hasattr(node.split.test, "threshold"):
-            node = node.left if value < node.split.test.threshold else node.right
-        else:
-            node = node.left if int(value) == node.split.test.category_index else node.right
-    return node.leaf_id
-
-
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    schema = model.tree.schema
-    strict = not args.unknown_as_majority_child
-    sizes = _subtree_sizes(model.tree) if not strict else None
-    directory = os.path.dirname(os.path.abspath(args.out))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w") as out:
-            out.write("id,cluster\n")
-            for subject in iter_subjects_csv(args.data, schema, strict=strict):
-                if strict:
-                    label = cluster_assign(model, subject)
-                else:
-                    leaf = _route_with_fallback(model.tree, subject.values, sizes)
-                    label = model.leaf_to_cluster[leaf]
-                out.write(f"{subject.id},{label}\n")
-        os.replace(tmp, args.out)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    unknown = "majority" if args.unknown_as_majority_child else None
+    with atomic_open(args.out) as out:
+        out.write("id,cluster\n")
+        for chunk in iter_subject_chunks(args.data, model.tree.schema, strict=unknown is None):
+            labels = cluster_assign_dataset(model, chunk, unknown)
+            out.writelines(f"{sid},{label}\n" for sid, label in zip(chunk.ids, labels.tolist()))
     return 0
 
 

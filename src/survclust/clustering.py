@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Subject, SurvivalDataset
-from .errors import NonConvergenceError, UnreachableKError
+from .errors import NonConvergenceError, SurvClustError, UnreachableKError
 from .kaplan_meier import SurvivalCurve, km_fit_arrays
 from .tree import SurvivalTree, assign_leaf, assign_leaves
 from .twosample import kuiper_test
@@ -243,12 +243,15 @@ def cluster_assign(model: ClusterModel, subject: Subject) -> int:
     return model.leaf_to_cluster[assign_leaf(model.tree, subject)]
 
 
-def cluster_assign_dataset(model: ClusterModel, data: SurvivalDataset) -> np.ndarray:
-    """Vectorized cluster labels for a whole dataset."""
-    leaf_labels = assign_leaves(model.tree, data)
-    lookup = np.full(max(model.leaf_to_cluster) + 1, -1, dtype=np.int64)
-    for lid, cid in model.leaf_to_cluster.items():
-        lookup[lid] = cid
+def cluster_assign_dataset(model: ClusterModel, data: SurvivalDataset,
+                           unknown: str | None = None) -> np.ndarray:
+    """Vectorized cluster labels for a whole dataset (``unknown`` as in assign_leaves)."""
+    leaf_labels = assign_leaves(model.tree, data, unknown)
+    lookup = np.full(max(model.tree.leaf_ids) + 1, -1, dtype=np.int64)
+    for lid in model.tree.leaf_ids:
+        if lid not in model.leaf_to_cluster:
+            raise SurvClustError(f"the model maps leaf {lid} to no cluster")
+        lookup[lid] = model.leaf_to_cluster[lid]
     return lookup[leaf_labels]
 
 

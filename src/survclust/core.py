@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -89,10 +89,6 @@ class Subject:
     event: bool
 
 
-def _column_dtype(feature: Feature):
-    return np.float64 if feature.kind == NUMERIC else np.int64
-
-
 class SurvivalDataset:
     """Immutable censored-lifetime sample bound to a schema."""
 
@@ -104,7 +100,7 @@ class SurvivalDataset:
                 f"expected {len(schema)} feature columns, got {len(columns)}")
         cols = []
         for feature, col in zip(schema, columns):
-            arr = np.asarray(col, dtype=_column_dtype(feature))
+            arr = np.asarray(col, dtype=np.float64 if feature.kind == NUMERIC else np.int64)
             if arr.shape != (n,):
                 raise SchemaMismatchError(
                     f"column {feature.name!r} has shape {arr.shape}, expected ({n},)")
@@ -123,19 +119,6 @@ class SurvivalDataset:
         self.times = times
         self.events = events
 
-    @classmethod
-    def from_subjects(cls, schema: FeatureSchema, subjects: Sequence[Subject]) -> "SurvivalDataset":
-        for s in subjects:
-            if len(s.values) != len(schema):
-                raise SchemaMismatchError(
-                    f"subject {s.id!r} has {len(s.values)} values, schema has {len(schema)}")
-        ids = [s.id for s in subjects]
-        columns = [np.array([s.values[j] for s in subjects], dtype=_column_dtype(f))
-                   for j, f in enumerate(schema)]
-        times = np.array([s.time for s in subjects], dtype=np.float64)
-        events = np.array([s.event for s in subjects], dtype=bool)
-        return cls(schema, ids, columns, times, events)
-
     def __len__(self) -> int:
         return len(self.ids)
 
@@ -143,15 +126,11 @@ class SurvivalDataset:
     def n_events(self) -> int:
         return int(self.events.sum())
 
-    def subject(self, i: int) -> Subject:
-        values = tuple(
-            float(col[i]) if f.kind == NUMERIC else int(col[i])
-            for f, col in zip(self.schema, self.columns))
-        return Subject(self.ids[i], values, float(self.times[i]), bool(self.events[i]))
-
     def subjects(self) -> Iterator[Subject]:
-        for i in range(len(self)):
-            yield self.subject(i)
+        columns = [col.tolist() for col in self.columns]
+        for sid, time, event, *values in zip(self.ids, self.times.tolist(),
+                                             self.events.tolist(), *columns):
+            yield Subject(sid, tuple(values), time, event)
 
     def subset_mask(self, mask: np.ndarray) -> "SurvivalDataset":
         """Row subset in original order; shares the schema."""
@@ -159,13 +138,6 @@ class SurvivalDataset:
         ids = [sid for sid, keep in zip(self.ids, mask) if keep]
         columns = [col[mask] for col in self.columns]
         return SurvivalDataset(self.schema, ids, columns, self.times[mask], self.events[mask])
-
-
-def subset(dataset: SurvivalDataset, predicate: Callable[[Subject], bool]) -> SurvivalDataset:
-    """Subjects satisfying ``predicate``, original order preserved."""
-    mask = np.fromiter((bool(predicate(s)) for s in dataset.subjects()),
-                       dtype=bool, count=len(dataset))
-    return dataset.subset_mask(mask)
 
 
 @dataclass(frozen=True)

@@ -11,29 +11,36 @@ import csv
 import json
 import os
 import tempfile
+from contextlib import contextmanager
+from itertools import islice, repeat
 from typing import Iterator
 
+import numpy as np
+
 from .clustering import ClusterModel
-from .core import (CATEGORICAL, NUMERIC, Feature, FeatureSchema, Subject,
-                   SurvivalDataset)
+from .core import CATEGORICAL, NUMERIC, Feature, FeatureSchema, Subject, SurvivalDataset
 from .errors import SchemaMismatchError
 from .kaplan_meier import SurvivalCurve
 from .tree import (CategoryTest, NumericTest, SplitCandidate, SurvivalTree,
                    TreeConfig, TreeNode)
 
 RESERVED_COLUMNS = ("id", "time", "event")
+# Rows parsed per chunk: bounds the memory of parsed-but-unconverted cells.
+CHUNK_ROWS = 1024
 
 
 def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def atomic_write_text(path, text: str):
+@contextmanager
+def atomic_open(path):
+    """Text file for writing that replaces ``path`` only if the block succeeds."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(text)
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -42,7 +49,8 @@ def atomic_write_text(path, text: str):
 
 
 def save_json(obj, path):
-    atomic_write_text(path, dump_json(obj) + "\n")
+    with atomic_open(path) as fh:
+        fh.write(dump_json(obj) + "\n")
 
 
 def load_json(path):
@@ -81,22 +89,6 @@ def _format_value(feature: Feature, value) -> str:
     return ""  # preserved as an invalid marker
 
 
-def _parse_value(feature: Feature, raw: str, strict: bool):
-    if feature.kind == NUMERIC:
-        if not raw.strip():
-            if strict:
-                raise SchemaMismatchError(f"missing value in column {feature.name!r}")
-            return float("nan")
-        return float(raw)
-    try:
-        return feature.categories.index(raw)
-    except ValueError:
-        if strict:
-            raise SchemaMismatchError(
-                f"unknown category {raw!r} in column {feature.name!r}")
-        return -1
-
-
 def save_dataset_csv(dataset: SurvivalDataset, path):
     header = list(RESERVED_COLUMNS) + list(dataset.schema.names)
     lines = [",".join(header)]
@@ -105,52 +97,112 @@ def save_dataset_csv(dataset: SurvivalDataset, path):
         row += [_format_value(f, col[i]) for f, col in
                 zip(dataset.schema, dataset.columns)]
         lines.append(",".join(row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    with atomic_open(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
-def _open_subject_reader(path, schema: FeatureSchema):
-    fh = open(path, newline="")
-    reader = csv.DictReader(fh)
-    fields = set(reader.fieldnames or ())
-    missing = set(RESERVED_COLUMNS) - fields
-    if missing:
-        fh.close()
-        raise SchemaMismatchError(f"subject CSV missing columns: {sorted(missing)}")
-    extra = fields - set(RESERVED_COLUMNS) - set(schema.names)
-    undeclared = set(schema.names) - fields
-    if extra or undeclared:
-        fh.close()
-        parts = []
-        if undeclared:
-            parts.append(f"columns missing for schema features: {sorted(undeclared)}")
-        if extra:
-            parts.append(f"columns not declared in the schema: {sorted(extra)}")
+def _check_header(header: list[str], schema: FeatureSchema):
+    fields, reserved, declared = set(header), set(RESERVED_COLUMNS), set(schema.names)
+    if reserved - fields:
+        raise SchemaMismatchError(f"subject CSV missing columns: {sorted(reserved - fields)}")
+    parts = []
+    if declared - fields:
+        parts.append(f"columns missing for schema features: {sorted(declared - fields)}")
+    if fields - reserved - declared:
+        parts.append(f"columns not declared in the schema: {sorted(fields - reserved - declared)}")
+    if parts:
         raise SchemaMismatchError("; ".join(parts))
-    return fh, reader
 
 
-def _row_to_subject(row: dict, schema: FeatureSchema, strict: bool) -> Subject:
-    raw_event = row["event"].strip()
-    if raw_event not in ("0", "1"):
-        raise SchemaMismatchError(f"event must be 0 or 1, got {raw_event!r}")
-    values = tuple(_parse_value(f, row[f.name], strict) for f in schema)
-    return Subject(row["id"], values, float(row["time"]), raw_event == "1")
+def _events(cells: tuple) -> np.ndarray:
+    flags = {raw: raw.strip() == "1" for raw in set(cells)}
+    for raw in flags:
+        if raw.strip() not in ("0", "1"):
+            raise SchemaMismatchError(f"event must be 0 or 1, got {raw.strip()!r}")
+    return np.fromiter(map(flags.__getitem__, cells), dtype=bool, count=len(cells))
+
+
+def _number(raw: str, name: str, blank_ok: bool) -> float:
+    if not (raw.strip() or blank_ok):
+        raise SchemaMismatchError(f"missing value in column {name!r}")
+    try:
+        return float(raw) if raw.strip() else float("nan")
+    except ValueError:
+        raise SchemaMismatchError(f"{raw!r} is not a number in column {name!r}") from None
+
+
+def _numbers(cells: tuple, name: str, blank_ok: bool) -> np.ndarray:
+    try:
+        return np.array(cells, dtype=np.float64)
+    except ValueError:  # blank or non-numeric cells: convert one by one
+        return np.array([_number(raw, name, blank_ok) for raw in cells], dtype=np.float64)
+
+
+def _categories(cells: tuple, feature: Feature, strict: bool) -> np.ndarray:
+    index = {level: i for i, level in enumerate(feature.categories)}
+    codes = np.fromiter(map(index.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
+    if strict and codes.min(initial=0) < 0:
+        raw = cells[int(np.argmin(codes))]
+        raise SchemaMismatchError(f"unknown category {raw!r} in column {feature.name!r}")
+    return codes
+
+
+def _chunk_dataset(rows: tuple, lines: tuple, header: list[str],
+                   schema: FeatureSchema, strict: bool) -> SurvivalDataset:
+    """Convert parsed rows one column at a time; the first bad row raises,
+    checked for its field count, ``event``, the features, then ``time``."""
+    column = {name: i for i, name in enumerate(header)}  # last one, if repeated
+    try:
+        if set(map(len, rows)) != {len(header)}:
+            raise SchemaMismatchError(f"expected {len(header)} fields, got {len(rows[0])}")
+        cells = list(zip(*rows))
+        events = _events(cells[column["event"]])
+        columns = [_numbers(cells[column[f.name]], f.name, blank_ok=not strict)
+                   if f.kind == NUMERIC else _categories(cells[column[f.name]], f, strict)
+                   for f in schema]
+        times = _numbers(cells[column["time"]], "time", blank_ok=False)
+    except SchemaMismatchError as bad:
+        if len(rows) > 1:  # find the first bad row
+            for row, line in zip(rows, lines):
+                _chunk_dataset([row], [line], header, schema, strict)
+        raise SchemaMismatchError(f"line {lines[0]}: {bad}") from None
+    return SurvivalDataset(schema, cells[column["id"]], columns, times, events)
+
+
+def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[SurvivalDataset]:
+    """Read a subject CSV as consecutive datasets of at most ``CHUNK_ROWS`` rows.
+
+    Strict mode rejects blank numeric cells and unknown categories; lenient
+    mode stores them as NaN and -1 for :func:`validate_dataset` to report.
+    Blank lines are skipped. A row with the wrong number of fields, an
+    ``event`` other than 0/1 or a non-numeric ``time`` or feature cell
+    raises :class:`SchemaMismatchError` naming its 1-based line.
+    """
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        _check_header(header, schema)
+        numbered = ((reader.line_num, row) for row in reader if row)
+        while chunk := list(islice(numbered, CHUNK_ROWS)):
+            lines, rows = zip(*chunk)
+            yield _chunk_dataset(rows, lines, header, schema, strict)
 
 
 def iter_subjects_csv(path, schema: FeatureSchema, strict: bool = True) -> Iterator[Subject]:
-    """Stream subjects row by row; strict mode rejects unknown categories."""
-    fh, reader = _open_subject_reader(path, schema)
-    try:
-        for row in reader:
-            yield _row_to_subject(row, schema, strict)
-    finally:
-        fh.close()
+    """Stream subjects; strict mode rejects unknown categories and blank numerics."""
+    for chunk in iter_subject_chunks(path, schema, strict):
+        yield from chunk.subjects()
 
 
 def load_dataset_csv(path, schema: FeatureSchema, strict: bool = False) -> SurvivalDataset:
     """Read a subject CSV; lenient mode stores invalid cells for validation."""
-    subjects = list(iter_subjects_csv(path, schema, strict))
-    return SurvivalDataset.from_subjects(schema, subjects)
+    chunks = list(iter_subject_chunks(path, schema, strict))
+    if not chunks:
+        return SurvivalDataset(schema, [], [()] * len(schema), (), ())
+    *columns, times, events = (np.concatenate(parts) for parts in
+                               zip(*((*c.columns, c.times, c.events) for c in chunks)))
+    return SurvivalDataset(schema, [sid for c in chunks for sid in c.ids],
+                           columns, times, events)
 
 
 # ------------------------------------------------------------------ tree

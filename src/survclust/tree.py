@@ -17,7 +17,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .core import CATEGORICAL, NUMERIC, FeatureSchema, Subject, SurvivalDataset
+from .core import CATEGORICAL, NUMERIC, Feature, FeatureSchema, Subject, SurvivalDataset
 from .errors import NoEventsAtRootError, SchemaMismatchError
 from .kaplan_meier import SurvivalCurve, km_fit_arrays
 from .twosample import kuiper_log_pvalue, kuiper_pvalue
@@ -32,6 +32,9 @@ class NumericTest:
     def evaluate(self, column: np.ndarray) -> np.ndarray:
         return column < self.threshold
 
+    def describe(self, feature: Feature) -> str:
+        return f"{feature.name} < {self.threshold:g}"
+
 
 @dataclass(frozen=True)
 class CategoryTest:
@@ -41,6 +44,9 @@ class CategoryTest:
 
     def evaluate(self, column: np.ndarray) -> np.ndarray:
         return column == self.category_index
+
+    def describe(self, feature: Feature) -> str:
+        return f"{feature.name} = {feature.categories[self.category_index]}"
 
 
 @dataclass(frozen=True)
@@ -255,32 +261,49 @@ def _check_schema(tree: SurvivalTree, subject: Subject):
 
 
 def assign_leaf(tree: SurvivalTree, subject: Subject) -> int:
-    """Route one subject to its leaf id."""
+    """Route one subject to its leaf id; unknown categories raise."""
     _check_schema(tree, subject)
-    node = tree.root
-    while not node.is_leaf:
-        value = subject.values[node.split.feature]
-        if isinstance(node.split.test, NumericTest):
-            go_left = value < node.split.test.threshold
-        else:
-            go_left = int(value) == node.split.test.category_index
-        node = node.left if go_left else node.right
-    return node.leaf_id
+    row = np.array([value if feature.kind == NUMERIC else int(value)
+                    for value, feature in zip(subject.values, tree.schema)], dtype=np.float64)
+    return int(_route(tree, row[:, None], 1, None)[0])
 
 
-def assign_leaves(tree: SurvivalTree, data: SurvivalDataset) -> np.ndarray:
-    """Vectorized leaf routing for a whole dataset (schema must match)."""
+def assign_leaves(tree: SurvivalTree, data: SurvivalDataset,
+                  unknown: Optional[str] = None) -> np.ndarray:
+    """Vectorized leaf routing for a whole dataset (schema must match).
+
+    By default NaN and out-of-range categories fail every test and go to the
+    false child. ``unknown="majority"`` sends them to the child that held
+    more training subjects instead; ties go left.
+    """
     if data.schema != tree.schema:
         raise SchemaMismatchError("dataset schema does not match the tree's schema")
-    labels = np.full(len(data), -1, dtype=np.int64)
+    return _route(tree, data.columns, len(data), unknown)
+
+
+def _training_subjects(node: TreeNode) -> int:
+    return (node.n_subjects if node.is_leaf
+            else _training_subjects(node.left) + _training_subjects(node.right))
+
+
+def _route(tree: SurvivalTree, columns, n: int, unknown: Optional[str]) -> np.ndarray:
+    if unknown not in (None, "majority"):
+        raise ValueError(f"unknown routing policy {unknown!r}")
+    labels = np.full(n, -1, dtype=np.int64)
 
     def walk(node: TreeNode, idx: np.ndarray):
         if node.is_leaf:
             labels[idx] = node.leaf_id
             return
-        mask = node.split.test.evaluate(data.columns[node.split.feature][idx])
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
+        column = columns[node.split.feature][idx]
+        go_left = node.split.test.evaluate(column)
+        if unknown == "majority":
+            feature = tree.schema[node.split.feature]
+            missing = (np.isnan(column) if feature.kind == NUMERIC
+                       else (column < 0) | (column >= len(feature.categories)))
+            go_left[missing] = _training_subjects(node.left) >= _training_subjects(node.right)
+        walk(node.left, idx[go_left])
+        walk(node.right, idx[~go_left])
 
-    walk(tree.root, np.arange(len(data)))
+    walk(tree.root, np.arange(n))
     return labels

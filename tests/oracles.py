@@ -5,6 +5,9 @@ oracles: the permutation machinery below works on raw pooled samples and
 rank masks, never on fitted curves.
 """
 
+import csv
+import math
+
 import numpy as np
 
 
@@ -93,3 +96,91 @@ def best_label_agreement(truth, predicted):
         mapped = np.array([mapping.get(p, -1) for p in predicted])
         best = max(best, float(np.mean(mapped == truth)))
     return best
+
+
+def reference_subject_csv(path, schema, strict):
+    """Parse a subject CSV row by row with ``csv.DictReader``.
+
+    Returns ``(ids, times, events, columns)`` as lists. The first bad row
+    raises ``SchemaMismatchError("line N: <problem>")``, N being the reader's
+    line count after the row, for the first of: its field count, ``event``,
+    the features in schema order, ``time``. Blank lines are skipped; lenient
+    mode reads blank numeric cells as NaN and unknown levels as -1.
+    """
+    from survclust.errors import SchemaMismatchError
+
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        fields = set(reader.fieldnames or ())
+        reserved = {"id", "time", "event"}
+        if not reserved <= fields or fields - reserved != set(schema.names):
+            raise SchemaMismatchError("header does not match the schema")
+        ids, times, events = [], [], []
+        columns = [[] for _ in schema]
+        for row in reader:
+            line = reader.reader.line_num
+
+            def reject(message):
+                raise SchemaMismatchError(f"line {line}: {message}")
+
+            def number(raw, name):
+                if not raw.strip():
+                    reject(f"missing value in column {name!r}")
+                try:
+                    return float(raw)
+                except ValueError:
+                    reject(f"{raw!r} is not a number in column {name!r}")
+
+            width = len(reader.fieldnames)
+            if None in row:
+                reject(f"expected {width} fields, got {width + len(row[None])}")
+            if None in row.values():
+                got = sum(value is not None for value in row.values())
+                reject(f"expected {width} fields, got {got}")
+            event = row["event"].strip()
+            if event not in ("0", "1"):
+                reject(f"event must be 0 or 1, got {event!r}")
+            values = []
+            for feature in schema:
+                raw = row[feature.name]
+                if feature.kind == "numeric":
+                    blank = not raw.strip()
+                    values.append(float("nan") if blank and not strict
+                                  else number(raw, feature.name))
+                elif raw in feature.categories:
+                    values.append(feature.categories.index(raw))
+                elif strict:
+                    reject(f"unknown category {raw!r} in column {feature.name!r}")
+                else:
+                    values.append(-1)
+            times.append(number(row["time"], "time"))
+            ids.append(row["id"])
+            events.append(event == "1")
+            for column, value in zip(columns, values):
+                column.append(value)
+    return ids, times, events, columns
+
+
+def reference_route(tree, values, unknown=None):
+    """Leaf id of one row of feature values, walking the tree node by node.
+
+    ``unknown="majority"`` sends NaN numerics and out-of-range categories to
+    the child whose leaves hold more training subjects, ties to the left.
+    """
+    def size(node):
+        return node.n_subjects if node.is_leaf else size(node.left) + size(node.right)
+
+    node = tree.root
+    while not node.is_leaf:
+        feature = tree.schema[node.split.feature]
+        value = values[node.split.feature]
+        if feature.kind == "numeric":
+            missing = math.isnan(value)
+            go_left = value < node.split.test.threshold
+        else:
+            missing = not 0 <= value < len(feature.categories)
+            go_left = value == node.split.test.category_index
+        if missing and unknown == "majority":
+            go_left = size(node.left) >= size(node.right)
+        node = node.left if go_left else node.right
+    return node.leaf_id

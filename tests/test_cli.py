@@ -259,6 +259,78 @@ class TestPredict:
         assert labels["zz"] == labels["aa"]  # routed with the majority ('a') side
 
 
+class TestUnmappedLeaf:
+    def test_predict_and_evaluate_exit_2(self, tmp_path, capsys):
+        data, model_path = fitted_model(tmp_path)
+        model = json.loads(model_path.read_text())
+        model["leaf_to_cluster"] = model["leaf_to_cluster"][1:]
+        model_path.write_text(json.dumps(model))
+        subjects = str(data / "subjects.csv")
+        assert run("predict", "--model", str(model_path), "--data", subjects,
+                   "--out", str(tmp_path / "p.csv")) == 2
+        assert run("evaluate", "--model", str(model_path), "--data", subjects) == 2
+        assert "to no cluster" in capsys.readouterr().err
+        assert not (tmp_path / "p.csv").exists()
+
+
+class TestPredictNan:
+    def test_strict_nan_goes_to_false_child(self, tmp_path):
+        data, model_path = fitted_model(tmp_path)
+        model = json.loads(model_path.read_text())["tree"]
+        root = next(n for n in model["nodes"] if n["id"] == model["root"])
+        lines = (data / "subjects.csv").read_text().splitlines()
+        column = lines[0].split(",").index(root["feature"])
+        rows = [lines[0]]
+        for sid, value in (("nan", "nan"), ("inf", "inf")):
+            cells = lines[1].split(",")
+            cells[0], cells[column] = sid, value
+            rows.append(",".join(cells))
+        scored = tmp_path / "scored.csv"
+        scored.write_text("\n".join(rows) + "\n")
+        out = tmp_path / "out.csv"
+        assert run("predict", "--model", str(model_path), "--data", str(scored),
+                   "--out", str(out)) == 0
+        labels = dict(line.split(",") for line in out.read_text().splitlines()[1:])
+        assert labels["nan"] == labels["inf"]  # both fail every `value < threshold`
+
+
+class TestBadSubjectRows:
+    """fit, predict and evaluate reject a bad subject row with exit 2 and name its line."""
+
+    def check(self, tmp_path, capsys, edit, expected):
+        data, model_path = fitted_model(tmp_path, n=400)
+        lines = (data / "subjects.csv").read_text().splitlines()
+        lines[2] = ",".join(edit(lines[2].split(",")))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        predicted = tmp_path / "p.csv"
+        for argv in (["fit", "--data", str(bad), "--schema", str(data / "schema.json"),
+                      "--out", str(tmp_path / "m.json")],
+                     ["predict", "--model", str(model_path), "--data", str(bad),
+                      "--out", str(predicted)],
+                     ["evaluate", "--model", str(model_path), "--data", str(bad)]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            assert expected in capsys.readouterr().err
+        assert not predicted.exists()
+
+    def test_short_row(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, lambda cells: cells[:-1],
+                   "line 3: expected 8 fields, got 7")
+
+    def test_row_with_extra_field(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, lambda cells: cells + ["9"],
+                   "line 3: expected 8 fields, got 9")
+
+    def test_non_numeric_time(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, lambda cells: [cells[0], "soon"] + cells[2:],
+                   "line 3: 'soon' is not a number in column 'time'")
+
+    def test_non_numeric_feature(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, lambda cells: cells[:-1] + ["n/a"],
+                   "line 3: 'n/a' is not a number in column 'noise2'")
+
+
 class TestReport:
     def test_curve_export(self, tmp_path):
         _, model_path = fitted_model(tmp_path)

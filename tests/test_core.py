@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from survclust import (Feature, FeatureSchema, Subject, SurvivalDataset,
-                       subset, validate_dataset)
+                       validate_dataset)
 from survclust.errors import SchemaMismatchError
 
 
@@ -14,9 +14,8 @@ def make_schema():
 
 
 def make_dataset(rows):
-    schema = make_schema()
-    subjects = [Subject(sid, (age, gender), t, e) for sid, age, gender, t, e in rows]
-    return SurvivalDataset.from_subjects(schema, subjects)
+    ids, ages, genders, times, events = zip(*rows)
+    return SurvivalDataset(make_schema(), ids, [ages, genders], times, events)
 
 
 class TestSchema:
@@ -75,7 +74,7 @@ class TestValidate:
     def test_wrong_value_count_rejected_at_construction(self):
         schema = make_schema()
         with pytest.raises(SchemaMismatchError):
-            SurvivalDataset.from_subjects(schema, [Subject("a", (1.0,), 5.0, True)])
+            SurvivalDataset(schema, ["a"], [[1.0]], [5.0], [True])
 
 
 class TestSubset:
@@ -87,21 +86,20 @@ class TestSubset:
         ])
 
     def test_always_true_is_identity(self):
-        sub = subset(self.ds, lambda s: True)
+        sub = self.ds.subset_mask(np.ones(len(self.ds), dtype=bool))
         assert sub.ids == self.ds.ids
         assert np.array_equal(sub.times, self.ds.times)
 
     def test_always_false_is_empty(self):
-        assert len(subset(self.ds, lambda s: False)) == 0
+        assert len(self.ds.subset_mask(np.zeros(len(self.ds), dtype=bool))) == 0
 
     def test_strict_inequality_boundary(self):
-        sub = subset(self.ds, lambda s: s.values[0] < 30.0)
+        sub = self.ds.subset_mask(self.ds.columns[0] < 30.0)
         assert sub.ids == ("a",)
 
     def test_idempotent(self):
-        pred = lambda s: s.time >= 2.0
-        once = subset(self.ds, pred)
-        twice = subset(once, pred)
+        once = self.ds.subset_mask(self.ds.times >= 2.0)
+        twice = once.subset_mask(once.times >= 2.0)
         assert once.ids == twice.ids
 
     def test_partition_counts(self):
@@ -112,13 +110,15 @@ class TestSubset:
             for i in range(50)
         ])
         for threshold in (25.0, 40.0, 55.0):
-            pred = lambda s: s.values[0] < threshold
-            assert len(subset(ds, pred)) + len(subset(ds, lambda s: not pred(s))) == len(ds)
+            mask = ds.columns[0] < threshold
+            inside, outside = ds.subset_mask(mask), ds.subset_mask(~mask)
+            assert len(inside) + len(outside) == len(ds)
+            assert sorted(inside.ids + outside.ids) == sorted(ds.ids)
 
     def test_order_preserved(self):
-        sub = subset(self.ds, lambda s: s.id != "b")
+        sub = self.ds.subset_mask(np.array([sid != "b" for sid in self.ds.ids]))
         assert sub.ids == ("a", "c")
 
     def test_subject_round_trip(self):
-        s = self.ds.subject(1)
+        s = list(self.ds.subjects())[1]
         assert s == Subject("b", (30.0, 1), 2.0, False)

@@ -1,9 +1,14 @@
+import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from survclust import (Feature, FeatureSchema, SurvivalDataset,
+from oracles import reference_subject_csv
+from survclust import (Feature, FeatureSchema, SurvivalDataset, dataio,
                        validate_dataset)
 from survclust.clustering import cluster_assign_dataset, fit_cluster_model
 from survclust.dataio import (dump_json, iter_subjects_csv, load_dataset_csv,
@@ -104,6 +109,132 @@ class TestSubjectCsv:
         path.write_text("id,time,event,age,gender\na,1.0,yes,30,M\n")
         with pytest.raises(SchemaMismatchError):
             load_dataset_csv(path, mixed_schema())
+
+    def test_short_and_long_rows_name_their_line(self, tmp_path):
+        path = tmp_path / "subjects.csv"
+        for bad_row in ("b,2.0,0,40", "b,2.0,0,40,F,7"):
+            path.write_text(f"id,time,event,age,gender\na,1.0,1,30,M\n\n{bad_row}\n")
+            with pytest.raises(SchemaMismatchError, match="line 4: expected 5 fields"):
+                load_dataset_csv(path, mixed_schema())
+
+    def test_non_numeric_cell_names_column_and_line(self, tmp_path):
+        path = tmp_path / "subjects.csv"
+        path.write_text("id,time,event,age,gender\na,1.0,1,30,M\nb,2.0,0,forty,F\n")
+        with pytest.raises(SchemaMismatchError, match="line 3: 'forty' is not a number in column 'age'"):
+            load_dataset_csv(path, mixed_schema())
+        path.write_text("id,time,event,age,gender\na,1.0,1,30,M\nb,,0,40,F\n")
+        with pytest.raises(SchemaMismatchError, match="line 3: missing value in column 'time'"):
+            load_dataset_csv(path, mixed_schema())
+
+    def test_first_bad_row_wins_across_columns(self, tmp_path):
+        path = tmp_path / "subjects.csv"
+        path.write_text("id,time,event,age,gender\n"
+                        "a,1.0,1,30,NOPE\nb,2.0,0,forty,F\nc,3.0,1,50\n")
+        with pytest.raises(SchemaMismatchError, match="line 2: unknown category 'NOPE'"):
+            load_dataset_csv(path, mixed_schema(), strict=True)
+        with pytest.raises(SchemaMismatchError, match="line 3: 'forty'"):
+            load_dataset_csv(path, mixed_schema(), strict=False)
+
+    @pytest.mark.parametrize("n", [dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS,
+                                   dataio.CHUNK_ROWS + 1])
+    def test_chunk_boundaries_match_reference(self, tmp_path, n):
+        rng = np.random.default_rng(n)
+        ds = SurvivalDataset(mixed_schema(), [f"s{i}" for i in range(n)],
+                             [rng.normal(size=n), rng.integers(0, 2, n)],
+                             rng.exponential(size=n), rng.random(n) < 0.5)
+        path = tmp_path / "subjects.csv"
+        save_dataset_csv(ds, path)
+        assert_matches_reference(path, mixed_schema(), strict=True)
+
+    def test_iter_subjects_matches_dataset_rows(self, tmp_path):
+        ds = mixed_dataset()
+        path = tmp_path / "subjects.csv"
+        save_dataset_csv(ds, path)
+        with mock.patch.object(dataio, "CHUNK_ROWS", 2):
+            assert list(iter_subjects_csv(path, ds.schema)) == list(ds.subjects())
+
+
+def outcome(parse):
+    """``("ok", value)``, or the error type and, for a bad row, its message."""
+    try:
+        return "ok", parse()
+    except SchemaMismatchError as err:
+        return type(err), str(err) if str(err).startswith("line ") else None
+
+
+def assert_matches_reference(path, schema, strict):
+    expected = outcome(lambda: reference_subject_csv(path, schema, strict))
+    got = outcome(lambda: load_dataset_csv(path, schema, strict))
+    if expected[0] != "ok" or got[0] != "ok":
+        assert got == expected
+        return
+    ids, times, events, columns = expected[1]
+    ds = got[1]
+    assert ds.ids == tuple(ids)
+    assert ds.times.tobytes() == np.array(times, dtype=np.float64).tobytes()
+    assert ds.events.tolist() == events
+    for feature, col, ref in zip(schema, ds.columns, columns):
+        dtype = np.float64 if feature.kind == "numeric" else np.int64
+        assert col.tobytes() == np.array(ref, dtype=dtype).tobytes()
+
+
+NUMBERS = st.one_of(st.floats(allow_nan=False, width=64).map(repr),
+                    st.sampled_from(["0", " 2.5 ", "1e3", "nan", "-inf", "1_0", "-0.0"]))
+BLANKS = st.sampled_from(["", " ", "\t"])
+JUNK = st.sampled_from(["abc", "0x1", "2", "yes", "zz", ""])
+LEVELS = ["a", "b", " a", "c,d", "é"]
+
+
+@st.composite
+def subject_csvs(draw):
+    """Schema plus subject CSV rows: each row clean, with cells lenient mode
+    accepts (blank numerics, unknown levels), with junk, blank or ragged."""
+    features = []
+    for j in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            features.append(Feature(f"x{j}", "numeric"))
+        else:
+            levels = draw(st.lists(st.sampled_from(LEVELS), min_size=1, max_size=3,
+                                   unique=True))
+            features.append(Feature(f"g{j}", "categorical", tuple(levels)))
+    schema = FeatureSchema(tuple(features))
+    header = ["id", "time", "event"] + list(schema.names)
+    order = draw(st.permutations(range(len(header))))
+    rows = []
+    for _ in range(draw(st.integers(0, 9))):
+        kind = draw(st.sampled_from(["clean"] * 8 + ["lenient"] * 4
+                                    + ["junk", "blank", "ragged"]))
+        if kind == "blank":
+            rows.append([])
+            continue
+        number = st.one_of(NUMBERS, BLANKS) if kind == "lenient" else NUMBERS
+        level = (st.sampled_from(LEVELS + ["zz", ""]) if kind == "lenient"
+                 else st.sampled_from(LEVELS))
+        if kind == "junk":
+            number, level = st.one_of(number, JUNK), st.one_of(level, JUNK)
+        row = [draw(st.text(alphabet="ab,\" \n", max_size=4)), draw(number),
+               draw(st.sampled_from(["0", "1", " 1", "0 "]) if kind != "junk" else JUNK)]
+        row += [draw(number if f.kind == "numeric" else level) for f in schema]
+        row = [row[i] for i in order]
+        if kind == "ragged":
+            row = row[:-1] if draw(st.booleans()) else row + ["7"]
+        rows.append(row)
+    lineterminator = draw(st.sampled_from(["\n", "\r\n"]))
+    return schema, [header[i] for i in order], rows, lineterminator
+
+
+class TestColumnarReader:
+    @settings(max_examples=300, deadline=None)
+    @given(subject_csvs(), st.booleans(), st.sampled_from([1, 2, 3, 1024]))
+    def test_matches_row_by_row_reference(self, tmp_path_factory, case, strict, chunk_rows):
+        schema, header, rows, lineterminator = case
+        path = tmp_path_factory.mktemp("csv") / "subjects.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator=lineterminator)
+            writer.writerow(header)
+            writer.writerows(rows)
+        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+            assert_matches_reference(path, schema, strict)
 
 
 class TestTreeJson:

@@ -3,13 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_split_v
+from oracles import brute_force_split_v, reference_route
 from survclust import Feature, FeatureSchema, Subject, SurvivalDataset
 from survclust.errors import NoEventsAtRootError, SchemaMismatchError
 from survclust.synth import SynthConfig, default_group_specs, generate
-from survclust.tree import (CategoryTest, NumericTest, TreeConfig, assign_leaf,
-                            assign_leaves, best_split, enumerate_splits,
-                            grow_tree, score_candidates)
+from survclust.tree import (CategoryTest, NumericTest, SplitCandidate, SurvivalTree,
+                            TreeConfig, TreeNode, assign_leaf, assign_leaves,
+                            best_split, enumerate_splits, grow_tree,
+                            score_candidates)
 from survclust.twosample import bonferroni_threshold, kuiper_pvalue
 
 
@@ -426,6 +427,82 @@ class TestAssignLeaf:
         vec = assign_leaves(tree, data)
         scalar = np.array([assign_leaf(tree, s) for s in data.subjects()])
         assert np.array_equal(vec, scalar)
+
+
+def random_tree_and_rows(seed):
+    """A random tree over 1-3 mixed features and rows hitting thresholds,
+    NaN and out-of-range categories; leaf sizes tie often."""
+    rng = np.random.default_rng(seed)
+    features = [Feature(f"x{j}", "numeric") if rng.random() < 0.5
+                else Feature(f"g{j}", "categorical", ("a", "b", "c")[:rng.integers(1, 4)])
+                for j in range(rng.integers(1, 4))]
+    schema = FeatureSchema(tuple(features))
+    thresholds = np.array([-1.0, 0.0, 0.5, 1.0])
+    ids, leaf_ids = iter(range(100)), []
+
+    def build(depth):
+        if depth == 3 or rng.random() < 0.3:
+            leaf_ids.append(len(leaf_ids))
+            return TreeNode(next(ids), leaf_id=leaf_ids[-1], n_subjects=int(rng.integers(0, 4)))
+        j = int(rng.integers(len(schema)))
+        test = (NumericTest(float(rng.choice(thresholds))) if schema[j].kind == "numeric"
+                else CategoryTest(int(rng.integers(len(schema[j].categories)))))
+        node = TreeNode(next(ids), split=SplitCandidate(j, test, 0.01, 1.0))
+        node.left, node.right = build(depth + 1), build(depth + 1)
+        return node
+
+    tree = SurvivalTree(schema, build(0), SMALL, leaf_ids)
+    n = int(rng.integers(0, 40))
+    columns = [rng.choice(np.r_[thresholds, np.nan, np.inf, 0.25], n) if f.kind == "numeric"
+               else rng.integers(-1, len(f.categories) + 1, n) for f in schema]
+    data = SurvivalDataset(schema, [f"s{i}" for i in range(n)], columns,
+                           np.ones(n), np.ones(n, dtype=bool))
+    return tree, data
+
+
+class TestRouter:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([None, "majority"]))
+    def test_matches_reference_router(self, seed, unknown):
+        tree, data = random_tree_and_rows(seed)
+        expected = [reference_route(tree, s.values, unknown) for s in data.subjects()]
+        assert assign_leaves(tree, data, unknown).tolist() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1))
+    def test_one_row_wrapper_matches_reference(self, seed):
+        tree, data = random_tree_and_rows(seed)
+        for s in data.subjects():
+            if all(0 <= v < len(f.categories) for v, f in zip(s.values, tree.schema)
+                   if f.kind == "categorical"):
+                assert assign_leaf(tree, s) == reference_route(tree, s.values)
+            else:
+                with pytest.raises(SchemaMismatchError):
+                    assign_leaf(tree, s)
+
+    def test_majority_ties_go_left(self):
+        left = TreeNode(1, leaf_id=0, n_subjects=5)
+        right = TreeNode(2, leaf_id=1, n_subjects=5)
+        root = TreeNode(0, split=SplitCandidate(0, NumericTest(2.0), 0.01, 1.0),
+                        left=left, right=right)
+        schema = FeatureSchema((Feature("x", "numeric"),))
+        tree = SurvivalTree(schema, root, SMALL, [0, 1])
+        data = SurvivalDataset(schema, ["a", "b"], [np.array([np.nan, 3.0])],
+                               np.ones(2), np.ones(2, dtype=bool))
+        assert assign_leaves(tree, data).tolist() == [1, 1]
+        assert assign_leaves(tree, data, "majority").tolist() == [0, 1]
+        right.n_subjects = 6
+        assert assign_leaves(tree, data, "majority").tolist() == [1, 1]
+
+    def test_unknown_policy_checked(self):
+        tree, data = random_tree_and_rows(0)
+        with pytest.raises(ValueError):
+            assign_leaves(tree, data, "minority")
+
+    def test_describe_tests(self):
+        assert NumericTest(0.125).describe(Feature("age", "numeric")) == "age < 0.125"
+        gender = Feature("gender", "categorical", ("M", "F"))
+        assert CategoryTest(1).describe(gender) == "gender = F"
 
 
 class TestConfig:
