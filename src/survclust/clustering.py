@@ -10,6 +10,7 @@ cluster count.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,6 +27,11 @@ WEIGHT_FLOOR = 1e-12
 
 INFLATION_SWEEP_STEP = 0.25
 INFLATION_SWEEP_MAX = 10.0
+
+# MCL zeroes entries below the pruning floor; it stops once no entry moves by the tolerance.
+MCL_PRUNE_TOL = 1e-8
+MCL_CONV_TOL = 1e-9
+MCL_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -49,10 +55,8 @@ def build_leaf_graph(tree: SurvivalTree) -> LeafGraph:
     leaves = sorted(tree.leaves(), key=lambda node: node.leaf_id)
     n = len(leaves)
     w = np.ones((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            p = kuiper_test(leaves[i].curve, leaves[j].curve).p_value
-            w[i, j] = w[j, i] = p
+    for i, j in itertools.combinations(range(n), 2):
+        w[i, j] = w[j, i] = kuiper_test(leaves[i].curve, leaves[j].curve).p_value
     return LeafGraph(tuple(node.leaf_id for node in leaves), w)
 
 
@@ -104,9 +108,7 @@ def sinkhorn_knopp(w: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> n
         f"worst row/col deviation {worst:.3e}")
 
 
-def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0,
-        prune_tol: float = 1e-8, conv_tol: float = 1e-9,
-        max_iter: int = 200) -> list[list[int]]:
+def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[int]]:
     """Markov clustering of a column-stochastic matrix.
 
     Repeats expansion (matrix power), inflation (entrywise power with
@@ -129,18 +131,18 @@ def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0,
     m = m / col_sums
 
     converged = False
-    for _ in range(max_iter):
+    for _ in range(MCL_MAX_ITER):
         prev = m
         m = np.linalg.matrix_power(m, expansion)
         m = m ** inflation
         m /= m.sum(axis=0)
-        m = np.where(m < prune_tol, 0.0, m)
+        m = np.where(m < MCL_PRUNE_TOL, 0.0, m)
         m /= m.sum(axis=0)
-        if np.max(np.abs(m - prev)) < conv_tol:
+        if np.max(np.abs(m - prev)) < MCL_CONV_TOL:
             converged = True
             break
     if not converged:
-        raise NonConvergenceError(f"MCL did not converge in {max_iter} iterations")
+        raise NonConvergenceError(f"MCL did not converge in {MCL_MAX_ITER} iterations")
 
     attractors = np.flatnonzero(np.diag(m) > 0)
     labels = np.empty(n, dtype=np.int64)
@@ -181,8 +183,7 @@ def _pooled_curve(group: list[int], samples: dict[int, tuple[np.ndarray, np.ndar
 def coarsen_to_k(partition: list[list[int]], graph: LeafGraph, tree: SurvivalTree,
                  k: int, samples: dict[int, tuple[np.ndarray, np.ndarray]],
                  balanced: np.ndarray | None = None, expansion: int = 2,
-                 inflation: float = 2.0, prune_tol: float = 1e-8,
-                 conv_tol: float = 1e-9, max_iter: int = 200) -> ClusterModel:
+                 inflation: float = 2.0) -> ClusterModel:
     """Adjust an MCL partition to exactly ``k`` clusters.
 
     Too many groups: repeatedly merge the pair whose pooled populations
@@ -203,7 +204,7 @@ def coarsen_to_k(partition: list[list[int]], graph: LeafGraph, tree: SurvivalTre
             raise ValueError("refining the partition requires the balanced matrix")
         infl = inflation + INFLATION_SWEEP_STEP
         while infl <= INFLATION_SWEEP_MAX + 1e-9:
-            candidate = mcl(balanced, expansion, infl, prune_tol, conv_tol, max_iter)
+            candidate = mcl(balanced, expansion, infl)
             if len(candidate) >= k:
                 groups = [sorted(block) for block in candidate]
                 break
@@ -215,15 +216,9 @@ def coarsen_to_k(partition: list[list[int]], graph: LeafGraph, tree: SurvivalTre
 
     curves = [_pooled_curve(g, samples) for g in groups]
     while len(groups) > k:
-        best_pair = None
-        best_p = -1.0
-        for i in range(len(groups)):
-            for j in range(i + 1, len(groups)):
-                p = kuiper_test(curves[i], curves[j]).p_value
-                if p > best_p:
-                    best_p = p
-                    best_pair = (i, j)
-        i, j = best_pair
+        # the first pair with the highest p wins
+        i, j = max(itertools.combinations(range(len(groups)), 2),
+                   key=lambda ij: kuiper_test(curves[ij[0]], curves[ij[1]]).p_value)
         groups[i] = sorted(groups[i] + groups[j])
         del groups[j]
         curves[i] = _pooled_curve(groups[i], samples)
@@ -256,17 +251,12 @@ def cluster_assign_dataset(model: ClusterModel, data: SurvivalDataset,
 
 
 def fit_cluster_model(data: SurvivalDataset, tree: SurvivalTree, k: int | None = None,
-                      expansion: int = 2, inflation: float = 2.0,
-                      sk_tol: float = 1e-8, sk_max_iter: int = 10000,
-                      prune_tol: float = 1e-8, conv_tol: float = 1e-9,
-                      mcl_max_iter: int = 200) -> ClusterModel:
+                      expansion: int = 2, inflation: float = 2.0) -> ClusterModel:
     """Leaf graph -> floor -> Sinkhorn-Knopp -> MCL -> coarsen, end to end."""
     samples = leaf_samples(tree, data)
     graph = build_leaf_graph(tree)
-    balanced = sinkhorn_knopp(np.maximum(graph.weights, WEIGHT_FLOOR),
-                              tol=sk_tol, max_iter=sk_max_iter)
-    partition = mcl(balanced, expansion, inflation, prune_tol, conv_tol, mcl_max_iter)
+    balanced = sinkhorn_knopp(np.maximum(graph.weights, WEIGHT_FLOOR))
+    partition = mcl(balanced, expansion, inflation)
     if k is None:
         k = len(partition)
-    return coarsen_to_k(partition, graph, tree, k, samples, balanced,
-                        expansion, inflation, prune_tol, conv_tol, mcl_max_iter)
+    return coarsen_to_k(partition, graph, tree, k, samples, balanced, expansion, inflation)

@@ -15,6 +15,7 @@ import numpy as np
 
 from .core import SurvivalDataset
 from .errors import (InvalidHorizonsError, NoEventsError, SingleClassError)
+from .kaplan_meier import risk_sets
 
 COX_TOL = 1e-10
 COX_MAX_ITER = 50
@@ -63,18 +64,10 @@ def cox_hazard_ratio(samples) -> HazardRatioResult:
             raise NoEventsError(f"group {x} has no observed events")
 
     order = np.argsort(times, kind="stable")
-    times, events, group = times[order], events[order], group[order]
-    death_times = np.unique(times[events])
-    # per death time: total deaths, group-1 deaths, at-risk counts by group
-    d = np.zeros(death_times.size)
-    s = np.zeros(death_times.size)
-    idx = np.searchsorted(death_times, times[events])
-    np.add.at(d, idx, 1.0)
-    np.add.at(s, idx, group[events].astype(np.float64))
-    t1 = np.sort(times[group == 1], kind="stable")
-    n1 = t1.size - np.searchsorted(t1, death_times, side="left")
-    t0 = np.sort(times[group == 0], kind="stable")
-    n0 = t0.size - np.searchsorted(t0, death_times, side="left")
+    # per death time: at-risk counts by group, total and group-1 deaths
+    _, (n0, n1), deaths = risk_sets(times[order], events[order],
+                                    group[order] == np.arange(2)[:, None])
+    d, s = deaths.sum(axis=0), deaths[1]
 
     beta = 0.0
     iterations = 0
@@ -99,10 +92,10 @@ def cox_hazard_ratio(samples) -> HazardRatioResult:
 
     std_err = float(1.0 / np.sqrt(info)) if info > 0 else float("inf")
     with np.errstate(over="ignore"):
-        # a diverged fit legitimately yields an unbounded interval
+        # a diverged fit legitimately yields an unbounded ratio and interval
+        hazard_ratio = float(np.exp(beta))
         ci = (float(np.exp(beta - 1.96 * std_err)), float(np.exp(beta + 1.96 * std_err)))
-    return HazardRatioResult(float(beta), float(np.exp(beta)), std_err, ci,
-                             iterations, diverged)
+    return HazardRatioResult(float(beta), hazard_ratio, std_err, ci, iterations, diverged)
 
 
 def survival_labels(dataset: SurvivalDataset, t0: float, t1: float) -> list[tuple[str, bool]]:

@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import csv
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
 from .core import NUMERIC, Feature, FeatureSchema, SurvivalDataset
-from .errors import InvalidCutoffError
+from .errors import InvalidCutoffError, SchemaMismatchError
 
 SENT = "sent"
 RECEIVED = "received"
@@ -107,21 +108,15 @@ def activity_to_survival(log: ActivityLog, cutoff: float, schema: FeatureSchema,
         if values is None:
             discards.append(DiscardedUser(user.user_id, "no profile features"))
             continue
-        gap = log.study_end - user.last_activity
-        if gap >= cutoff:
-            lifetime = user.last_activity - user.join_time
-            if lifetime == 0:
-                discards.append(DiscardedUser(user.user_id, "zero lifetime"))
-                continue
-            ids.append(user.user_id)
-            rows.append(values)
-            times.append(lifetime)
-            events.append(True)
-        else:
-            ids.append(user.user_id)
-            rows.append(values)
-            times.append(window)
-            events.append(False)
+        dead = log.study_end - user.last_activity >= cutoff
+        time = user.last_activity - user.join_time if dead else window
+        if dead and time == 0:
+            discards.append(DiscardedUser(user.user_id, "zero lifetime"))
+            continue
+        ids.append(user.user_id)
+        rows.append(values)
+        times.append(time)
+        events.append(dead)
     columns = [np.array([row[j] for row in rows],
                         dtype=np.float64 if f.kind == NUMERIC else np.int64)
                for j, f in enumerate(schema)]
@@ -170,19 +165,41 @@ def early_window_features(log: ActivityLog, window: float,
     return schema, out
 
 
-def read_activity_csv(path) -> list[tuple[str, float, str, str]]:
-    """Rows of (user_id, timestamp, direction, partner_id)."""
-    out = []
+def _csv_rows(path, required: Sequence[str], what: str):
+    """(line, the required fields' cells) for each non-blank row of a CSV;
+    a row whose field count differs from the header's raises."""
     with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"user_id", "timestamp", "direction", "partner_id"}
-        missing = required - set(reader.fieldnames or ())
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(required) - set(header)
         if missing:
-            raise ValueError(f"activity CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            out.append((row["user_id"], float(row["timestamp"]),
-                        row["direction"], row["partner_id"]))
-    return out
+            raise ValueError(f"{what} CSV missing columns: {sorted(missing)}")
+        column = {name: i for i, name in enumerate(header)}  # last one, if repeated
+        pick = operator.itemgetter(*(column[name] for name in required))
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                raise SchemaMismatchError(f"line {reader.line_num}: expected "
+                                          f"{len(header)} fields, got {len(row)}")
+            yield reader.line_num, pick(row)
+
+
+def _number(raw: str, name: str, line: int) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        raise SchemaMismatchError(
+            f"line {line}: {raw!r} is not a number in column {name!r}") from None
+
+
+def read_activity_csv(path) -> list[tuple[str, float, str, str]]:
+    """Rows of (user_id, timestamp, direction, partner_id).
+
+    Blank lines are skipped. A row with the wrong number of fields or a
+    non-numeric timestamp raises :class:`SchemaMismatchError` naming its line.
+    """
+    rows = _csv_rows(path, ("user_id", "timestamp", "direction", "partner_id"), "activity")
+    return [(uid, _number(ts, "timestamp", line), direction, partner)
+            for line, (uid, ts, direction, partner) in rows]
 
 
 def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, list]]:
@@ -190,27 +207,22 @@ def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, lis
 
     Numeric cells parse as floats (blank -> NaN); categorical cells map to
     their category index, with unknown levels marked -1 so that dataset
-    validation reports them.
+    validation reports them. Blank lines are skipped. A row with the wrong
+    number of fields, a repeated user_id, or a non-numeric join_time or
+    numeric cell raises :class:`SchemaMismatchError` naming its line.
     """
     out: dict[str, tuple[float, list]] = {}
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"user_id", "join_time"} | set(schema.names)
-        missing = required - set(reader.fieldnames or ())
-        if missing:
-            raise ValueError(f"profile CSV missing columns: {sorted(missing)}")
-        for row in reader:
-            values = []
-            for feature in schema:
-                raw = row[feature.name]
-                if feature.kind == NUMERIC:
-                    values.append(float(raw) if raw.strip() else float("nan"))
-                else:
-                    try:
-                        values.append(feature.categories.index(raw))
-                    except ValueError:
-                        values.append(-1)
-            out[row["user_id"]] = (float(row["join_time"]), values)
+    for line, (uid, join, *cells) in _csv_rows(
+            path, ("user_id", "join_time", *schema.names), "profile"):
+        if uid in out:
+            raise SchemaMismatchError(f"line {line}: duplicate user_id {uid!r}")
+        values = []
+        for feature, raw in zip(schema, cells):
+            if feature.kind == NUMERIC:
+                values.append(_number(raw, feature.name, line) if raw.strip() else float("nan"))
+            else:
+                values.append(feature.categories.index(raw) if raw in feature.categories else -1)
+        out[uid] = (_number(join, "join_time", line), values)
     return out
 
 

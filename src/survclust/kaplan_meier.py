@@ -3,7 +3,8 @@
 The estimate at time t multiplies, over the distinct death times t_j <= t,
 the risk-set survival fractions (n_j - d_j) / n_j, where n_j counts the
 subjects still at risk just before t_j. A subject censored exactly at a
-death time is kept in the risk set for that time.
+death time is kept in the risk set for that time. :func:`risk_sets` applies
+this rule for the curves, the split scores, the log-rank test and Cox.
 """
 
 from __future__ import annotations
@@ -61,6 +62,29 @@ class SurvivalCurve:
                    int(d["n_events"]), int(d["n_subjects"]))
 
 
+def risk_sets(times, events, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Distinct death times t_j, then (G, T) int64 at-risk and death counts.
+
+    Inputs are in time order; ``members`` is a boolean (G, n) matrix. Row g
+    counts its members with time >= t_j, and those among them dying at t_j.
+    """
+    death_times = np.unique(times[events])
+    # Segment j holds the subjects with t_j <= time < t_j+1, so its events all
+    # die at t_j; reverse cumulative sums of segment counts are the risk sets.
+    starts = np.searchsorted(times, death_times, side="left")
+    segments = np.add.reduceat(members, starts, axis=1, dtype=np.int64)
+    at_risk = np.cumsum(segments[:, ::-1], axis=1)[:, ::-1]
+    deaths = np.add.reduceat(members & events, starts, axis=1, dtype=np.int64)
+    return death_times, at_risk, deaths
+
+
+def survival_on_grid(at_risk: np.ndarray, deaths: np.ndarray) -> np.ndarray:
+    """Product-limit curve on a shared death-time grid; factor 1 where nobody is at risk."""
+    factor = deaths / np.maximum(at_risk, 1)
+    np.subtract(1.0, factor, out=factor)
+    return np.cumprod(factor, axis=-1, out=factor)
+
+
 def km_fit_arrays(times: np.ndarray, events: np.ndarray) -> SurvivalCurve:
     """Fit a survival curve from parallel time/event arrays."""
     times = np.asarray(times, dtype=np.float64)
@@ -70,10 +94,8 @@ def km_fit_arrays(times: np.ndarray, events: np.ndarray) -> SurvivalCurve:
     if not events.any():
         raise NoEventsError("cannot fit a survival curve without observed events")
     order = np.argsort(times, kind="stable")
-    times, events = times[order], events[order]
-    death_times, d = np.unique(times[events], return_counts=True)
-    # n_j = #(time >= t_j); censored subjects tied with a death time stay at risk
-    n_at_risk = times.size - np.searchsorted(times, death_times, side="left")
+    death_times, (n_at_risk,), (d,) = risk_sets(times[order], events[order],
+                                                np.ones((1, times.size), dtype=bool))
     survivors = n_at_risk - d
     # Consecutive death times with no censoring between them telescope exactly:
     # the product of (n_j - d_j)/n_j over such a run is survivors_end/n_start.
@@ -93,8 +115,6 @@ def km_fit_arrays(times: np.ndarray, events: np.ndarray) -> SurvivalCurve:
 def km_fit(subjects) -> SurvivalCurve:
     """Fit a survival curve from an iterable of (time, event) pairs."""
     pairs = list(subjects)
-    if not pairs:
-        raise EmptySampleError("cannot fit a survival curve on an empty sample")
     times = np.array([t for t, _ in pairs], dtype=np.float64)
     events = np.array([bool(e) for _, e in pairs], dtype=bool)
     return km_fit_arrays(times, events)

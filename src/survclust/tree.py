@@ -19,7 +19,7 @@ import numpy as np
 
 from .core import CATEGORICAL, NUMERIC, Feature, FeatureSchema, Subject, SurvivalDataset
 from .errors import NoEventsAtRootError, SchemaMismatchError
-from .kaplan_meier import SurvivalCurve, km_fit_arrays
+from .kaplan_meier import SurvivalCurve, km_fit_arrays, risk_sets, survival_on_grid
 from .twosample import kuiper_log_pvalue, kuiper_pvalue
 
 
@@ -157,13 +157,6 @@ def enumerate_splits(data: SurvivalDataset, schema: FeatureSchema,
     return out
 
 
-def _survival_on_grid(at_risk: np.ndarray, deaths: np.ndarray) -> np.ndarray:
-    """Product-limit curve on a shared death-time grid; factor 1 where nobody is at risk."""
-    factor = deaths / np.maximum(at_risk, 1)
-    np.subtract(1.0, factor, out=factor)
-    return np.cumprod(factor, axis=-1, out=factor)
-
-
 def score_candidates(data: SurvivalDataset, candidates: list[SplitCandidate]
                      ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Kuiper V and child event counts (true side, false side) per candidate.
@@ -175,12 +168,8 @@ def score_candidates(data: SurvivalDataset, candidates: list[SplitCandidate]
     """
     order = np.argsort(data.times, kind="stable")
     times, events = data.times[order], data.events[order]
-    # Segment g holds the subjects with grid[g] <= time < grid[g + 1], so its
-    # events all die at grid[g]; reverse cumulative sums of segment counts are
-    # risk sets that keep subjects censored at a death time.
-    starts = np.searchsorted(times, np.unique(times[events]), side="left")
-    node_at_risk = times.size - starts
-    node_deaths = np.add.reduceat(events, starts, dtype=np.int64)
+    _, node_at_risk, node_deaths = risk_sets(times, events,
+                                             np.ones((1, times.size), dtype=bool))
 
     v = np.zeros(len(candidates))
     events_true = np.zeros(len(candidates), dtype=np.int64)
@@ -190,11 +179,9 @@ def score_candidates(data: SurvivalDataset, candidates: list[SplitCandidate]
     for feature, idx in by_feature.items():
         col = data.columns[feature][order]
         mask = np.array([candidates[i].test.evaluate(col) for i in idx])
-        segments = np.add.reduceat(mask, starts, axis=1, dtype=np.int64)
-        at_risk = np.cumsum(segments[:, ::-1], axis=1)[:, ::-1]
-        deaths = np.add.reduceat(mask & events, starts, axis=1, dtype=np.int64)
-        diff = _survival_on_grid(at_risk, deaths)
-        diff -= _survival_on_grid(node_at_risk - at_risk, node_deaths - deaths)
+        _, at_risk, deaths = risk_sets(times, events, mask)
+        diff = survival_on_grid(at_risk, deaths)
+        diff -= survival_on_grid(node_at_risk - at_risk, node_deaths - deaths)
         v[idx] = diff.max(axis=1, initial=0.0) - diff.min(axis=1, initial=0.0)
         events_true[idx] = deaths.sum(axis=1)
     return v, events_true, int(events.sum()) - events_true

@@ -16,7 +16,7 @@ from scipy.stats import chi2
 
 from .errors import (EmptySampleError, InvalidAlphaError, InvalidCountError,
                      InvalidEventCountError, NoEventsError)
-from .kaplan_meier import SurvivalCurve, km_eval_many
+from .kaplan_meier import SurvivalCurve, km_eval_many, risk_sets
 
 # Series truncation: below this term magnitude (or past _SERIES_MAX_TERMS)
 # the tail is far below p-value comparison granularity.
@@ -117,19 +117,16 @@ def logrank_test(group_samples) -> TestResult:
     if any(len(g) == 0 for g in groups):
         raise EmptySampleError("log-rank groups must be non-empty")
     g = len(groups)
-    times = [np.sort(np.array([t for t, _ in grp], dtype=np.float64)) for grp in groups]
-    death_lists = [np.array([t for t, e in grp if e], dtype=np.float64) for grp in groups]
-    total_events = float(sum(dl.size for dl in death_lists))
+    times = np.array([t for grp in groups for t, _ in grp], dtype=np.float64)
+    events = np.array([bool(e) for grp in groups for _, e in grp], dtype=bool)
+    labels = np.repeat(np.arange(g), [len(grp) for grp in groups])
+    total_events = float(events.sum())
     if total_events == 0:
         raise NoEventsError("log-rank test needs at least one event overall")
 
-    death_times = np.unique(np.concatenate(death_lists))
-    n_deaths = death_times.size
-    at_risk = np.empty((g, n_deaths))
-    deaths = np.zeros((g, n_deaths))
-    for i in range(g):
-        at_risk[i] = times[i].size - np.searchsorted(times[i], death_times, side="left")
-        np.add.at(deaths[i], np.searchsorted(death_times, death_lists[i]), 1.0)
+    order = np.argsort(times, kind="stable")
+    _, at_risk, deaths = risk_sets(times[order], events[order],
+                                   labels[order] == np.arange(g)[:, None])
     n_tot = at_risk.sum(axis=0)
     d_tot = deaths.sum(axis=0)
     p = at_risk / n_tot

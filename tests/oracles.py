@@ -24,6 +24,17 @@ def brute_force_km(samples, t):
     return value
 
 
+def brute_force_risk_sets(times, events, members):
+    """Distinct death times, then per member row and death time t the counts
+    #(time >= t) and #(event and time == t), tallied one subject at a time."""
+    death_times = sorted({float(t) for t, e in zip(times, events) if e})
+    at_risk = [[sum(1 for t, m in zip(times, row) if m and t >= tj) for tj in death_times]
+               for row in members]
+    deaths = [[sum(1 for t, e, m in zip(times, events, row) if m and e and t == tj)
+               for tj in death_times] for row in members]
+    return death_times, at_risk, deaths
+
+
 def brute_force_split_v(times, events, mask):
     """Kuiper V of one split: naive KM curves of both sides at the node's death times."""
     samples = [(float(t), bool(e)) for t, e in zip(times, events)]

@@ -331,6 +331,52 @@ class TestBadSubjectRows:
                    "line 3: 'n/a' is not a number in column 'noise2'")
 
 
+class TestBadActivityRows:
+    """fit and evaluate reject a malformed activity or profile row with exit 2
+    and name its line."""
+
+    ACTIVITY = "user_id,timestamp,direction,partner_id\nu1,1.0,sent,u2\nu2,2.0,received,u1\n"
+    PROFILES = "user_id,join_time,age\nu1,0.0,30\nu2,0.5,41\n"
+
+    def check(self, tmp_path, capsys, expected, activity=ACTIVITY, profiles=PROFILES):
+        (tmp_path / "a.csv").write_text(activity)
+        (tmp_path / "p.csv").write_text(profiles)
+        (tmp_path / "s.json").write_text(
+            json.dumps({"features": [{"name": "age", "kind": "numeric"}]}))
+        ingest = ["--activity", str(tmp_path / "a.csv"), "--profiles", str(tmp_path / "p.csv"),
+                  "--schema", str(tmp_path / "s.json"), "--cutoff", "1", "--window", "1"]
+        _, model_path = fitted_model(tmp_path, n=400)
+        for argv in (["fit", *ingest, "--out", str(tmp_path / "m.json")],
+                     ["evaluate", "--model", str(model_path), *ingest]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            assert expected in capsys.readouterr().err
+
+    def test_profile_row_missing_a_cell(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "line 3: expected 3 fields, got 2",
+                   profiles=self.PROFILES.replace("u2,0.5,41", "u2,0.5"))
+
+    def test_profile_row_with_extra_field(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "line 3: expected 3 fields, got 4",
+                   profiles=self.PROFILES.replace("u2,0.5,41", "u2,0.5,41,7"))
+
+    def test_activity_row_missing_partner(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "line 2: expected 4 fields, got 3",
+                   activity=self.ACTIVITY.replace("u1,1.0,sent,u2", "u1,1.0,sent"))
+
+    def test_duplicate_profile_id(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "line 4: duplicate user_id 'u1'",
+                   profiles=self.PROFILES + "u1,0.2,55\n")
+
+    def test_non_numeric_timestamp(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "line 3: 'noon' is not a number in column 'timestamp'",
+                   activity=self.ACTIVITY.replace("2.0", "noon"))
+
+    def test_non_numeric_join_time(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "line 2: 'day one' is not a number in column 'join_time'",
+                   profiles=self.PROFILES.replace("u1,0.0", "u1,day one"))
+
+
 class TestReport:
     def test_curve_export(self, tmp_path):
         _, model_path = fitted_model(tmp_path)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from survclust import Feature, FeatureSchema, SurvivalDataset
 from survclust.errors import (InvalidHorizonsError, NoEventsError,
@@ -62,6 +64,17 @@ class TestCoxHazardRatio:
         assert res.diverged
         assert abs(res.beta) > 20.0
 
+    def test_runaway_step_gives_infinite_ratio_without_warning(self):
+        # a single group-1 subject dies first, tied with group 0: one Newton
+        # step leaves beta in the thousands, past exp's float64 range
+        rows = [(0.0, True, 1), (2.0, True, 0), (2.0, False, 0), (3.0, True, 0),
+                (4.0, False, 0), (0.0, False, 0), (6.0, True, 0), (6.0, False, 0),
+                (0.0, True, 0), (2.0, True, 0)]
+        res = cox_hazard_ratio(rows)  # warnings are errors in this suite
+        assert res.diverged
+        assert res.beta > 709.0
+        assert res.hazard_ratio == float("inf")
+
     def test_no_events_in_group(self):
         rows = [(1.0, True, 0), (2.0, False, 1)]
         with pytest.raises(NoEventsError):
@@ -104,6 +117,18 @@ class TestCoxHazardRatio:
             if abs(o_minus_e) < 1e-9 or abs(res.beta) < 1e-9:
                 continue
             assert np.sign(o_minus_e) == np.sign(res.beta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 6).map(float), st.booleans(), st.integers(0, 1)),
+                    min_size=2, max_size=30),
+           st.randoms(use_true_random=False))
+    def test_bit_identical_under_row_shuffles(self, rows, rnd):
+        assume(all(any(e for _, e, g in rows if g == x) for x in (0, 1)))
+        a = cox_hazard_ratio(rows)
+        b = cox_hazard_ratio(rnd.sample(rows, len(rows)))
+        assert [x.hex() for x in (a.beta, a.hazard_ratio, a.std_err, *a.ci95)] == \
+            [x.hex() for x in (b.beta, b.hazard_ratio, b.std_err, *b.ci95)]
+        assert (a.iterations, a.diverged) == (b.iterations, b.diverged)
 
 
 class TestSurvivalLabels:

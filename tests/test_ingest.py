@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from survclust import Feature, FeatureSchema, validate_dataset
-from survclust.errors import InvalidCutoffError
+from survclust.errors import InvalidCutoffError, SchemaMismatchError
 from survclust.ingest import (ActivityLog, ActivityRecord, UserActivity,
                               activity_to_survival, build_activity_log,
                               early_window_features, read_activity_csv,
@@ -216,3 +216,46 @@ class TestCsvIngestion:
     def test_unknown_user_rejected(self):
         with pytest.raises(ValueError):
             build_activity_log([("ghost", 1.0, "sent", "x")], {"u1": 0.0}, 10.0)
+
+    def test_blank_lines_skipped(self, tmp_path):
+        activity = tmp_path / "activity.csv"
+        activity.write_text("user_id,timestamp,direction,partner_id\n\n"
+                            "u1,1.5,sent,u2\n\n")
+        assert read_activity_csv(activity) == [("u1", 1.5, "sent", "u2")]
+        profiles = tmp_path / "profiles.csv"
+        profiles.write_text("user_id,join_time,age\n\nu1,0.0,\n")
+        prof = read_profiles_csv(profiles, simple_schema())
+        assert list(prof) == ["u1"]
+        assert prof["u1"][0] == 0.0 and np.isnan(prof["u1"][1][0])  # blank numeric -> NaN
+
+
+class TestMalformedCsvRows:
+    ACTIVITY = "user_id,timestamp,direction,partner_id\nu1,1.0,sent,u2\n"
+    PROFILES = "user_id,join_time,age\nu1,0.0,30\n"
+
+    @pytest.mark.parametrize("row, message", [
+        ("u1,2.0,sent", "line 3: expected 4 fields, got 3"),
+        ("u1,2.0,sent,u2,x", "line 3: expected 4 fields, got 5"),
+        ("u1,soon,sent,u2", "line 3: 'soon' is not a number in column 'timestamp'"),
+        ("u1,,sent,u2", "line 3: '' is not a number in column 'timestamp'"),
+    ])
+    def test_activity(self, tmp_path, row, message):
+        path = tmp_path / "activity.csv"
+        path.write_text(self.ACTIVITY + row + "\n")
+        with pytest.raises(SchemaMismatchError) as err:
+            read_activity_csv(path)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("row, message", [
+        ("u2,1.0", "line 3: expected 3 fields, got 2"),
+        ("u2,1.0,30,x", "line 3: expected 3 fields, got 4"),
+        ("u1,1.0,31", "line 3: duplicate user_id 'u1'"),
+        ("u2,later,30", "line 3: 'later' is not a number in column 'join_time'"),
+        ("u2,1.0,old", "line 3: 'old' is not a number in column 'age'"),
+    ])
+    def test_profiles(self, tmp_path, row, message):
+        path = tmp_path / "profiles.csv"
+        path.write_text(self.PROFILES + row + "\n")
+        with pytest.raises(SchemaMismatchError) as err:
+            read_profiles_csv(path, simple_schema())
+        assert str(err.value) == message

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import brute_force_risk_sets
 from survclust import SurvivalCurve, km_eval, km_fit
 from survclust.errors import EmptySampleError, NoEventsError
+from survclust.kaplan_meier import risk_sets
 
 
 def brute_force_km(samples, t):
@@ -129,3 +133,52 @@ class TestCurveObject:
         assert np.array_equal(other.survival, curve.survival)
         assert other.n_events == curve.n_events
         assert other.n_subjects == curve.n_subjects
+
+
+@st.composite
+def risk_set_inputs(draw):
+    """Time-sorted samples on a coarse grid (so deaths and censorings tie),
+    with member rows that are random, all-true, empty, or only the censored."""
+    n = draw(st.integers(0, 25))
+    times = sorted(draw(st.lists(st.integers(0, 12).map(lambda k: k / 2),
+                                 min_size=n, max_size=n)))
+    events = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["random", "all", "none", "censored"]),
+                              min_size=1, max_size=4)):
+        if kind == "random":
+            rows.append(draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+        else:
+            rows.append([kind == "all" or (kind == "censored" and not e) for e in events])
+    return (np.array(times, dtype=np.float64), np.array(events, dtype=bool),
+            np.array(rows, dtype=bool).reshape(len(rows), n))
+
+
+class TestRiskSets:
+    def test_censored_at_a_death_time_stays_at_risk(self):
+        times = np.array([1.0, 2.0, 2.0, 3.0, 3.0, 4.0])
+        events = np.array([True, False, True, True, False, True])
+        members = np.array([[True] * 6, [False, True, False, True, True, True]])
+        death_times, at_risk, deaths = risk_sets(times, events, members)
+        assert death_times.tolist() == [1.0, 2.0, 3.0, 4.0]
+        assert at_risk.tolist() == [[6, 5, 3, 1], [4, 4, 3, 1]]
+        assert deaths.tolist() == [[1, 1, 1, 1], [0, 0, 1, 1]]
+
+    def test_no_deaths_gives_an_empty_grid(self):
+        death_times, at_risk, deaths = risk_sets(
+            np.array([1.0, 2.0]), np.array([False, False]), np.ones((3, 2), dtype=bool))
+        assert death_times.size == 0
+        assert at_risk.shape == deaths.shape == (3, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(risk_set_inputs())
+    def test_matches_naive_counts(self, sample):
+        times, events, members = sample
+        death_times, at_risk, deaths = risk_sets(times, events, members)
+        want_times, want_at_risk, want_deaths = brute_force_risk_sets(
+            times.tolist(), events.tolist(), members.tolist())
+        assert death_times.tolist() == want_times
+        assert at_risk.dtype == deaths.dtype == np.int64
+        assert at_risk.shape == deaths.shape == (members.shape[0], len(want_times))
+        assert at_risk.tolist() == want_at_risk
+        assert deaths.tolist() == want_deaths

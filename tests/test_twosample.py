@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from oracles import kuiper_permutation_pvalue, two_sample_kuiper_v
 from survclust import (bonferroni_threshold, km_eval, km_fit, kuiper_pvalue,
@@ -210,6 +212,17 @@ class TestLogrank:
             logrank_test([uncensored([1.0]), []])
         with pytest.raises(NoEventsError):
             logrank_test([[(1.0, False)], [(2.0, False)]])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.tuples(st.integers(0, 6).map(float), st.booleans()),
+                             min_size=1, max_size=15), min_size=2, max_size=4),
+           st.randoms(use_true_random=False))
+    def test_bit_identical_under_shuffles_within_groups(self, groups, rnd):
+        assume(any(e for grp in groups for _, e in grp))
+        shuffled = [rnd.sample(grp, len(grp)) for grp in groups]
+        a, b = logrank_test(groups), logrank_test(shuffled)
+        assert [x.hex() for x in (a.statistic, a.p_value, a.effective_n)] == \
+            [x.hex() for x in (b.statistic, b.p_value, b.effective_n)]
 
 
 class TestBonferroni:
