@@ -17,8 +17,7 @@ from .core import (CATEGORICAL, NUMERIC, Feature, FeatureSchema, Subject,
 from .evaluation import (ClassificationReport, HazardRatioResult,
                          classify_and_score, cox_hazard_ratio, logistic_fit,
                          one_hot, predict_proba, survival_labels)
-from .ingest import (ActivityLog, ActivityRecord, UserActivity,
-                     activity_to_survival, early_window_features)
+from .ingest import ActivityLog, activity_to_survival, early_window_features
 from .kaplan_meier import SurvivalCurve, km_eval, km_fit
 from .synth import GroupSpec, SynthConfig, default_group_specs, generate
 from .tree import (SplitCandidate, SurvivalTree, TreeConfig, TreeNode,
@@ -42,7 +41,6 @@ __all__ = [
     "ClassificationReport", "HazardRatioResult", "classify_and_score",
     "cox_hazard_ratio", "logistic_fit", "one_hot", "predict_proba",
     "survival_labels",
-    "ActivityLog", "ActivityRecord", "UserActivity", "activity_to_survival",
-    "early_window_features",
+    "ActivityLog", "activity_to_survival", "early_window_features",
     "GroupSpec", "SynthConfig", "default_group_specs", "generate",
 ]

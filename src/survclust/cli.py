@@ -13,6 +13,8 @@ import argparse
 import json
 import os
 import sys
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -130,8 +132,7 @@ def _load_training_dataset(args) -> SurvivalDataset:
         join_times = {uid: jt for uid, (jt, _) in profiles.items()}
         study_end = args.study_end
         if study_end is None:
-            stamps = [ts for _, ts, _, _ in rows] + list(join_times.values())
-            study_end = max(stamps)
+            study_end = max(chain(map(itemgetter(1), rows), join_times.values()))
         log = build_activity_log(rows, join_times, study_end)
         merged_schema, feats = early_window_features(
             log, args.window, profile_schema,

@@ -278,10 +278,8 @@ def tree_from_dict(d: dict) -> SurvivalTree:
         split = SplitCandidate(schema.index(raw["feature"]),
                                _test_from_dict(raw["test"]),
                                raw["p_value"], raw["statistic"])
-        node = TreeNode(raw["id"], split=split, n_candidates=raw["n_candidates"])
-        node.left = build(raw["left"])
-        node.right = build(raw["right"])
-        return node
+        return TreeNode(raw["id"], split=split, n_candidates=raw["n_candidates"],
+                        left=build(raw["left"]), right=build(raw["right"]))
 
     return SurvivalTree(schema, build(d["root"]), config, list(d["leaf_ids"]))
 

@@ -14,7 +14,8 @@ import csv
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from itertools import compress, count, repeat
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -23,58 +24,37 @@ from .errors import InvalidCutoffError, SchemaMismatchError
 
 SENT = "sent"
 RECEIVED = "received"
+_DIRECTIONS = {RECEIVED: 0, SENT: 1}
+_DIRECTION_ERROR = f"direction must be {SENT!r} or {RECEIVED!r}, got {{!r}}"
 
 ACTIVITY_FEATURE_NAMES = ("comments_sent", "comments_received",
                           "partners", "days_active")
 
 
 @dataclass(frozen=True)
-class ActivityRecord:
-    """One comment, sent or received, with the counterparty."""
-
-    timestamp: float
-    direction: str
-    partner_id: str
-
-    def __post_init__(self):
-        if self.direction not in (SENT, RECEIVED):
-            raise ValueError(f"direction must be 'sent' or 'received', got {self.direction!r}")
-
-
-@dataclass(frozen=True)
-class UserActivity:
-    user_id: str
-    join_time: float
-    records: tuple[ActivityRecord, ...]
-
-    def __post_init__(self):
-        records = tuple(sorted(self.records, key=lambda r: (r.timestamp, r.direction, r.partner_id)))
-        object.__setattr__(self, "records", records)
-        if records and records[0].timestamp < self.join_time:
-            raise ValueError(f"user {self.user_id!r} has activity before joining")
-
-    @property
-    def last_activity(self) -> float:
-        return self.records[-1].timestamp if self.records else self.join_time
-
-
-@dataclass(frozen=True)
 class ActivityLog:
-    users: tuple[UserActivity, ...]
+    """Users and their activity records as read-only arrays.
+
+    ``users`` holds the user ids in sorted order and ``join_times`` their
+    join times. Record ``i`` belongs to user ``owner[i]``, happened at
+    ``timestamps[i]``, was sent (else received) when ``sent[i]``, and names
+    its counterparty by the code ``partners[i]``; records are in input order.
+    """
+
+    users: tuple[str, ...]
+    join_times: np.ndarray
     study_end: float
+    owner: np.ndarray
+    timestamps: np.ndarray
+    sent: np.ndarray
+    partners: np.ndarray
 
     def __post_init__(self):
-        users = tuple(sorted(self.users, key=lambda u: u.user_id))
-        object.__setattr__(self, "users", users)
-        seen = set()
-        for u in users:
-            if u.user_id in seen:
-                raise ValueError(f"duplicate user id {u.user_id!r}")
-            seen.add(u.user_id)
-            if u.join_time > self.study_end:
-                raise ValueError(f"user {u.user_id!r} joins after the study end")
-            if u.records and u.records[-1].timestamp > self.study_end:
-                raise ValueError(f"user {u.user_id!r} has activity after the study end")
+        for a, b in zip(self.users, self.users[1:]):
+            if a == b:
+                raise ValueError(f"duplicate user id {a!r}")
+        for array in (self.join_times, self.owner, self.timestamps, self.sent, self.partners):
+            array.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -89,45 +69,29 @@ def activity_to_survival(log: ActivityLog, cutoff: float, schema: FeatureSchema,
 
     ``features_by_user`` supplies each user's feature values in schema
     order; users without an entry are discarded. Every input user lands in
-    exactly one of the outputs.
+    exactly one of the outputs, in id order.
     """
     if not (cutoff > 0) or not math.isfinite(cutoff):
         raise InvalidCutoffError(f"cutoff must be a positive duration, got {cutoff}")
-    ids: list[str] = []
-    rows: list[Sequence] = []
-    times: list[float] = []
-    events: list[bool] = []
-    discards: list[DiscardedUser] = []
-    for user in log.users:
-        window = log.study_end - user.join_time
-        if window < cutoff:
-            discards.append(DiscardedUser(user.user_id,
-                                          "observation window shorter than cutoff"))
-            continue
-        values = features_by_user.get(user.user_id)
-        if values is None:
-            discards.append(DiscardedUser(user.user_id, "no profile features"))
-            continue
-        dead = log.study_end - user.last_activity >= cutoff
-        time = user.last_activity - user.join_time if dead else window
-        if dead and time == 0:
-            discards.append(DiscardedUser(user.user_id, "zero lifetime"))
-            continue
-        ids.append(user.user_id)
-        rows.append(values)
-        times.append(time)
-        events.append(dead)
+    window = log.study_end - log.join_times
+    last = log.join_times.copy()
+    np.maximum.at(last, log.owner, log.timestamps)
+    dead = log.study_end - last >= cutoff
+    times = np.where(dead, last - log.join_times, window)
+    has_features = np.fromiter(map(features_by_user.__contains__, log.users), bool,
+                               count=len(log.users))
+    reason = np.select([window < cutoff, ~has_features, dead & (times == 0)], [1, 2, 3])
+    discarded = np.flatnonzero(reason)
+    discards = [DiscardedUser(log.users[i], ("observation window shorter than cutoff",
+                                             "no profile features", "zero lifetime")[r - 1])
+                for i, r in zip(discarded.tolist(), reason[discarded].tolist())]
+    keep = reason == 0
+    ids = list(compress(log.users, keep.tolist()))
+    rows = [features_by_user[uid] for uid in ids]
     columns = [np.array([row[j] for row in rows],
                         dtype=np.float64 if f.kind == NUMERIC else np.int64)
                for j, f in enumerate(schema)]
-    dataset = SurvivalDataset(schema, ids, columns,
-                              np.array(times, dtype=np.float64),
-                              np.array(events, dtype=bool))
-    return dataset, discards
-
-
-def activity_feature_schema() -> tuple[Feature, ...]:
-    return tuple(Feature(name, NUMERIC) for name in ACTIVITY_FEATURE_NAMES)
+    return SurvivalDataset(schema, ids, columns, times[keep], dead[keep]), discards
 
 
 def early_window_features(log: ActivityLog, window: float,
@@ -143,37 +107,45 @@ def early_window_features(log: ActivityLog, window: float,
     """
     if not (window > 0) or not math.isfinite(window):
         raise ValueError(f"window must be a positive duration, got {window}")
-    features = list(profile_schema) if profile_schema is not None else []
-    schema = FeatureSchema(tuple(features) + activity_feature_schema())
-    out: dict[str, list] = {}
-    for user in log.users:
-        horizon = user.join_time + window
-        in_window = [r for r in user.records if user.join_time <= r.timestamp < horizon]
-        sent = sum(1 for r in in_window if r.direction == SENT)
-        received = len(in_window) - sent
-        partners = len({r.partner_id for r in in_window})
-        days = len({math.floor(r.timestamp - user.join_time) for r in in_window})
-        activity = [float(sent), float(received), float(partners), float(days)]
-        if profile_schema is not None:
-            assert profiles is not None
-            row = profiles.get(user.user_id)
-            if row is None:
-                continue
-            out[user.user_id] = list(row) + activity
-        else:
-            out[user.user_id] = activity
-    return schema, out
+    schema = FeatureSchema((*(profile_schema or ()),
+                            *(Feature(name, NUMERIC) for name in ACTIVITY_FEATURE_NAMES)))
+    n = len(log.users)
+    join = log.join_times[log.owner]
+    in_window = ((join <= log.timestamps)
+                 & (log.timestamps < (log.join_times + window)[log.owner]))
+    owner, sent = log.owner[in_window], log.sent[in_window]
+    _, days = np.unique(np.floor(log.timestamps[in_window] - join[in_window]),
+                        return_inverse=True)
+    counts = np.stack([np.bincount(owner[sent], minlength=n),
+                       np.bincount(owner[~sent], minlength=n),
+                       _distinct_per_user(owner, log.partners[in_window], n),
+                       _distinct_per_user(owner, days, n)], axis=1)
+    rows = zip(log.users, counts.astype(np.float64).tolist())
+    if profile_schema is None:
+        return schema, dict(rows)
+    return schema, {uid: list(profiles[uid]) + activity for uid, activity in rows
+                    if profiles.get(uid) is not None}
+
+
+def _distinct_per_user(owner: np.ndarray, codes: np.ndarray, n_users: int) -> np.ndarray:
+    """Number of distinct ``codes`` (non-negative ints) per owner index."""
+    radix = int(codes.max(initial=0)) + 1
+    pairs = np.sort(owner * radix + codes)
+    first = np.ones(pairs.size, dtype=bool)
+    first[1:] = pairs[1:] != pairs[:-1]
+    return np.bincount(pairs[first] // radix, minlength=n_users)
 
 
 def _csv_rows(path, required: Sequence[str], what: str):
     """(line, the required fields' cells) for each non-blank row of a CSV;
-    a row whose field count differs from the header's raises."""
+    a missing header column or a row whose field count differs from the
+    header's raises."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, [])
         missing = set(required) - set(header)
         if missing:
-            raise ValueError(f"{what} CSV missing columns: {sorted(missing)}")
+            raise SchemaMismatchError(f"{what} CSV missing columns: {sorted(missing)}")
         column = {name: i for i, name in enumerate(header)}  # last one, if repeated
         pick = operator.itemgetter(*(column[name] for name in required))
         for row in filter(None, reader):
@@ -194,12 +166,20 @@ def _number(raw: str, name: str, line: int) -> float:
 def read_activity_csv(path) -> list[tuple[str, float, str, str]]:
     """Rows of (user_id, timestamp, direction, partner_id).
 
-    Blank lines are skipped. A row with the wrong number of fields or a
-    non-numeric timestamp raises :class:`SchemaMismatchError` naming its line.
+    Blank lines are skipped. A row with the wrong number of fields, a
+    non-numeric timestamp, a direction other than ``sent``/``received`` or
+    a blank partner_id raises :class:`SchemaMismatchError` naming its line.
     """
-    rows = _csv_rows(path, ("user_id", "timestamp", "direction", "partner_id"), "activity")
-    return [(uid, _number(ts, "timestamp", line), direction, partner)
-            for line, (uid, ts, direction, partner) in rows]
+    rows = []
+    for line, (uid, ts, direction, partner) in _csv_rows(
+            path, ("user_id", "timestamp", "direction", "partner_id"), "activity"):
+        stamp = _number(ts, "timestamp", line)
+        if direction not in _DIRECTIONS:
+            raise SchemaMismatchError(f"line {line}: " + _DIRECTION_ERROR.format(direction))
+        if not partner.strip():
+            raise SchemaMismatchError(f"line {line}: missing value in column 'partner_id'")
+        rows.append((uid, stamp, direction, partner))
+    return rows
 
 
 def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, list]]:
@@ -226,18 +206,40 @@ def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, lis
     return out
 
 
-def build_activity_log(activity_rows: Iterable[tuple[str, float, str, str]],
+def build_activity_log(activity_rows: Sequence[tuple[str, float, str, str]],
                        join_times: Mapping[str, float], study_end: float) -> ActivityLog:
     """Assemble a log from raw rows plus per-user join times.
 
     Users present in ``join_times`` but without activity rows still appear
-    (with empty records); activity rows for unknown users are rejected.
+    (with no records). Raises ``ValueError`` for the first row, in order,
+    naming an unknown user or a bad direction; then for the first user, in
+    ``join_times`` order, with activity before joining; then for the first
+    user, in id order, who joins or has activity after the study end.
     """
-    per_user: dict[str, list[ActivityRecord]] = {uid: [] for uid in join_times}
-    for uid, ts, direction, partner in activity_rows:
-        if uid not in per_user:
-            raise ValueError(f"activity row for unknown user {uid!r}")
-        per_user[uid].append(ActivityRecord(ts, direction, partner))
-    users = tuple(UserActivity(uid, join_times[uid], tuple(records))
-                  for uid, records in per_user.items())
-    return ActivityLog(users, study_end)
+    users = tuple(sorted(join_times))
+    index = {uid: i for i, uid in enumerate(users)}
+    n = len(activity_rows)
+    uids, stamps, directions, partner_ids = (
+        map(operator.itemgetter(i), activity_rows) for i in range(4))
+    owner = np.fromiter(map(index.get, uids, repeat(-1)), np.int64, count=n)
+    direction = np.fromiter(map(_DIRECTIONS.get, directions, repeat(-1)), np.int8, count=n)
+    bad = np.flatnonzero((owner < 0) | (direction < 0))
+    if bad.size:
+        uid, _, name, _ = activity_rows[bad[0]]
+        raise ValueError(f"activity row for unknown user {uid!r}" if owner[bad[0]] < 0
+                         else _DIRECTION_ERROR.format(name))
+    joins = np.fromiter(map(join_times.__getitem__, users), np.float64, count=len(users))
+    timestamps = np.fromiter(stamps, np.float64, count=n)
+    first_row: dict[str, int] = {}  # partner id -> first row naming it, its code
+    partners = np.fromiter(map(first_row.setdefault, partner_ids, count()), np.int64, count=n)
+    early = np.bincount(owner[timestamps < joins[owner]], minlength=len(users)) > 0
+    if early.any():
+        uid = next(u for u in join_times if early[index[u]])
+        raise ValueError(f"user {uid!r} has activity before joining")
+    late_join = joins > study_end
+    late = late_join | (np.bincount(owner[timestamps > study_end], minlength=len(users)) > 0)
+    if late.any():
+        i = int(np.argmax(late))
+        raise ValueError(f"user {users[i]!r} joins after the study end" if late_join[i]
+                         else f"user {users[i]!r} has activity after the study end")
+    return ActivityLog(users, joins, float(study_end), owner, timestamps, direction == 1, partners)

@@ -74,7 +74,7 @@ class TreeConfig:
                 raise ValueError(f"{name} must be positive")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TreeNode:
     """Internal node (split + children) or leaf (curve + counts)."""
 
@@ -227,10 +227,10 @@ def grow_tree(data: SurvivalDataset, config: TreeConfig = TreeConfig()) -> Survi
             return TreeNode(node_id, leaf_id=leaf_ids[-1], n_subjects=n,
                             n_events=n_events, curve=curve)
         mask = chosen.test.evaluate(node_data.columns[chosen.feature])
-        node = TreeNode(node_id, split=chosen, n_candidates=len(candidates))
-        node.left = make_node(node_data.subset_mask(mask), depth + 1)
-        node.right = make_node(node_data.subset_mask(~mask), depth + 1)
-        return node
+        left = make_node(node_data.subset_mask(mask), depth + 1)
+        right = make_node(node_data.subset_mask(~mask), depth + 1)
+        return TreeNode(node_id, split=chosen, n_candidates=len(candidates),
+                        left=left, right=right)
 
     root = make_node(data, 0)
     return SurvivalTree(data.schema, root, config, leaf_ids)

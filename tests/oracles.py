@@ -195,3 +195,78 @@ def reference_route(tree, values, unknown=None):
             go_left = size(node.left) >= size(node.right)
         node = node.left if go_left else node.right
     return node.leaf_id
+
+
+def reference_ingest(rows, join_times, study_end, window, cutoff,
+                     profile_schema=None, profiles=None):
+    """Activity rows to ``(ids, times, events, columns, discards)``, one object
+    per record and per user.
+
+    Builds a sorted record tuple per user and walks the users in id order,
+    raising ``ValueError`` (``InvalidCutoffError`` for the cutoff) on the
+    first broken invariant: rows in order (unknown user, then direction),
+    users in ``join_times`` order (activity before joining), users in id
+    order (joins, then activity, after the study end). Early-window counts
+    use ``[join, join + window)``; with a profile schema, profile values
+    come first and users without a profile are discarded. ``discards`` is a
+    list of ``(id, reason)`` in id order; columns follow the merged schema.
+    """
+    from survclust.errors import InvalidCutoffError
+
+    per_user = {uid: [] for uid in join_times}
+    for uid, ts, direction, partner in rows:
+        if uid not in per_user:
+            raise ValueError(f"activity row for unknown user {uid!r}")
+        if direction not in ("sent", "received"):
+            raise ValueError(f"direction must be 'sent' or 'received', got {direction!r}")
+        per_user[uid].append((ts, direction, partner))
+    for uid, records in per_user.items():
+        records.sort()
+        if records and records[0][0] < join_times[uid]:
+            raise ValueError(f"user {uid!r} has activity before joining")
+    users = sorted(per_user)
+    for uid in users:
+        if join_times[uid] > study_end:
+            raise ValueError(f"user {uid!r} joins after the study end")
+        if per_user[uid] and per_user[uid][-1][0] > study_end:
+            raise ValueError(f"user {uid!r} has activity after the study end")
+
+    if not (window > 0) or not math.isfinite(window):
+        raise ValueError(f"window must be a positive duration, got {window}")
+    features = {}
+    for uid in users:
+        join = join_times[uid]
+        in_window = [r for r in per_user[uid] if join <= r[0] < join + window]
+        sent = sum(1 for r in in_window if r[1] == "sent")
+        activity = [float(sent), float(len(in_window) - sent),
+                    float(len({r[2] for r in in_window})),
+                    float(len({math.floor(r[0] - join) for r in in_window}))]
+        if profile_schema is None:
+            features[uid] = activity
+        elif uid in profiles:
+            features[uid] = list(profiles[uid]) + activity
+    kinds = [f.kind for f in profile_schema or ()] + ["numeric"] * 4
+
+    if not (cutoff > 0) or not math.isfinite(cutoff):
+        raise InvalidCutoffError(f"cutoff must be a positive duration, got {cutoff}")
+    ids, values, times, events, discards = [], [], [], [], []
+    for uid in users:
+        join = join_times[uid]
+        last = per_user[uid][-1][0] if per_user[uid] else join
+        dead = study_end - last >= cutoff
+        time = last - join if dead else study_end - join
+        if study_end - join < cutoff:
+            discards.append((uid, "observation window shorter than cutoff"))
+        elif uid not in features:
+            discards.append((uid, "no profile features"))
+        elif dead and time == 0:
+            discards.append((uid, "zero lifetime"))
+        else:
+            ids.append(uid)
+            values.append(features[uid])
+            times.append(time)
+            events.append(dead)
+    columns = [np.array([row[j] for row in values],
+                        dtype=np.float64 if kind == "numeric" else np.int64)
+               for j, kind in enumerate(kinds)]
+    return ids, times, events, columns, discards

@@ -376,6 +376,23 @@ class TestBadActivityRows:
         self.check(tmp_path, capsys, "line 2: 'day one' is not a number in column 'join_time'",
                    profiles=self.PROFILES.replace("u1,0.0", "u1,day one"))
 
+    def test_bad_direction(self, tmp_path, capsys):
+        self.check(tmp_path, capsys,
+                   "line 3: direction must be 'sent' or 'received', got 'sideways'",
+                   activity=self.ACTIVITY.replace("received", "sideways"))
+
+    def test_blank_partner(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "line 2: missing value in column 'partner_id'",
+                   activity="user_id,timestamp,direction,partner_id\nu1,1.0,sent,\n")
+
+    def test_missing_activity_column(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "activity CSV missing columns: ['partner_id']",
+                   activity="user_id,timestamp,direction\nu1,1.0,sent\n")
+
+    def test_missing_profile_column(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, "profile CSV missing columns: ['age']",
+                   profiles="user_id,join_time\nu1,0.0\n")
+
 
 class TestReport:
     def test_curve_export(self, tmp_path):

@@ -1,17 +1,30 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_ingest
 from survclust import Feature, FeatureSchema, validate_dataset
 from survclust.errors import InvalidCutoffError, SchemaMismatchError
-from survclust.ingest import (ActivityLog, ActivityRecord, UserActivity,
-                              activity_to_survival, build_activity_log,
+from survclust.ingest import (activity_to_survival, build_activity_log,
                               early_window_features, read_activity_csv,
                               read_profiles_csv)
 
 
-def user(uid, join, activity_times, study_end=None):
-    records = tuple(ActivityRecord(t, "sent", f"p{i}") for i, t in enumerate(activity_times))
-    return UserActivity(uid, join, records)
+def user(uid, join, activity):
+    """(id, join time, activity rows). A float in ``activity`` is a comment
+    sent to partner ``p<i>``; a ``(time, direction, partner)`` tuple is used
+    as given."""
+    rows = [(uid, *a) if isinstance(a, tuple) else (uid, a, "sent", f"p{i}")
+            for i, a in enumerate(activity)]
+    return uid, join, rows
+
+
+def make_log(*users, study_end):
+    rows = [row for _, _, user_rows in users for row in user_rows]
+    return build_activity_log(rows, {uid: join for uid, join, _ in users}, study_end)
 
 
 def simple_schema():
@@ -24,7 +37,7 @@ def features_for(*uids):
 
 class TestActivityToSurvival:
     def test_dead_user(self):
-        log = ActivityLog((user("u1", 0.0, [1.0, 4.0]),), study_end=20.0)
+        log = make_log(user("u1", 0.0, [1.0, 4.0]), study_end=20.0)
         ds, discards = activity_to_survival(log, 10.0, simple_schema(), features_for("u1"))
         assert discards == []
         assert ds.ids == ("u1",)
@@ -32,32 +45,32 @@ class TestActivityToSurvival:
         assert bool(ds.events[0]) is True
 
     def test_censored_user(self):
-        log = ActivityLog((user("u1", 0.0, [15.0]),), study_end=20.0)
+        log = make_log(user("u1", 0.0, [15.0]), study_end=20.0)
         ds, _ = activity_to_survival(log, 10.0, simple_schema(), features_for("u1"))
         assert ds.times[0] == 20.0
         assert bool(ds.events[0]) is False
 
     def test_short_window_discarded(self):
-        log = ActivityLog((user("uE", 14.0, []),), study_end=20.0)
+        log = make_log(user("uE", 14.0, []), study_end=20.0)
         ds, discards = activity_to_survival(log, 10.0, simple_schema(), features_for("uE"))
         assert len(ds) == 0
         assert discards[0].user_id == "uE"
         assert "window" in discards[0].reason
 
     def test_zero_lifetime_dead_discarded(self):
-        log = ActivityLog((user("u1", 0.0, []),), study_end=20.0)
+        log = make_log(user("u1", 0.0, []), study_end=20.0)
         ds, discards = activity_to_survival(log, 10.0, simple_schema(), features_for("u1"))
         assert len(ds) == 0
         assert discards[0].reason == "zero lifetime"
 
     def test_gap_exactly_cutoff_is_dead(self):
-        log = ActivityLog((user("u1", 0.0, [10.0]),), study_end=20.0)
+        log = make_log(user("u1", 0.0, [10.0]), study_end=20.0)
         ds, _ = activity_to_survival(log, 10.0, simple_schema(), features_for("u1"))
         assert bool(ds.events[0]) is True
         assert ds.times[0] == 10.0
 
     def test_missing_profile_discarded(self):
-        log = ActivityLog((user("u1", 0.0, [4.0]),), study_end=20.0)
+        log = make_log(user("u1", 0.0, [4.0]), study_end=20.0)
         ds, discards = activity_to_survival(log, 10.0, simple_schema(), {})
         assert len(ds) == 0
         assert discards[0].reason == "no profile features"
@@ -69,7 +82,7 @@ class TestActivityToSurvival:
             join = float(rng.uniform(0, 18))
             acts = sorted(rng.uniform(join, 20, size=rng.integers(0, 5)))
             users.append(user(f"u{i}", join, acts))
-        log = ActivityLog(tuple(users), study_end=20.0)
+        log = make_log(*users, study_end=20.0)
         feats = features_for(*(f"u{i}" for i in range(60)))
         ds, discards = activity_to_survival(log, 6.0, simple_schema(), feats)
         assert len(ds) + len(discards) == 60
@@ -85,7 +98,7 @@ class TestActivityToSurvival:
             acts = sorted(rng.uniform(join, 20, size=rng.integers(1, 6)))
             users.append(user(f"u{i}", join, acts))
             joins[f"u{i}"] = join
-        log = ActivityLog(tuple(users), study_end=20.0)
+        log = make_log(*users, study_end=20.0)
         feats = features_for(*(f"u{i}" for i in range(40)))
         ds, _ = activity_to_survival(log, 5.0, simple_schema(), feats)
         for sid, t, e in zip(ds.ids, ds.times, ds.events):
@@ -96,73 +109,77 @@ class TestActivityToSurvival:
                 assert t == pytest.approx(window)
 
     def test_record_order_invariance(self):
-        records = [ActivityRecord(5.0, "sent", "a"), ActivityRecord(2.0, "received", "b")]
-        u1 = UserActivity("u1", 0.0, tuple(records))
-        u2 = UserActivity("u1", 0.0, tuple(reversed(records)))
-        assert u1.records == u2.records
-        log1 = ActivityLog((u1, user("u2", 0.0, [3.0])), study_end=25.0)
-        log2 = ActivityLog((user("u2", 0.0, [3.0]), u2), study_end=25.0)
-        feats = features_for("u1", "u2")
+        rng = np.random.default_rng(32)
+        joins = {f"u{i}": float(i) for i in range(6)}
+        rows = [(uid, join + float(rng.integers(0, 12)), ("sent", "received")[rng.integers(2)],
+                 f"p{rng.integers(4)}") for uid, join in joins.items() for _ in range(5)]
+        shuffled = [rows[i] for i in rng.permutation(len(rows))]
+        log1 = build_activity_log(rows, joins, 25.0)
+        log2 = build_activity_log(shuffled, dict(reversed(joins.items())), 25.0)
+        assert log1.users == log2.users
+        assert early_window_features(log1, 5.0) == early_window_features(log2, 5.0)
+        feats = features_for(*joins)
         ds1, _ = activity_to_survival(log1, 10.0, simple_schema(), feats)
         ds2, _ = activity_to_survival(log2, 10.0, simple_schema(), feats)
         assert ds1.ids == ds2.ids
         assert np.array_equal(ds1.times, ds2.times)
 
     def test_received_counts_toward_lifetime(self):
-        records = (ActivityRecord(8.0, "received", "x"),)
-        log = ActivityLog((UserActivity("u1", 0.0, records),), study_end=20.0)
+        records = ((8.0, "received", "x"),)
+        log = make_log(user("u1", 0.0, records), study_end=20.0)
         ds, _ = activity_to_survival(log, 10.0, simple_schema(), features_for("u1"))
         assert ds.times[0] == 8.0
         assert bool(ds.events[0]) is True
 
     def test_invalid_cutoff(self):
-        log = ActivityLog((user("u1", 0.0, [1.0]),), study_end=20.0)
+        log = make_log(user("u1", 0.0, [1.0]), study_end=20.0)
         for cutoff in (0.0, -3.0, float("nan")):
             with pytest.raises(InvalidCutoffError):
                 activity_to_survival(log, cutoff, simple_schema(), features_for("u1"))
 
     def test_log_invariants(self):
         with pytest.raises(ValueError):
-            ActivityLog((user("u1", 0.0, [25.0]),), study_end=20.0)
+            make_log(user("u1", 0.0, [25.0]), study_end=20.0)
         with pytest.raises(ValueError):
-            UserActivity("u1", 5.0, (ActivityRecord(1.0, "sent", "p"),))
+            make_log(user("u1", 5.0, [(1.0, "sent", "p")]), study_end=20.0)
+        log = make_log(user("u1", 0.0, []), user("u2", 1.0, []), study_end=20.0)
         with pytest.raises(ValueError):
-            ActivityLog((user("u1", 0.0, []), user("u1", 1.0, [])), study_end=20.0)
+            dataclasses.replace(log, users=("u1", "u1"))
 
 
 class TestEarlyWindowFeatures:
     def test_no_activity_gives_zeros(self):
-        log = ActivityLog((user("u1", 0.0, []),), study_end=20.0)
+        log = make_log(user("u1", 0.0, []), study_end=20.0)
         schema, feats = early_window_features(log, 5.0)
         assert feats["u1"] == [0.0, 0.0, 0.0, 0.0]
         assert schema.names == ("comments_sent", "comments_received",
                                 "partners", "days_active")
 
     def test_sent_and_partner_counts(self):
-        records = (ActivityRecord(1.0, "sent", "a"), ActivityRecord(2.0, "sent", "b"),
-                   ActivityRecord(3.0, "sent", "a"))
-        log = ActivityLog((UserActivity("u1", 0.0, records),), study_end=20.0)
+        records = ((1.0, "sent", "a"), (2.0, "sent", "b"),
+                   (3.0, "sent", "a"))
+        log = make_log(user("u1", 0.0, records), study_end=20.0)
         _, feats = early_window_features(log, 5.0)
         sent, received, partners, days = feats["u1"]
         assert sent == 3.0 and received == 0.0 and partners == 2.0 and days == 3.0
 
     def test_boundary_excluded(self):
-        records = (ActivityRecord(5.0, "sent", "a"), ActivityRecord(4.999, "received", "b"))
-        log = ActivityLog((UserActivity("u1", 0.0, records),), study_end=20.0)
+        records = ((5.0, "sent", "a"), (4.999, "received", "b"))
+        log = make_log(user("u1", 0.0, records), study_end=20.0)
         _, feats = early_window_features(log, 5.0)
         sent, received, partners, days = feats["u1"]
         assert sent == 0.0 and received == 1.0 and partners == 1.0
 
     def test_window_relative_to_join(self):
-        records = (ActivityRecord(11.0, "sent", "a"), ActivityRecord(16.0, "sent", "b"))
-        log = ActivityLog((UserActivity("u1", 10.0, records),), study_end=30.0)
+        records = ((11.0, "sent", "a"), (16.0, "sent", "b"))
+        log = make_log(user("u1", 10.0, records), study_end=30.0)
         _, feats = early_window_features(log, 5.0)
         assert feats["u1"][0] == 1.0
 
     def test_merged_with_profiles(self):
         profile_schema = FeatureSchema((Feature("age", "numeric"),
                                         Feature("gender", "categorical", ("M", "F"))))
-        log = ActivityLog((user("u1", 0.0, [1.0]), user("u2", 0.0, [])), study_end=20.0)
+        log = make_log(user("u1", 0.0, [1.0]), user("u2", 0.0, []), study_end=20.0)
         profiles = {"u1": [44.0, 1]}
         schema, feats = early_window_features(log, 5.0, profile_schema, profiles)
         assert schema.names == ("age", "gender", "comments_sent",
@@ -171,7 +188,7 @@ class TestEarlyWindowFeatures:
         assert "u2" not in feats
 
     def test_invalid_window(self):
-        log = ActivityLog((user("u1", 0.0, []),), study_end=20.0)
+        log = make_log(user("u1", 0.0, []), study_end=20.0)
         with pytest.raises(ValueError):
             early_window_features(log, 0.0)
 
@@ -210,8 +227,12 @@ class TestCsvIngestion:
     def test_missing_columns_rejected(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("user_id,timestamp\nu1,1.0\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(SchemaMismatchError) as err:
             read_activity_csv(bad)
+        assert str(err.value) == "activity CSV missing columns: ['direction', 'partner_id']"
+        with pytest.raises(SchemaMismatchError) as err:
+            read_profiles_csv(bad, simple_schema())
+        assert str(err.value) == "profile CSV missing columns: ['age', 'join_time']"
 
     def test_unknown_user_rejected(self):
         with pytest.raises(ValueError):
@@ -238,6 +259,12 @@ class TestMalformedCsvRows:
         ("u1,2.0,sent,u2,x", "line 3: expected 4 fields, got 5"),
         ("u1,soon,sent,u2", "line 3: 'soon' is not a number in column 'timestamp'"),
         ("u1,,sent,u2", "line 3: '' is not a number in column 'timestamp'"),
+        ("u1,2.0,sideways,u2", "line 3: direction must be 'sent' or 'received', got 'sideways'"),
+        ("u1,2.0,Sent,u2", "line 3: direction must be 'sent' or 'received', got 'Sent'"),
+        ("u1,2.0,sent,", "line 3: missing value in column 'partner_id'"),
+        ("u1,2.0,sent,  ", "line 3: missing value in column 'partner_id'"),
+        ("u1,soon,up,", "line 3: 'soon' is not a number in column 'timestamp'"),
+        ("u1,2.0,up,", "line 3: direction must be 'sent' or 'received', got 'up'"),
     ])
     def test_activity(self, tmp_path, row, message):
         path = tmp_path / "activity.csv"
@@ -259,3 +286,82 @@ class TestMalformedCsvRows:
         with pytest.raises(SchemaMismatchError) as err:
             read_profiles_csv(path, simple_schema())
         assert str(err.value) == message
+
+
+PROFILE_SCHEMA = FeatureSchema((Feature("age", "numeric"),
+                                Feature("plan", "categorical", ("a", "b"))))
+
+
+@st.composite
+def activity_logs(draw):
+    """Small logs on a quarter-unit grid: tied timestamps, records at join,
+    join + window and the study end, users without activity or profile, and
+    repeated partners. One case in four gets up to three faults: an unknown
+    user, a bad direction, activity before joining, a join or activity after
+    the study end, a zero window or a NaN cutoff."""
+    study_end = draw(st.sampled_from([10.0, 15.0, 20.0]))
+    window = draw(st.sampled_from([0.5, 1.0, 2.5, 5.0]))
+    cutoff = draw(st.sampled_from([1.0, 2.5, 5.0, 10.0]))
+    ids = draw(st.lists(st.sampled_from([f"u{i}" for i in range(9)]), unique=True, max_size=7))
+    joins = {uid: draw(st.integers(0, int(2 * study_end))) / 2 for uid in ids}
+    rows = []
+    for _ in range(draw(st.integers(0, 30)) if ids else 0):
+        uid = draw(st.sampled_from(ids))
+        join = joins[uid]
+        stamp = draw(st.sampled_from([
+            min(join + draw(st.integers(0, 40)) / 4, study_end), join, study_end,
+            *([join + window] if join + window <= study_end else [])]))
+        rows.append([uid, stamp, draw(st.sampled_from(["sent", "received"])),
+                     draw(st.sampled_from("abc"))])
+    faults = draw(st.lists(st.sampled_from(
+        ["ghost", "bogus", "before", "after", "late join", "window", "cutoff"]), max_size=3)
+        if draw(st.integers(0, 3)) == 0 else st.just([]))
+    for fault in faults:
+        row = rows[draw(st.integers(0, len(rows) - 1))] if rows else None
+        if fault == "ghost" and row:
+            row[0] = "ghost"
+        elif fault == "bogus" and row:
+            row[2] = "bogus"
+        elif fault == "before" and row:
+            row[1] = joins.get(row[0], 0.0) - 0.5
+        elif fault == "after" and row:
+            row[1] = study_end + 0.25
+        elif fault == "late join" and ids:
+            joins[draw(st.sampled_from(ids))] = study_end + 0.5
+        elif fault == "window":
+            window = 0.0
+        elif fault == "cutoff":
+            cutoff = float("nan")
+    profiled = draw(st.booleans())
+    profiles = {uid: [draw(st.integers(18, 22)) / 2, draw(st.sampled_from([0, 1, -1]))]
+                for uid in ids if draw(st.integers(0, 4))}
+    return ([tuple(row) for row in rows], joins, study_end, window, cutoff,
+            PROFILE_SCHEMA if profiled else None, profiles if profiled else None)
+
+
+def columnar_ingest(rows, joins, study_end, window, cutoff, profile_schema, profiles):
+    log = build_activity_log(rows, joins, study_end)
+    schema, feats = early_window_features(log, window, profile_schema, profiles)
+    ds, discards = activity_to_survival(log, cutoff, schema, feats)
+    return (ds.ids, ds.times.tobytes(), ds.events.tobytes(), [c.tobytes() for c in ds.columns],
+            [(d.user_id, d.reason) for d in discards])
+
+
+def outcome(ingest, case):
+    try:
+        return ingest(*case)
+    except Exception as exc:  # compared by type and message
+        return type(exc), str(exc)
+
+
+class TestReferenceIngest:
+    @settings(max_examples=400, deadline=None)
+    @given(activity_logs())
+    def test_matches_reference(self, case):
+        def reference(*args):
+            ids, times, events, columns, discards = reference_ingest(*args)
+            return (tuple(ids), np.array(times, dtype=np.float64).tobytes(),
+                    np.array(events, dtype=bool).tobytes(),
+                    [c.tobytes() for c in columns], discards)
+
+        assert outcome(columnar_ingest, case) == outcome(reference, case)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_split_v, reference_route
 from survclust import Feature, FeatureSchema, Subject, SurvivalDataset
+from survclust.dataio import tree_from_dict, tree_to_dict
 from survclust.errors import NoEventsAtRootError, SchemaMismatchError
 from survclust.synth import SynthConfig, default_group_specs, generate
 from survclust.tree import (CategoryTest, NumericTest, SplitCandidate, SurvivalTree,
@@ -286,6 +289,17 @@ class TestGrowTree:
         assert tree.root.is_leaf
         assert tree.root.n_subjects == 100
 
+    def test_nodes_are_immutable(self):
+        rng = np.random.default_rng(4)
+        data, _ = three_group_dataset(rng)
+        tree = grow_tree(data, TreeConfig(min_leaf_subjects=30, min_leaf_events=5, max_depth=1))
+        assert not tree.root.is_leaf
+        for root in (tree.root, tree_from_dict(tree_to_dict(tree)).root):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                root.left = root.right
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                root.left.n_subjects = 0
+
     def test_depth_cap_one(self):
         rng = np.random.default_rng(4)
         data, _ = three_group_dataset(rng)
@@ -447,9 +461,9 @@ def random_tree_and_rows(seed):
         j = int(rng.integers(len(schema)))
         test = (NumericTest(float(rng.choice(thresholds))) if schema[j].kind == "numeric"
                 else CategoryTest(int(rng.integers(len(schema[j].categories)))))
-        node = TreeNode(next(ids), split=SplitCandidate(j, test, 0.01, 1.0))
-        node.left, node.right = build(depth + 1), build(depth + 1)
-        return node
+        node_id = next(ids)
+        return TreeNode(node_id, split=SplitCandidate(j, test, 0.01, 1.0),
+                        left=build(depth + 1), right=build(depth + 1))
 
     tree = SurvivalTree(schema, build(0), SMALL, leaf_ids)
     n = int(rng.integers(0, 40))
@@ -491,7 +505,8 @@ class TestRouter:
                                np.ones(2), np.ones(2, dtype=bool))
         assert assign_leaves(tree, data).tolist() == [1, 1]
         assert assign_leaves(tree, data, "majority").tolist() == [0, 1]
-        right.n_subjects = 6
+        root = dataclasses.replace(root, right=dataclasses.replace(right, n_subjects=6))
+        tree = SurvivalTree(schema, root, SMALL, [0, 1])
         assert assign_leaves(tree, data, "majority").tolist() == [1, 1]
 
     def test_unknown_policy_checked(self):
