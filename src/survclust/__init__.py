@@ -23,16 +23,16 @@ from .synth import GroupSpec, SynthConfig, default_group_specs, generate
 from .tree import (SplitCandidate, SurvivalTree, TreeConfig, TreeNode,
                    assign_leaf, assign_leaves, best_split, enumerate_splits,
                    grow_tree)
-from .twosample import (TestResult, bonferroni_threshold, kuiper_pvalue,
-                        kuiper_statistic, kuiper_test, logrank_test)
+from .twosample import (TestResult, bonferroni_threshold, kuiper_matrix,
+                        kuiper_pvalue, kuiper_statistic, logrank_test)
 
 __all__ = [
     "errors",
     "CATEGORICAL", "NUMERIC", "Feature", "FeatureSchema", "Subject",
     "SurvivalDataset", "ValidationReport", "Violation", "validate_dataset",
     "SurvivalCurve", "km_eval", "km_fit",
-    "TestResult", "bonferroni_threshold", "kuiper_pvalue", "kuiper_statistic",
-    "kuiper_test", "logrank_test",
+    "TestResult", "bonferroni_threshold", "kuiper_matrix", "kuiper_pvalue",
+    "kuiper_statistic", "logrank_test",
     "SplitCandidate", "SurvivalTree", "TreeConfig", "TreeNode", "assign_leaf",
     "assign_leaves", "best_split", "enumerate_splits", "grow_tree",
     "ClusterModel", "LeafGraph", "build_leaf_graph", "cluster_assign",

@@ -177,14 +177,19 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_fit(args) -> int:
-    dataset = _load_training_dataset(args)
+def _validated(dataset: SurvivalDataset) -> SurvivalDataset:
+    """The dataset itself, or SurvClustError after printing its first violations."""
     report = validate_dataset(dataset)
     if not report.ok:
         for v in report.violations[:5]:
             where = v.subject_id or "<dataset>"
             print(f"invalid data: {where}: {v.message}", file=sys.stderr)
         raise SurvClustError(f"{len(report.violations)} validation violation(s)")
+    return dataset
+
+
+def cmd_fit(args) -> int:
+    dataset = _validated(_load_training_dataset(args))
     config = TreeConfig(alpha=args.alpha,
                         min_leaf_subjects=args.min_leaf_subjects,
                         min_leaf_events=args.min_leaf_events,
@@ -240,7 +245,7 @@ def cmd_evaluate(args) -> int:
         dataset = _load_training_dataset(args)
         if dataset.schema != model.tree.schema:
             raise SurvClustError("dataset schema does not match the model's schema")
-    labels = cluster_assign_dataset(model, dataset)
+    labels = cluster_assign_dataset(model, _validated(dataset))
 
     report: dict = {"k": model.k,
                     "cluster_sizes": np.bincount(labels, minlength=model.k).tolist(),

@@ -19,7 +19,7 @@ from .core import Subject, SurvivalDataset
 from .errors import NonConvergenceError, SurvClustError, UnreachableKError
 from .kaplan_meier import SurvivalCurve, km_fit_arrays
 from .tree import SurvivalTree, assign_leaf, assign_leaves
-from .twosample import kuiper_test
+from .twosample import kuiper_matrix
 
 # Strict-positivity floor applied to W before balancing; far below any
 # decision threshold but enough to guarantee total support.
@@ -53,11 +53,8 @@ class LeafGraph:
 def build_leaf_graph(tree: SurvivalTree) -> LeafGraph:
     """Pairwise Kuiper p-values between leaf curves; diagonal fixed at 1."""
     leaves = sorted(tree.leaves(), key=lambda node: node.leaf_id)
-    n = len(leaves)
-    w = np.ones((n, n))
-    for i, j in itertools.combinations(range(n), 2):
-        w[i, j] = w[j, i] = kuiper_test(leaves[i].curve, leaves[j].curve).p_value
-    return LeafGraph(tuple(node.leaf_id for node in leaves), w)
+    _, p = kuiper_matrix([node.curve for node in leaves])
+    return LeafGraph(tuple(node.leaf_id for node in leaves), p)
 
 
 def sinkhorn_knopp(w: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> np.ndarray:
@@ -65,7 +62,8 @@ def sinkhorn_knopp(w: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> n
 
     Alternates row and column normalization (via diagonal scaling vectors)
     until every row and column sum is within ``tol`` of 1. Symmetric input
-    takes a single-scaling path so the output is symmetric bit-for-bit.
+    keeps a single scaling vector x (Knight 2008: x <- sqrt(x / Wx)), so the
+    output diag(x) W diag(x) is symmetric bit-for-bit.
     """
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2 or w.shape[0] != w.shape[1]:
@@ -76,33 +74,21 @@ def sinkhorn_knopp(w: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> n
         raise ValueError("matrix must have no all-zero row or column")
 
     symmetric = np.array_equal(w, w.T)
-    if symmetric:
-        x = np.ones(w.shape[0])
-        worst = np.inf
-        for it in range(max_iter + 1):
-            worst = float(np.max(np.abs(x * (w @ x) - 1.0)))
-            if worst <= tol:
-                return np.outer(x, x) * w
-            if it == max_iter:
-                break
-            x = np.sqrt(x / (w @ x))
-        raise NonConvergenceError(
-            f"Sinkhorn-Knopp did not converge in {max_iter} iterations; "
-            f"worst row/col deviation {worst:.3e}")
-
-    r = np.ones(w.shape[0])
-    c = np.ones(w.shape[0])
+    r = c = np.ones(w.shape[0])
     worst = np.inf
     for it in range(max_iter + 1):
-        rows = r * (w @ c)
-        cols = c * (w.T @ r)
-        worst = float(max(np.max(np.abs(rows - 1.0)), np.max(np.abs(cols - 1.0))))
+        wc = w @ c
+        wr = wc if symmetric else w.T @ r
+        worst = float(max(np.max(np.abs(r * wc - 1.0)), np.max(np.abs(c * wr - 1.0))))
         if worst <= tol:
-            return r[:, None] * w * c[None, :]
+            return np.outer(r, c) * w
         if it == max_iter:
             break
-        r = 1.0 / (w @ c)
-        c = 1.0 / (w.T @ r)
+        if symmetric:
+            r = c = np.sqrt(r / wc)
+        else:
+            r = 1.0 / wc
+            c = 1.0 / (w.T @ r)
     raise NonConvergenceError(
         f"Sinkhorn-Knopp did not converge in {max_iter} iterations; "
         f"worst row/col deviation {worst:.3e}")
@@ -114,7 +100,8 @@ def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[
     Repeats expansion (matrix power), inflation (entrywise power with
     column renormalization), and pruning until the matrix stops changing.
     Each vertex joins the attractor (row with positive diagonal mass)
-    holding the largest entry of its column, ties to the lowest attractor.
+    holding the largest entry of its column, ties to the lowest attractor;
+    a column with no attractor mass joins the row holding its largest entry.
     Returns the blocks ordered by their smallest vertex.
     """
     m = np.asarray(m, dtype=np.float64)
@@ -124,7 +111,6 @@ def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[
         raise ValueError("expansion must be a positive integer")
     if inflation <= 0:
         raise ValueError("inflation must be positive")
-    n = m.shape[0]
     col_sums = m.sum(axis=0)
     if np.any(np.abs(col_sums - 1.0) > 1e-6):
         raise ValueError("columns must sum to 1")
@@ -144,17 +130,10 @@ def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[
     if not converged:
         raise NonConvergenceError(f"MCL did not converge in {MCL_MAX_ITER} iterations")
 
-    attractors = np.flatnonzero(np.diag(m) > 0)
-    labels = np.empty(n, dtype=np.int64)
-    for j in range(n):
-        if attractors.size and m[attractors, j].max() > 0:
-            labels[j] = attractors[int(np.argmax(m[attractors, j]))]
-        else:
-            labels[j] = int(np.argmax(m[:, j]))
-    blocks: dict[int, list[int]] = {}
-    for j in range(n):
-        blocks.setdefault(int(labels[j]), []).append(j)
-    return sorted(blocks.values(), key=lambda block: block[0])
+    held = np.where((np.diag(m) > 0)[:, None], m, -1.0)
+    labels = np.where(held.max(axis=0) > 0, held.argmax(axis=0), m.argmax(axis=0))
+    _, first = np.unique(labels, return_index=True)
+    return [np.flatnonzero(labels == labels[j]).tolist() for j in np.sort(first)]
 
 
 @dataclass(frozen=True)
@@ -217,8 +196,8 @@ def coarsen_to_k(partition: list[list[int]], graph: LeafGraph, tree: SurvivalTre
     curves = [_pooled_curve(g, samples) for g in groups]
     while len(groups) > k:
         # the first pair with the highest p wins
-        i, j = max(itertools.combinations(range(len(groups)), 2),
-                   key=lambda ij: kuiper_test(curves[ij[0]], curves[ij[1]]).p_value)
+        _, p = kuiper_matrix(curves)
+        i, j = max(itertools.combinations(range(len(groups)), 2), key=p.__getitem__)
         groups[i] = sorted(groups[i] + groups[j])
         del groups[j]
         curves[i] = _pooled_curve(groups[i], samples)

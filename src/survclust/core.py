@@ -7,7 +7,6 @@ materialized as :class:`Subject` objects on demand.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -164,28 +163,25 @@ def validate_dataset(dataset: SurvivalDataset) -> ValidationReport:
     values, duplicate ids, and the requirement of at least one observed
     event.
     """
-    out: list[Violation] = []
-    seen: set[str] = set()
-    for i, sid in enumerate(dataset.ids):
-        if sid in seen:
-            out.append(Violation(sid, "duplicate id"))
-        seen.add(sid)
-        t = dataset.times[i]
-        if not math.isfinite(t):
-            out.append(Violation(sid, "non-finite time"))
-        elif t < 0:
-            out.append(Violation(sid, "negative time"))
+    ids = dataset.ids
+    duplicate = np.zeros(len(ids), dtype=bool)
+    if len(set(ids)) < len(ids):
+        duplicate[:] = True
+        duplicate[np.unique(np.array(ids, dtype=object), return_index=True)[1]] = False
+    nonfinite = ~np.isfinite(dataset.times)
+    # per row: duplicate id, then its time; row-major nonzero keeps that order
+    rows, kinds = np.nonzero(np.column_stack([duplicate, nonfinite,
+                                              ~nonfinite & (dataset.times < 0)]))
+    messages = ("duplicate id", "non-finite time", "negative time")
+    out = [Violation(ids[i], messages[k]) for i, k in zip(rows.tolist(), kinds.tolist())]
     for feature, col in zip(dataset.schema, dataset.columns):
         if feature.kind == NUMERIC:
-            bad = np.flatnonzero(~np.isfinite(col))
-            for i in bad:
-                out.append(Violation(
-                    dataset.ids[i], f"missing or non-finite value for feature {feature.name!r}"))
+            bad = ~np.isfinite(col)
+            message = f"missing or non-finite value for feature {feature.name!r}"
         else:
-            bad = np.flatnonzero((col < 0) | (col >= len(feature.categories)))
-            for i in bad:
-                out.append(Violation(
-                    dataset.ids[i], f"unknown category for feature {feature.name!r}"))
+            bad = (col < 0) | (col >= len(feature.categories))
+            message = f"unknown category for feature {feature.name!r}"
+        out.extend(Violation(ids[i], message) for i in np.flatnonzero(bad).tolist())
     if len(dataset) == 0:
         out.append(Violation(None, "empty dataset"))
     elif not dataset.events.any():

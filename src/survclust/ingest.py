@@ -155,25 +155,29 @@ def _csv_rows(path, required: Sequence[str], what: str):
             yield reader.line_num, pick(row)
 
 
-def _number(raw: str, name: str, line: int) -> float:
+def _number(raw: str, name: str, line: int, finite: bool = False) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise SchemaMismatchError(
             f"line {line}: {raw!r} is not a number in column {name!r}") from None
+    if finite and not math.isfinite(value):
+        raise SchemaMismatchError(f"line {line}: {raw!r} is not finite in column {name!r}")
+    return value
 
 
 def read_activity_csv(path) -> list[tuple[str, float, str, str]]:
     """Rows of (user_id, timestamp, direction, partner_id).
 
     Blank lines are skipped. A row with the wrong number of fields, a
-    non-numeric timestamp, a direction other than ``sent``/``received`` or
-    a blank partner_id raises :class:`SchemaMismatchError` naming its line.
+    non-numeric or non-finite timestamp, a direction other than
+    ``sent``/``received`` or a blank partner_id raises
+    :class:`SchemaMismatchError` naming its line.
     """
     rows = []
     for line, (uid, ts, direction, partner) in _csv_rows(
             path, ("user_id", "timestamp", "direction", "partner_id"), "activity"):
-        stamp = _number(ts, "timestamp", line)
+        stamp = _number(ts, "timestamp", line, True)
         if direction not in _DIRECTIONS:
             raise SchemaMismatchError(f"line {line}: " + _DIRECTION_ERROR.format(direction))
         if not partner.strip():
@@ -188,8 +192,9 @@ def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, lis
     Numeric cells parse as floats (blank -> NaN); categorical cells map to
     their category index, with unknown levels marked -1 so that dataset
     validation reports them. Blank lines are skipped. A row with the wrong
-    number of fields, a repeated user_id, or a non-numeric join_time or
-    numeric cell raises :class:`SchemaMismatchError` naming its line.
+    number of fields, a repeated user_id, a non-numeric or non-finite
+    join_time, or a non-numeric numeric cell raises
+    :class:`SchemaMismatchError` naming its line.
     """
     out: dict[str, tuple[float, list]] = {}
     for line, (uid, join, *cells) in _csv_rows(
@@ -202,7 +207,7 @@ def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, lis
                 values.append(_number(raw, feature.name, line) if raw.strip() else float("nan"))
             else:
                 values.append(feature.categories.index(raw) if raw in feature.categories else -1)
-        out[uid] = (_number(join, "join_time", line), values)
+        out[uid] = (_number(join, "join_time", line, True), values)
     return out
 
 

@@ -35,45 +35,63 @@ class TestResult:
     effective_n: float
 
 
+def kuiper_matrix(curves) -> tuple[np.ndarray, np.ndarray]:
+    """Pairwise Kuiper V and p-values of G survival curves, as G x G matrices.
+
+    Every curve is evaluated once on the union of all the curves' death
+    times; a pair's V there equals V on the pair's own union grid, since the
+    extra points repeat differences the pair's grid already holds (or 0).
+    Sample sizes are the curves' event counts. V is 0 and p is 1 on the
+    diagonal, and both matrices are symmetric bit for bit.
+    """
+    grid = np.unique(np.concatenate([c.event_times for c in curves]))
+    s = np.stack([km_eval_many(c, grid) for c in curves])
+    # d[a, b] = max(0, max_t S_a(t) - S_b(t)); V = D+ + D- = d + d.T
+    d = np.stack([(row - s).max(axis=1, initial=0.0) for row in s])
+    v = d + d.T
+    n = np.array([c.n_events for c in curves])
+    return v, _kuiper_q(v, n[:, None], n[None, :])[1]
+
+
 def kuiper_statistic(curve_a: SurvivalCurve, curve_b: SurvivalCurve) -> float:
-    """Kuiper V between two survival curves, evaluated on their union grid."""
-    grid = np.union1d(curve_a.event_times, curve_b.event_times)
-    diff = km_eval_many(curve_a, grid) - km_eval_many(curve_b, grid)
-    d_plus = max(float(diff.max(initial=0.0)), 0.0)
-    d_minus = max(float((-diff).max(initial=0.0)), 0.0)
-    return d_plus + d_minus
+    """Kuiper V between two survival curves: their :func:`kuiper_matrix` entry."""
+    return float(kuiper_matrix([curve_a, curve_b])[0][0, 1])
 
 
-def _kuiper_lambda(v, n_a, n_b):
-    """Validated Kuiper lambda and effective event count, elementwise."""
+def _kuiper_q(v, n_a, n_b):
+    """Validated Kuiper lambda, p = Q_KP(lambda) clipped to 1, and the
+    effective event count, elementwise (lambda and p at least 1-d).
+
+    Q_KP(lam) = 2 sum_j (4 j^2 lam^2 - 1) exp(-2 j^2 lam^2), each element
+    truncated after its own first term below the tolerance; p is 1 below
+    the lambda floor.
+    """
     if np.any(np.asarray(n_a) < 1) or np.any(np.asarray(n_b) < 1):
         raise InvalidEventCountError("both samples need at least one event")
-    if np.any(np.asarray(v) < 0):
+    if not np.all(np.asarray(v) >= 0):
         raise ValueError("Kuiper statistic must be nonnegative")
     n_eff = n_a * n_b / (n_a + n_b)
-    return (np.sqrt(n_eff) + 0.155 + 0.24 / np.sqrt(n_eff)) * v, n_eff
-
-
-def _kuiper_series(lam: np.ndarray) -> np.ndarray:
-    """Q_KP(lam) = 2 sum_j (4 j^2 lam^2 - 1) exp(-2 j^2 lam^2), each element
-    truncated after its own first term below the tolerance."""
-    total = np.zeros_like(lam)
-    active = np.ones(lam.shape, dtype=bool)
+    lam = np.atleast_1d((np.sqrt(n_eff) + 0.155 + 0.24 / np.sqrt(n_eff)) * v)
+    above = lam >= _LAMBDA_FLOOR
+    lam_above = lam[above]
+    total = np.zeros_like(lam_above)
+    active = np.ones(lam_above.shape, dtype=bool)
     for j in range(1, _SERIES_MAX_TERMS + 1):
-        jjll = j * j * lam * lam
+        jjll = j * j * lam_above * lam_above
         term = (4.0 * jjll - 1.0) * np.exp(-2.0 * jjll)
         total += np.where(active, term, 0.0)
         active &= np.abs(term) >= _SERIES_TERM_TOL
         if not active.any():
             break
-    return 2.0 * total
+    p = np.ones_like(lam)
+    p[above] = np.minimum(2.0 * total, 1.0)
+    return lam, p, n_eff
 
 
 def kuiper_pvalue(v: float, n_a: int, n_b: int) -> TestResult:
     """Asymptotic p-value for Kuiper statistic ``v`` at the given event counts."""
-    lam, n_eff = _kuiper_lambda(v, n_a, n_b)
-    p = 1.0 if lam < _LAMBDA_FLOOR else min(float(_kuiper_series(np.array([lam]))[0]), 1.0)
-    return TestResult(float(v), p, float(n_eff))
+    _, p, n_eff = _kuiper_q(v, n_a, n_b)
+    return TestResult(float(v), float(p[0]), float(n_eff))
 
 
 def kuiper_log_pvalue(v, n_a, n_b):
@@ -83,22 +101,13 @@ def kuiper_log_pvalue(v, n_a, n_b):
     2(4 lam^2 - 1) exp(-2 lam^2) plus a log1p correction for the second term
     keeps p-values that round to 0 finite and ordered by lambda.
     """
-    lam = np.atleast_1d(_kuiper_lambda(v, n_a, n_b)[0])
-    above = lam >= _LAMBDA_FLOOR
-    q = np.ones_like(lam)
-    q[above] = _kuiper_series(lam[above])
+    lam, q, _ = _kuiper_q(v, n_a, n_b)
     ll = lam * lam
     with np.errstate(divide="ignore", invalid="ignore"):
         leading = (np.log(8.0 * ll - 2.0) - 2.0 * ll
                    + np.log1p((16.0 * ll - 1.0) / (4.0 * ll - 1.0) * np.exp(-6.0 * ll)))
         out = np.where(q >= np.finfo(np.float64).tiny, np.log(q), leading)
     return out if np.ndim(v) or np.ndim(n_a) or np.ndim(n_b) else float(out[0])
-
-
-def kuiper_test(curve_a: SurvivalCurve, curve_b: SurvivalCurve) -> TestResult:
-    """Kuiper test between two curves, using their event counts as sample sizes."""
-    v = kuiper_statistic(curve_a, curve_b)
-    return kuiper_pvalue(v, curve_a.n_events, curve_b.n_events)
 
 
 def logrank_test(group_samples) -> TestResult:

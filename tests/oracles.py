@@ -5,6 +5,7 @@ oracles: the permutation machinery below works on raw pooled samples and
 rank masks, never on fitted curves.
 """
 
+import bisect
 import csv
 import math
 
@@ -43,6 +44,63 @@ def brute_force_split_v(times, events, mask):
     grid = sorted({t for t, e in samples if e})
     diff = [brute_force_km(true_side, t) - brute_force_km(false_side, t) for t in grid]
     return max(max(diff, default=0.0), 0.0) + max(max((-x for x in diff), default=0.0), 0.0)
+
+
+def union_grid_kuiper_v(curve_a, curve_b):
+    """Kuiper V of two fitted curves, one pair at a time: both step functions
+    evaluated by bisection at each point of the pair's own union grid."""
+    def step(curve, t):
+        i = bisect.bisect_right(curve.event_times.tolist(), t) - 1
+        return 1.0 if i < 0 else float(curve.survival[i])
+
+    grid = sorted(set(curve_a.event_times.tolist()) | set(curve_b.event_times.tolist()))
+    diff = [step(curve_a, t) - step(curve_b, t) for t in grid]
+    return max(max(diff, default=0.0), 0.0) + max(max((-x for x in diff), default=0.0), 0.0)
+
+
+def reference_mcl_blocks(m):
+    """MCL's final labeling, one column at a time: each column joins the
+    attractor (row with positive diagonal) holding its largest entry, ties to
+    the lowest, else the row holding its largest entry; blocks ordered by
+    their smallest vertex."""
+    m = np.asarray(m, dtype=np.float64)
+    attractors = [i for i in range(m.shape[0]) if m[i, i] > 0]
+    blocks = {}
+    for j in range(m.shape[1]):
+        column = m[:, j].tolist()
+        held = [column[a] for a in attractors]
+        if held and max(held) > 0:
+            label = attractors[held.index(max(held))]
+        else:
+            label = column.index(max(column))
+        blocks.setdefault(label, []).append(j)
+    return sorted(blocks.values(), key=lambda block: block[0])
+
+
+def reference_violations(dataset):
+    """validate_dataset's violations as (subject id, message), found one row at
+    a time: per row a repeated id then its time, then per feature in schema
+    order its bad rows, then the dataset-level checks."""
+    out, seen = [], set()
+    for sid, t in zip(dataset.ids, dataset.times.tolist()):
+        if sid in seen:
+            out.append((sid, "duplicate id"))
+        seen.add(sid)
+        if not math.isfinite(t):
+            out.append((sid, "non-finite time"))
+        elif t < 0:
+            out.append((sid, "negative time"))
+    for feature, col in zip(dataset.schema, dataset.columns):
+        for sid, x in zip(dataset.ids, col.tolist()):
+            if feature.kind == "numeric" and not math.isfinite(x):
+                out.append((sid, f"missing or non-finite value for feature {feature.name!r}"))
+            elif feature.kind != "numeric" and not 0 <= x < len(feature.categories):
+                out.append((sid, f"unknown category for feature {feature.name!r}"))
+    if not dataset.ids:
+        out.append((None, "empty dataset"))
+    elif not any(dataset.events.tolist()):
+        out.append((None, "no observed events"))
+    return out
 
 
 def two_sample_kuiper_v(sample_a, sample_b):

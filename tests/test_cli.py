@@ -331,6 +331,42 @@ class TestBadSubjectRows:
                    "line 3: 'n/a' is not a number in column 'noise2'")
 
 
+class TestEvaluateValidatesData:
+    """evaluate rejects a dataset that fit would reject, with fit's messages."""
+
+    def check(self, tmp_path, capsys, edit, message):
+        data, model_path = fitted_model(tmp_path, n=400)
+        lines = (data / "subjects.csv").read_text().splitlines()
+        first, second = (line.split(",") for line in lines[2:4])
+        lines[3] = ",".join(edit(first, second))
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        errors = []
+        for argv in (["fit", "--data", str(bad), "--schema", str(data / "schema.json"),
+                      "--out", str(tmp_path / "m.json")],
+                     ["evaluate", "--model", str(model_path), "--data", str(bad),
+                      "--out", str(tmp_path / "r.json")]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1]
+        assert f"invalid data: {lines[3].split(',')[0]}: {message}\n" in errors[1]
+        assert "1 validation violation(s)" in errors[1]
+        assert not (tmp_path / "r.json").exists()
+
+    def test_nan_time(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, lambda a, b: [b[0], "nan", *b[2:]], "non-finite time")
+
+    def test_infinite_time(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, lambda a, b: [b[0], "inf", *b[2:]], "non-finite time")
+
+    def test_negative_time(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, lambda a, b: [b[0], "-1.5", *b[2:]], "negative time")
+
+    def test_duplicate_id(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, lambda a, b: [a[0], *b[1:]], "duplicate id")
+
+
 class TestBadActivityRows:
     """fit and evaluate reject a malformed activity or profile row with exit 2
     and name its line."""
@@ -375,6 +411,16 @@ class TestBadActivityRows:
     def test_non_numeric_join_time(self, tmp_path, capsys):
         self.check(tmp_path, capsys, "line 2: 'day one' is not a number in column 'join_time'",
                    profiles=self.PROFILES.replace("u1,0.0", "u1,day one"))
+
+    def test_non_finite_timestamp(self, tmp_path, capsys):
+        for raw in ("nan", "inf", "-inf"):
+            self.check(tmp_path, capsys, f"line 3: {raw!r} is not finite in column 'timestamp'",
+                       activity=self.ACTIVITY.replace("2.0", raw))
+
+    def test_non_finite_join_time(self, tmp_path, capsys):
+        for raw in ("nan", "inf"):
+            self.check(tmp_path, capsys, f"line 3: {raw!r} is not finite in column 'join_time'",
+                       profiles=self.PROFILES.replace("0.5", raw))
 
     def test_bad_direction(self, tmp_path, capsys):
         self.check(tmp_path, capsys,

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from oracles import reference_mcl_blocks
 from survclust import Feature, FeatureSchema, SurvivalDataset
 from survclust.clustering import (WEIGHT_FLOOR, build_leaf_graph,
                                   cluster_assign, cluster_assign_dataset,
@@ -10,7 +14,7 @@ from survclust.errors import NonConvergenceError, UnreachableKError
 from survclust.kaplan_meier import km_fit
 from survclust.tree import (NumericTest, SplitCandidate, SurvivalTree,
                             TreeConfig, TreeNode, grow_tree)
-from survclust.twosample import logrank_test
+from survclust.twosample import kuiper_matrix, logrank_test
 
 
 def uncensored_curve(times):
@@ -59,6 +63,12 @@ class TestBuildLeafGraph:
         assert graph.weights[0, 2] < 1e-6
         assert graph.weights[1, 3] < 1e-6
 
+    def test_weights_are_the_kuiper_matrix(self):
+        rng = np.random.default_rng(13)
+        curves = [uncensored_curve(rng.exponential(s, 40)) for s in (1, 1.2, 3, 9)]
+        graph = build_leaf_graph(four_leaf_tree(curves))
+        assert np.array_equal(graph.weights, kuiper_matrix(curves)[1])
+
     def test_symmetry_and_diagonal(self):
         rng = np.random.default_rng(1)
         curves = [uncensored_curve(rng.exponential(s, 50)) for s in (1, 2, 4, 8)]
@@ -99,6 +109,21 @@ class TestSinkhornKnopp:
         out = sinkhorn_knopp(w)
         assert np.max(np.abs(out.sum(axis=0) - 1)) <= 1e-8
         assert np.max(np.abs(out.sum(axis=1) - 1)) <= 1e-8
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12).flatmap(
+               lambda n: arrays(np.float64, (n, n), elements=st.floats(0.05, 5.0))),
+           st.booleans(), st.sampled_from([1e-6, 1e-8, 1e-10]))
+    def test_balances_within_tol(self, w, symmetrize, tol):
+        if symmetrize:
+            w = (w + w.T) / 2
+        out = sinkhorn_knopp(w, tol=tol)
+        # the residual is measured on the scaling vectors, so allow rounding on top
+        slack = tol + 64 * np.finfo(np.float64).eps * len(w)
+        assert np.max(np.abs(out.sum(axis=0) - 1)) <= slack
+        assert np.max(np.abs(out.sum(axis=1) - 1)) <= slack
+        if symmetrize:
+            assert np.array_equal(out, out.T)
 
     def test_iteration_cap_raises(self):
         rng = np.random.default_rng(5)
@@ -157,6 +182,27 @@ class TestMcl:
         again = np.linalg.matrix_power(m, 2) ** 2.0
         again /= again.sum(axis=0)
         assert np.max(np.abs(again - m)) < conv_tol
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 8).flatmap(
+        lambda n: st.lists(st.sets(st.integers(0, n - 1), min_size=1),
+                           min_size=n, max_size=n)),
+        st.sampled_from([1.5, 2.0, 3.0]))
+    def test_labels_match_per_column_reference(self, supports, inflation):
+        # A column spread evenly over its support is a fixed point of MCL at
+        # expansion 1, so the matrix MCL labels is the input; columns whose
+        # support holds no attractor (no self-loop) take the fallback row.
+        n = len(supports)
+        m = np.zeros((n, n))
+        for j, rows in enumerate(supports):
+            m[sorted(rows), j] = 1.0 / len(rows)
+        assert mcl(m, expansion=1, inflation=inflation) == reference_mcl_blocks(m)
+
+    def test_column_without_attractor_mass(self):
+        # 0 -> 1 -> 2 -> 0 has no self-loop; 3 is an attractor that 4 feeds
+        m = np.zeros((5, 5))
+        m[[1, 2, 0, 3, 3], [0, 1, 2, 3, 4]] = 1.0
+        assert mcl(m, expansion=1) == reference_mcl_blocks(m) == [[0], [1], [2], [3, 4]]
 
     def test_rejects_non_stochastic(self):
         with pytest.raises(ValueError):
@@ -250,6 +296,18 @@ class TestCoarsenToK:
         partition = mcl(balanced, inflation=2.0)
         model = coarsen_to_k(partition, graph, tree, 2, samples, balanced=balanced)
         assert model.k == 2
+
+    def test_tied_pairs_merge_the_earlier(self):
+        # leaves 0 and 2 are identical, so are 1 and 3: pairs (0, 2) and
+        # (1, 3) tie at p = 1, and the earlier one merges first
+        rng = np.random.default_rng(12)
+        fast = rng.exponential(0.5, 80)
+        slow = rng.exponential(5.0, 80)
+        tree = four_leaf_tree([uncensored_curve(x) for x in (fast, slow, fast, slow)])
+        ones = np.ones(80, dtype=bool)
+        samples = {0: (fast, ones), 1: (slow, ones), 2: (fast, ones), 3: (slow, ones)}
+        model = coarsen_to_k([[0], [1], [2], [3]], build_leaf_graph(tree), tree, 3, samples)
+        assert model.leaf_to_cluster == {0: 0, 1: 1, 2: 0, 3: 2}
 
     def test_invalid_k(self):
         tree = single_leaf_tree([1.0])

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_violations
 from survclust import (Feature, FeatureSchema, Subject, SurvivalDataset,
                        validate_dataset)
 from survclust.errors import SchemaMismatchError
@@ -70,6 +73,34 @@ class TestValidate:
     def test_category_index_out_of_range(self):
         ds = make_dataset([("a", 40.0, 7, 5.0, True)])
         assert any("gender" in v.message for v in validate_dataset(ds).violations)
+
+    def test_violations_in_order_at_50k_rows(self):
+        rng = np.random.default_rng(50)
+        n = 50_000
+        ids = [f"s{i}" for i in range(n)]
+        for i in rng.choice(n, 300, replace=False):
+            ids[i] = ids[rng.integers(n)]  # repeats, some of them more than twice
+        times = rng.exponential(3.0, n)
+        times[rng.choice(n, 200)] = rng.choice([np.nan, np.inf, -np.inf, -1.0, -0.0], 200)
+        ages = rng.normal(40.0, 5.0, n)
+        ages[rng.choice(n, 150)] = rng.choice([np.nan, np.inf, -np.inf], 150)
+        genders = rng.integers(0, 2, n)
+        genders[rng.choice(n, 150)] = rng.choice([-1, 2, 7], 150)
+        ds = SurvivalDataset(make_schema(), ids, [ages, genders], times, rng.random(n) < 0.7)
+        got = [(v.subject_id, v.message) for v in validate_dataset(ds).violations]
+        assert len(got) > 700
+        assert got == reference_violations(ds)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from("abcd"),
+                              st.sampled_from([30.0, np.nan, np.inf]),
+                              st.sampled_from([0, 1, -1, 2]),
+                              st.sampled_from([0.0, 2.5, -1.0, np.nan, -np.inf]),
+                              st.booleans()), max_size=10))
+    def test_violations_match_row_by_row_reference(self, rows):
+        ds = make_dataset(rows) if rows else SurvivalDataset(make_schema(), [], [[], []], [], [])
+        got = [(v.subject_id, v.message) for v in validate_dataset(ds).violations]
+        assert got == reference_violations(ds)
 
     def test_wrong_value_count_rejected_at_construction(self):
         schema = make_schema()

@@ -265,6 +265,9 @@ class TestMalformedCsvRows:
         ("u1,2.0,sent,  ", "line 3: missing value in column 'partner_id'"),
         ("u1,soon,up,", "line 3: 'soon' is not a number in column 'timestamp'"),
         ("u1,2.0,up,", "line 3: direction must be 'sent' or 'received', got 'up'"),
+        ("u1,nan,sent,u2", "line 3: 'nan' is not finite in column 'timestamp'"),
+        ("u1,-Infinity,sent,u2", "line 3: '-Infinity' is not finite in column 'timestamp'"),
+        ("u1,inf,up,", "line 3: 'inf' is not finite in column 'timestamp'"),
     ])
     def test_activity(self, tmp_path, row, message):
         path = tmp_path / "activity.csv"
@@ -279,6 +282,8 @@ class TestMalformedCsvRows:
         ("u1,1.0,31", "line 3: duplicate user_id 'u1'"),
         ("u2,later,30", "line 3: 'later' is not a number in column 'join_time'"),
         ("u2,1.0,old", "line 3: 'old' is not a number in column 'age'"),
+        ("u2,NaN,30", "line 3: 'NaN' is not finite in column 'join_time'"),
+        ("u2,inf,old", "line 3: 'old' is not a number in column 'age'"),
     ])
     def test_profiles(self, tmp_path, row, message):
         path = tmp_path / "profiles.csv"

@@ -3,12 +3,14 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import kuiper_permutation_pvalue, two_sample_kuiper_v
-from survclust import (bonferroni_threshold, km_eval, km_fit, kuiper_pvalue,
-                       kuiper_statistic, kuiper_test, logrank_test)
+from oracles import (kuiper_permutation_pvalue, two_sample_kuiper_v,
+                     union_grid_kuiper_v)
+from survclust import (bonferroni_threshold, km_eval, km_fit, kuiper_matrix,
+                       kuiper_pvalue, kuiper_statistic, logrank_test)
 from survclust.errors import (EmptySampleError, InvalidAlphaError,
                               InvalidCountError, InvalidEventCountError,
                               NoEventsError)
+from survclust.kaplan_meier import km_fit_arrays
 from survclust.twosample import kuiper_log_pvalue
 
 
@@ -251,12 +253,59 @@ class TestKuiperTestOnCurves:
         # same lifetimes, but heavy censoring shrinks the event counts
         times = rng.exponential(1.0, 200)
         full = km_fit(uncensored(times))
-        res = kuiper_test(full, full)
-        assert res.p_value == 1.0
-        assert res.effective_n == pytest.approx(full.n_events / 2)
+        censored = km_fit([(float(t), i % 4 == 0) for i, t in enumerate(times)])
+        v, p = kuiper_matrix([full, full, censored])
+        assert p[0, 1] == 1.0
+        # the p-value is taken at the curves' event counts, not their sizes
+        assert censored.n_events == 50
+        assert p[0, 2] == kuiper_pvalue(v[0, 2], full.n_events, 50).p_value
+        assert p[0, 2] != kuiper_pvalue(v[0, 2], 200, 200).p_value
 
     def test_separated_curves_reject(self):
         rng = np.random.default_rng(43)
         a = km_fit(uncensored(rng.exponential(0.2, 100)))
         b = km_fit(uncensored(rng.exponential(5.0, 100)))
-        assert kuiper_test(a, b).p_value < 1e-8
+        assert kuiper_matrix([a, b])[1][0, 1] < 1e-8
+
+
+# Half-unit times tie across and within curves; a curve may hold one event.
+curve_samples = st.lists(st.tuples(st.integers(0, 12).map(lambda k: k / 2), st.booleans()),
+                         min_size=1, max_size=25).filter(lambda rows: any(e for _, e in rows))
+
+
+def fitted(samples):
+    times, events = zip(*samples)
+    return km_fit_arrays(np.array(times), np.array(events))
+
+
+class TestKuiperMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from([1, 2, 6]).flatmap(lambda g: st.lists(curve_samples,
+                                                                  min_size=g, max_size=g)))
+    def test_matches_union_grid_oracle(self, samples):
+        curves = [fitted(rows) for rows in samples]
+        v, p = kuiper_matrix(curves)
+        g = len(curves)
+        assert v.shape == p.shape == (g, g)
+        for i in range(g):
+            for j in range(g):
+                assert v[i, j] == union_grid_kuiper_v(curves[i], curves[j])
+                assert p[i, j] == kuiper_pvalue(v[i, j], curves[i].n_events,
+                                                curves[j].n_events).p_value
+        assert np.array_equal(v, v.T) and np.array_equal(p, p.T)
+        assert np.all(np.diag(v) == 0.0) and np.all(np.diag(p) == 1.0)
+        assert np.all((v >= 0) & (v <= 1)) and np.all((p >= 0) & (p <= 1))
+
+    def test_one_event_curves(self):
+        a = km_fit_arrays(np.array([1.0, 2.0]), np.array([True, False]))
+        b = km_fit_arrays(np.array([3.0]), np.array([True]))
+        v, p = kuiper_matrix([a, b])
+        assert v[0, 1] == kuiper_statistic(a, b) == 1.0
+        assert p[0, 1] == kuiper_pvalue(1.0, 1, 1).p_value
+
+    def test_statistic_is_the_two_curve_matrix(self):
+        rng = np.random.default_rng(44)
+        a = km_fit_arrays(rng.exponential(1.0, 60), rng.random(60) < 0.7)
+        b = km_fit_arrays(rng.exponential(1.5, 40), rng.random(40) < 0.7)
+        assert kuiper_statistic(a, b) == kuiper_matrix([a, b])[0][0, 1]
+        assert kuiper_statistic(a, b) == union_grid_kuiper_v(a, b)
