@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from itertools import chain
 from operator import itemgetter
 
@@ -29,7 +30,7 @@ from .evaluation import (classify_and_score, cox_hazard_ratio, logistic_fit,
 from .ingest import (activity_to_survival, build_activity_log,
                      early_window_features, read_activity_csv,
                      read_profiles_csv)
-from .synth import GroupSpec, SynthConfig, default_group_specs, generate
+from .synth import SynthConfig, default_group_specs, generate
 from .tree import TreeConfig, grow_tree
 from .twosample import logrank_test
 
@@ -101,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t1", type=float, default=10.0,
                    help="prediction horizon: still alive here?")
     p.add_argument("--split", type=float, default=0.7,
-                   help="train fraction for the classification task")
+                   help="train fraction for the classification task, in (0, 1)")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None, help="report JSON path")
     p.set_defaults(func=cmd_evaluate)
@@ -148,6 +149,8 @@ def _load_training_dataset(args) -> SurvivalDataset:
 
 
 def cmd_simulate(args) -> int:
+    specs = default_group_specs(args.groups, args.signature_features,
+                                args.rate_base, args.rate_decay)
     if args.weights is not None:
         try:
             weights = [float(x) for x in args.weights.split(",")]
@@ -157,12 +160,7 @@ def cmd_simulate(args) -> int:
             raise SurvClustError(f"--weights must list {args.groups} values")
         if abs(sum(weights) - 1.0) > 1e-9:
             raise SurvClustError("--weights must sum to 1")
-    else:
-        weights = [1.0 / args.groups] * args.groups
-    base = default_group_specs(args.groups, args.signature_features,
-                               args.rate_base, args.rate_decay)
-    specs = tuple(GroupSpec(w, s.hazard_rate, s.feature_means)
-                  for w, s in zip(weights, base))
+        specs = tuple(replace(s, weight=w) for w, s in zip(weights, specs))
     config = SynthConfig(specs, args.n, args.entry_window, args.study_duration,
                          args.noise_features, args.seed)
     dataset, labels = generate(config)
@@ -238,6 +236,8 @@ def _classification_block(model, dataset, labels_by_id, args):
 
 
 def cmd_evaluate(args) -> int:
+    if not 0 < args.split < 1:
+        raise SurvClustError("--split must be between 0 and 1")
     model = load_model(args.model)
     if args.data and not args.schema:
         dataset = load_dataset_csv(args.data, model.tree.schema)

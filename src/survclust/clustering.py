@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
@@ -141,9 +143,12 @@ class ClusterModel:
     """Final leaf-to-cluster map with per-cluster pooled survival curves."""
 
     tree: SurvivalTree
-    leaf_to_cluster: dict[int, int]
+    leaf_to_cluster: Mapping[int, int]
     k: int
     cluster_curves: tuple[SurvivalCurve, ...]
+
+    def __post_init__(self):
+        object.__setattr__(self, "leaf_to_cluster", MappingProxyType(dict(self.leaf_to_cluster)))
 
 
 def leaf_samples(tree: SurvivalTree, data: SurvivalDataset) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -161,15 +166,14 @@ def _pooled_curve(group: list[int], samples: dict[int, tuple[np.ndarray, np.ndar
 
 def coarsen_to_k(partition: list[list[int]], graph: LeafGraph, tree: SurvivalTree,
                  k: int, samples: dict[int, tuple[np.ndarray, np.ndarray]],
-                 balanced: np.ndarray | None = None, expansion: int = 2,
-                 inflation: float = 2.0) -> ClusterModel:
+                 balanced: np.ndarray, expansion: int, inflation: float) -> ClusterModel:
     """Adjust an MCL partition to exactly ``k`` clusters.
 
     Too many groups: repeatedly merge the pair whose pooled populations
     have the highest Kuiper p-value (most similar survival), recomputing
-    pooled curves after each merge. Too few: rerun MCL on the balanced
-    matrix with inflation raised in 0.25 steps (up to 10.0), take the
-    first run reaching at least ``k`` groups, then merge down.
+    pooled curves after each merge. Too few: rerun MCL on ``balanced`` at
+    ``expansion`` with ``inflation`` raised in 0.25 steps (up to 10.0), take
+    the first run reaching at least ``k`` groups, then merge down.
 
     ``samples`` maps leaf ids to their training (times, events) arrays;
     pooled curves cannot be rebuilt from the tree alone.
@@ -179,8 +183,6 @@ def coarsen_to_k(partition: list[list[int]], graph: LeafGraph, tree: SurvivalTre
     groups = [sorted(block) for block in partition]
 
     if len(groups) < k:
-        if balanced is None:
-            raise ValueError("refining the partition requires the balanced matrix")
         infl = inflation + INFLATION_SWEEP_STEP
         while infl <= INFLATION_SWEEP_MAX + 1e-9:
             candidate = mcl(balanced, expansion, infl)

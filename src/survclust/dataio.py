@@ -12,6 +12,7 @@ import json
 import os
 import tempfile
 from contextlib import contextmanager
+from dataclasses import asdict
 from itertools import islice, repeat
 from typing import Iterator
 
@@ -223,8 +224,7 @@ def _test_from_dict(d: dict):
 
 def tree_to_dict(tree: SurvivalTree) -> dict:
     nodes = []
-
-    def walk(node: TreeNode):
+    for node in tree.nodes():
         if node.is_leaf:
             nodes.append({
                 "id": node.node_id,
@@ -244,20 +244,9 @@ def tree_to_dict(tree: SurvivalTree) -> dict:
                 "left": node.left.node_id,
                 "right": node.right.node_id,
             })
-            walk(node.left)
-            walk(node.right)
-
-    walk(tree.root)
-    config = tree.config
     return {
         "schema": schema_to_dict(tree.schema),
-        "config": {
-            "alpha": config.alpha,
-            "min_leaf_subjects": config.min_leaf_subjects,
-            "min_leaf_events": config.min_leaf_events,
-            "max_depth": config.max_depth,
-            "max_numeric_thresholds": config.max_numeric_thresholds,
-        },
+        "config": asdict(tree.config),
         "root": tree.root.node_id,
         "nodes": nodes,
         "leaf_ids": list(tree.leaf_ids),
@@ -281,7 +270,7 @@ def tree_from_dict(d: dict) -> SurvivalTree:
         return TreeNode(raw["id"], split=split, n_candidates=raw["n_candidates"],
                         left=build(raw["left"]), right=build(raw["right"]))
 
-    return SurvivalTree(schema, build(d["root"]), config, list(d["leaf_ids"]))
+    return SurvivalTree(schema, build(d["root"]), config, d["leaf_ids"])
 
 
 # ----------------------------------------------------------------- model

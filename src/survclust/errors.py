@@ -17,10 +17,6 @@ class InvalidEventCountError(SurvClustError):
     """An event count passed to a test is below one."""
 
 
-class InvalidAlphaError(SurvClustError):
-    """Significance level outside (0, 1]."""
-
-
 class InvalidCountError(SurvClustError):
     """A test count below one."""
 

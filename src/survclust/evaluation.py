@@ -9,7 +9,7 @@ regression fitted by IRLS and reports threshold metrics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -36,14 +36,7 @@ class HazardRatioResult:
     diverged: bool = False
 
     def to_json_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "hazard_ratio": self.hazard_ratio,
-            "std_err": self.std_err,
-            "ci95": list(self.ci95),
-            "iterations": self.iterations,
-            "diverged": self.diverged,
-        }
+        return {**asdict(self), "ci95": list(self.ci95)}
 
 
 def cox_hazard_ratio(samples) -> HazardRatioResult:
@@ -201,19 +194,14 @@ class ClassificationReport:
         return cls(tp, fp, tn, fn, precision, recall, f, accuracy, fpr)
 
     def to_json_dict(self) -> dict:
-        return {
-            "tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn,
-            "precision": self.precision, "recall": self.recall,
-            "f_measure": self.f_measure, "accuracy": self.accuracy,
-            "fpr": self.fpr,
-        }
+        return asdict(self)
 
 
 def classify_and_score(weights: np.ndarray, features: np.ndarray,
-                       labels: np.ndarray, threshold: float = 0.5) -> ClassificationReport:
-    """Threshold predicted probabilities and tabulate the five metrics."""
+                       labels: np.ndarray) -> ClassificationReport:
+    """Threshold predicted probabilities at 0.5 and tabulate the five metrics."""
     y = np.asarray(labels, dtype=bool)
-    pred = predict_proba(weights, features) >= threshold
+    pred = predict_proba(weights, features) >= 0.5
     tp = int(np.sum(pred & y))
     fp = int(np.sum(pred & ~y))
     tn = int(np.sum(~pred & ~y))

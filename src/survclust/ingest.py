@@ -15,7 +15,7 @@ import math
 import operator
 from dataclasses import dataclass
 from itertools import compress, count, repeat
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -88,26 +88,22 @@ def activity_to_survival(log: ActivityLog, cutoff: float, schema: FeatureSchema,
     keep = reason == 0
     ids = list(compress(log.users, keep.tolist()))
     rows = [features_by_user[uid] for uid in ids]
-    columns = [np.array([row[j] for row in rows],
-                        dtype=np.float64 if f.kind == NUMERIC else np.int64)
-               for j, f in enumerate(schema)]
+    columns = [[row[j] for row in rows] for j in range(len(schema))]
     return SurvivalDataset(schema, ids, columns, times[keep], dead[keep]), discards
 
 
-def early_window_features(log: ActivityLog, window: float,
-                          profile_schema: Optional[FeatureSchema] = None,
-                          profiles: Optional[Mapping[str, Sequence]] = None,
-                          ) -> tuple[FeatureSchema, dict[str, list]]:
-    """Per-user activity counts over [join, join + window), merged with profiles.
+def early_window_features(log: ActivityLog, window: float, profile_schema: FeatureSchema,
+                          profiles: Mapping[str, Sequence]) -> tuple[FeatureSchema, dict[str, list]]:
+    """Per-user activity counts over [join, join + window), appended to profiles.
 
     Counts comments sent and received, distinct interaction partners, and
     distinct whole-unit periods with activity ("days active" when times
-    are in days). Users with no activity get zeros. With a profile schema,
-    profile features come first and users missing a profile are omitted.
+    are in days). Users with no activity get zeros. Profile features come
+    first; users missing a profile are omitted.
     """
     if not (window > 0) or not math.isfinite(window):
         raise ValueError(f"window must be a positive duration, got {window}")
-    schema = FeatureSchema((*(profile_schema or ()),
+    schema = FeatureSchema((*profile_schema,
                             *(Feature(name, NUMERIC) for name in ACTIVITY_FEATURE_NAMES)))
     n = len(log.users)
     join = log.join_times[log.owner]
@@ -121,8 +117,6 @@ def early_window_features(log: ActivityLog, window: float,
                        _distinct_per_user(owner, log.partners[in_window], n),
                        _distinct_per_user(owner, days, n)], axis=1)
     rows = zip(log.users, counts.astype(np.float64).tolist())
-    if profile_schema is None:
-        return schema, dict(rows)
     return schema, {uid: list(profiles[uid]) + activity for uid, activity in rows
                     if profiles.get(uid) is not None}
 

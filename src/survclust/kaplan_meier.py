@@ -18,7 +18,7 @@ from .errors import EmptySampleError, NoEventsError
 
 @dataclass(frozen=True)
 class SurvivalCurve:
-    """Right-continuous step function produced by :func:`km_fit`.
+    """Right-continuous step function produced by :func:`km_fit_arrays`.
 
     ``event_times`` are the distinct death times in increasing order and
     ``survival`` the curve value at each; the curve is 1 before the first
@@ -110,14 +110,6 @@ def km_fit_arrays(times: np.ndarray, events: np.ndarray) -> SurvivalCurve:
     prefix = np.r_[1.0, np.cumprod(run_end)[:-1]][run_idx]
     survival = prefix * within
     return SurvivalCurve(death_times, survival, int(d.sum()), int(times.size))
-
-
-def km_fit(subjects) -> SurvivalCurve:
-    """Fit a survival curve from an iterable of (time, event) pairs."""
-    pairs = list(subjects)
-    times = np.array([t for t, _ in pairs], dtype=np.float64)
-    events = np.array([bool(e) for _, e in pairs], dtype=bool)
-    return km_fit_arrays(times, events)
 
 
 def km_eval_many(curve: SurvivalCurve, times: np.ndarray) -> np.ndarray:

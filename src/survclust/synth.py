@@ -70,15 +70,14 @@ class SynthConfig:
 
 
 def default_group_specs(n_groups: int, n_signature: int = 5,
-                        rate_base: float = 1.0, rate_decay: float = 0.4,
-                        mean_spacing: float = 3.0) -> tuple[GroupSpec, ...]:
-    """Equal-weight groups with geometrically decaying hazards and spaced means."""
+                        rate_base: float = 1.0, rate_decay: float = 0.4) -> tuple[GroupSpec, ...]:
+    """Equal-weight groups with geometrically decaying hazards, means 3 apart."""
     if n_groups < 1:
         raise InvalidConfigError("need at least one group")
     weight = 1.0 / n_groups
     return tuple(
         GroupSpec(weight, rate_base * rate_decay ** g,
-                  tuple(mean_spacing * g for _ in range(n_signature)))
+                  tuple(3.0 * g for _ in range(n_signature)))
         for g in range(n_groups))
 
 

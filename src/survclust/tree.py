@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Union
 
 import numpy as np
@@ -93,12 +93,15 @@ class TreeNode:
         return self.split is None
 
 
-@dataclass
+@dataclass(frozen=True)
 class SurvivalTree:
     schema: FeatureSchema
     root: TreeNode
     config: TreeConfig
-    leaf_ids: list[int] = field(default_factory=list)
+    leaf_ids: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(self, "leaf_ids", tuple(self.leaf_ids))
 
     def leaves(self) -> list[TreeNode]:
         return [node for node in self.nodes() if node.is_leaf]

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import chi2
 
-from .errors import (EmptySampleError, InvalidAlphaError, InvalidCountError,
-                     InvalidEventCountError, NoEventsError)
+from .errors import (EmptySampleError, InvalidCountError, InvalidEventCountError,
+                     NoEventsError)
 from .kaplan_meier import SurvivalCurve, km_eval_many, risk_sets
 
 # Series truncation: below this term magnitude (or past _SERIES_MAX_TERMS)
@@ -156,11 +156,3 @@ def logrank_test(group_samples) -> TestResult:
     p = float(chi2.sf(stat, df=g - 1))
     return TestResult(stat, p, total_events)
 
-
-def bonferroni_threshold(alpha: float, m: int) -> float:
-    """Family-wise corrected significance level alpha / m."""
-    if not (0 < alpha <= 1):
-        raise InvalidAlphaError(f"alpha must be in (0, 1], got {alpha}")
-    if m < 1 or int(m) != m:
-        raise InvalidCountError(f"test count must be a positive integer, got {m}")
-    return alpha / m

@@ -328,3 +328,81 @@ def reference_ingest(rows, join_times, study_end, window, cutoff,
                         dtype=np.float64 if kind == "numeric" else np.int64)
                for j, kind in enumerate(kinds)]
     return ids, times, events, columns, discards
+
+
+def reference_tree_dict(tree):
+    """JSON form of a tree with every field named: a recursive preorder walk
+    (left subtree first) and the config's five fields listed one by one."""
+    def curve_dict(curve):
+        return {"t": curve.event_times.tolist(), "s": curve.survival.tolist(),
+                "n_events": int(curve.n_events), "n_subjects": int(curve.n_subjects)}
+
+    nodes = []
+
+    def walk(node):
+        if node.is_leaf:
+            nodes.append({
+                "id": node.node_id,
+                "leaf_id": node.leaf_id,
+                "n_subjects": node.n_subjects,
+                "n_events": node.n_events,
+                "curve": curve_dict(node.curve),
+            })
+            return
+        feature = tree.schema[node.split.feature]
+        test = ({"kind": "numeric_lt", "threshold": node.split.test.threshold}
+                if feature.kind == "numeric"
+                else {"kind": "category_eq", "index": node.split.test.category_index})
+        nodes.append({
+            "id": node.node_id,
+            "feature": feature.name,
+            "test": test,
+            "p_value": node.split.p_value,
+            "statistic": node.split.statistic,
+            "n_candidates": node.n_candidates,
+            "left": node.left.node_id,
+            "right": node.right.node_id,
+        })
+        walk(node.left)
+        walk(node.right)
+
+    walk(tree.root)
+    config = tree.config
+    features = [{"name": f.name, "kind": f.kind,
+                 **({"categories": list(f.categories)} if f.kind == "categorical" else {})}
+                for f in tree.schema]
+    return {
+        "schema": {"features": features},
+        "config": {
+            "alpha": config.alpha,
+            "min_leaf_subjects": config.min_leaf_subjects,
+            "min_leaf_events": config.min_leaf_events,
+            "max_depth": config.max_depth,
+            "max_numeric_thresholds": config.max_numeric_thresholds,
+        },
+        "root": tree.root.node_id,
+        "nodes": nodes,
+        "leaf_ids": list(tree.leaf_ids),
+    }
+
+
+def reference_hazard_ratio_dict(hr):
+    """JSON form of a hazard-ratio result, field by field."""
+    return {
+        "beta": hr.beta,
+        "hazard_ratio": hr.hazard_ratio,
+        "std_err": hr.std_err,
+        "ci95": list(hr.ci95),
+        "iterations": hr.iterations,
+        "diverged": hr.diverged,
+    }
+
+
+def reference_classification_dict(rep):
+    """JSON form of a classification report, field by field."""
+    return {
+        "tp": rep.tp, "fp": rep.fp, "tn": rep.tn, "fn": rep.fn,
+        "precision": rep.precision, "recall": rep.recall,
+        "f_measure": rep.f_measure, "accuracy": rep.accuracy,
+        "fpr": rep.fpr,
+    }

@@ -11,14 +11,13 @@ import pytest
 
 from oracles import best_label_agreement, brute_force_km, kuiper_permutation_pvalue
 from survclust import (TreeConfig, cluster_assign_dataset, fit_cluster_model,
-                       grow_tree, km_eval, km_fit, logrank_test, mcl,
+                       grow_tree, km_eval, km_fit_arrays, logrank_test, mcl,
                        sinkhorn_knopp)
 from survclust.cli import main as cli_main
 from survclust.clustering import WEIGHT_FLOOR
 from survclust.core import Feature, FeatureSchema, SurvivalDataset
 from survclust.evaluation import (classify_and_score, cox_hazard_ratio,
                                   logistic_fit, one_hot, survival_labels)
-from survclust.kaplan_meier import km_fit_arrays
 from survclust.synth import GroupSpec, SynthConfig, generate
 from survclust.twosample import kuiper_pvalue, kuiper_statistic
 
@@ -41,7 +40,7 @@ def test_km_oracle_equivalence():
         for _ in range(200):
             n = int(rng.integers(1, 51))
             times = np.round(rng.uniform(0, 10, n), 3)
-            curve = km_fit([(float(t), True) for t in times])
+            curve = km_fit_arrays(times, np.ones(n, dtype=bool))
             grid = np.concatenate([[-1.0, 0.0], times, times + 1e-3, [11.0]])
             for t in grid:
                 empirical = float(np.sum(times > t)) / n
@@ -53,7 +52,7 @@ def test_km_oracle_equivalence():
                        for _ in range(n)]
             if not any(e for _, e in samples):
                 samples[0] = (samples[0][0], True)
-            curve = km_fit(samples)
+            curve = km_fit_arrays(*zip(*samples))
             for t in np.linspace(0.0, 9.5, 40):
                 assert km_eval(curve, float(t)) == pytest.approx(
                     brute_force_km(samples, float(t)), abs=1e-12)

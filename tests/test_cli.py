@@ -40,6 +40,26 @@ class TestSimulate:
         assert run("simulate", "--groups", "3", "--weights", "0.5,0.5",
                    "--out", str(tmp_path / "x")) == 2
 
+    def test_zero_groups_exit_2(self, tmp_path, capsys):
+        assert run("simulate", "--groups", "0", "--out", str(tmp_path / "x")) == 2
+        assert "need at least one group" in capsys.readouterr().err
+
+    def test_equal_weights_flag_matches_default(self, tmp_path):
+        a = simulate_two_group(tmp_path, out="a")
+        assert run("simulate", "--groups", "2", "--n", "1200", "--seed", "7",
+                   "--noise-features", "3", "--signature-features", "2",
+                   "--rate-decay", "0.15", "--weights", "0.5,0.5",
+                   "--out", str(tmp_path / "b")) == 0
+        for name in ("subjects.csv", "schema.json", "labels.csv"):
+            assert (a / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_weights_set_group_shares(self, tmp_path):
+        assert run("simulate", "--groups", "2", "--n", "1000", "--weights", "0.9,0.1",
+                   "--out", str(tmp_path / "x")) == 0
+        groups = [line.split(",")[1] for line in
+                  (tmp_path / "x" / "labels.csv").read_text().splitlines()[1:]]
+        assert 850 < groups.count("0") < 950
+
 
 class TestFit:
     def test_recovers_planted_groups(self, tmp_path):
@@ -170,6 +190,15 @@ class TestEvaluate:
         assert code == 0
         out = capsys.readouterr().out
         assert "skipped (k<2)" in out
+
+    def test_split_outside_unit_interval_exit_2(self, tmp_path, capsys):
+        data, model_path = fitted_model(tmp_path)
+        for split in ("-0.3", "0", "1", "1.5", "inf", "nan"):
+            code = run("evaluate", "--model", str(model_path),
+                       "--data", str(data / "subjects.csv"),
+                       "--t0", "1", "--t1", "5", "--split", split)
+            assert code == 2, split
+            assert capsys.readouterr().err == "error: --split must be between 0 and 1\n"
 
     def test_hazard_ratio_matches_planted_rates(self, tmp_path):
         # rate ratio 1.0 / 0.15 is planted; clusters recover direction and scale

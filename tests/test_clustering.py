@@ -11,14 +11,14 @@ from survclust.clustering import (WEIGHT_FLOOR, build_leaf_graph,
                                   coarsen_to_k, fit_cluster_model,
                                   leaf_samples, mcl, sinkhorn_knopp)
 from survclust.errors import NonConvergenceError, UnreachableKError
-from survclust.kaplan_meier import km_fit
+from survclust.kaplan_meier import km_fit_arrays
 from survclust.tree import (NumericTest, SplitCandidate, SurvivalTree,
                             TreeConfig, TreeNode, grow_tree)
 from survclust.twosample import kuiper_matrix, logrank_test
 
 
 def uncensored_curve(times):
-    return km_fit([(float(t), True) for t in times])
+    return km_fit_arrays(times, np.ones(len(times), dtype=bool))
 
 
 def single_leaf_tree(times):
@@ -226,7 +226,8 @@ class TestCoarsenToK:
         tree = four_leaf_tree(curves)
         graph = build_leaf_graph(tree)
         samples4 = {0: samples[0], 1: samples[0], 2: samples[1], 3: samples[1]}
-        model = coarsen_to_k([[0, 1], [2, 3]], graph, tree, 2, samples4)
+        balanced = sinkhorn_knopp(np.maximum(graph.weights, WEIGHT_FLOOR))
+        model = coarsen_to_k([[0, 1], [2, 3]], graph, tree, 2, samples4, balanced, 2, 2.0)
         assert model.k == 2
         assert model.leaf_to_cluster == {0: 0, 1: 0, 2: 1, 3: 1}
 
@@ -243,7 +244,8 @@ class TestCoarsenToK:
         ones = np.ones(150, dtype=bool)
         samples = {0: (fast_a, ones), 1: (fast_b, ones),
                    2: (slow_a, ones), 3: (slow_b, ones)}
-        model = coarsen_to_k([[0], [1], [2], [3]], graph, tree, 2, samples)
+        balanced = sinkhorn_knopp(np.maximum(graph.weights, WEIGHT_FLOOR))
+        model = coarsen_to_k([[0], [1], [2], [3]], graph, tree, 2, samples, balanced, 2, 2.0)
         assert model.k == 2
         assert model.leaf_to_cluster == {0: 0, 1: 0, 2: 1, 3: 1}
 
@@ -252,8 +254,7 @@ class TestCoarsenToK:
         graph = build_leaf_graph(tree)
         samples = {0: (np.array([1.0, 2.0, 3.0]), np.ones(3, dtype=bool))}
         with pytest.raises(UnreachableKError):
-            coarsen_to_k([[0]], graph, tree, 2, samples,
-                         balanced=np.array([[1.0]]))
+            coarsen_to_k([[0]], graph, tree, 2, samples, np.array([[1.0]]), 2, 2.0)
 
     def test_inflation_sweep_refines(self):
         # base inflation merges the two pairs; the sweep recovers them
@@ -273,8 +274,7 @@ class TestCoarsenToK:
                              [0.0, 0.0, 0.5, 0.5],
                              [0.0, 0.0, 0.5, 0.5]])
         # hand the coarsener an under-segmented partition
-        model = coarsen_to_k([[0, 1, 2, 3]], graph, tree, 2, samples,
-                             balanced=balanced)
+        model = coarsen_to_k([[0, 1, 2, 3]], graph, tree, 2, samples, balanced, 2, 2.0)
         assert model.k == 2
         assert model.leaf_to_cluster == {0: 0, 1: 0, 2: 1, 3: 1}
 
@@ -294,7 +294,7 @@ class TestCoarsenToK:
         ones = np.ones(100, dtype=bool)
         samples = {0: (fast, ones), 1: (fast, ones), 2: (slow, ones), 3: (slow, ones)}
         partition = mcl(balanced, inflation=2.0)
-        model = coarsen_to_k(partition, graph, tree, 2, samples, balanced=balanced)
+        model = coarsen_to_k(partition, graph, tree, 2, samples, balanced, 2, 2.0)
         assert model.k == 2
 
     def test_tied_pairs_merge_the_earlier(self):
@@ -306,14 +306,17 @@ class TestCoarsenToK:
         tree = four_leaf_tree([uncensored_curve(x) for x in (fast, slow, fast, slow)])
         ones = np.ones(80, dtype=bool)
         samples = {0: (fast, ones), 1: (slow, ones), 2: (fast, ones), 3: (slow, ones)}
-        model = coarsen_to_k([[0], [1], [2], [3]], build_leaf_graph(tree), tree, 3, samples)
+        graph = build_leaf_graph(tree)
+        balanced = sinkhorn_knopp(np.maximum(graph.weights, WEIGHT_FLOOR))
+        model = coarsen_to_k([[0], [1], [2], [3]], graph, tree, 3, samples, balanced, 2, 2.0)
         assert model.leaf_to_cluster == {0: 0, 1: 1, 2: 0, 3: 2}
 
     def test_invalid_k(self):
         tree = single_leaf_tree([1.0])
         graph = build_leaf_graph(tree)
         with pytest.raises(ValueError):
-            coarsen_to_k([[0]], graph, tree, 0, {0: (np.array([1.0]), np.array([True]))})
+            coarsen_to_k([[0]], graph, tree, 0, {0: (np.array([1.0]), np.array([True]))},
+                         np.array([[1.0]]), 2, 2.0)
 
 
 def two_group_dataset(rng, n_per_group=400, rates=(3.0, 0.2)):

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 from unittest import mock
 
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_subject_csv
+from oracles import (reference_classification_dict, reference_hazard_ratio_dict,
+                     reference_subject_csv, reference_tree_dict)
 from survclust import (Feature, FeatureSchema, SurvivalDataset, dataio,
                        validate_dataset)
 from survclust.clustering import cluster_assign_dataset, fit_cluster_model
@@ -16,6 +18,8 @@ from survclust.dataio import (dump_json, iter_subjects_csv, load_dataset_csv,
                               save_json, save_model, schema_from_dict,
                               schema_to_dict, tree_from_dict, tree_to_dict)
 from survclust.errors import SchemaMismatchError
+from survclust.evaluation import (classify_and_score, cox_hazard_ratio,
+                                  logistic_fit, one_hot)
 from survclust.synth import GroupSpec, SynthConfig, generate
 from survclust.tree import TreeConfig, assign_leaves, grow_tree
 
@@ -250,6 +254,65 @@ class TestTreeJson:
         _, m1 = planted_model(seed=34)
         _, m2 = planted_model(seed=34)
         assert dump_json(model_to_dict(m1)) == dump_json(model_to_dict(m2))
+
+
+def categorical_tree():
+    """A tree grown where a three-level category sets the hazard."""
+    rng = np.random.default_rng(35)
+    n = 900
+    level = rng.integers(0, 3, n)
+    schema = FeatureSchema((Feature("x", "numeric"),
+                            Feature("plan", "categorical", ("a", "b", "c"))))
+    data = SurvivalDataset(schema, [f"s{i}" for i in range(n)], [rng.normal(size=n), level],
+                           rng.exponential(np.array([0.2, 1.0, 5.0])[level]),
+                           rng.random(n) < 0.8)
+    return grow_tree(data, TreeConfig(min_leaf_subjects=40, min_leaf_events=5))
+
+
+class TestReferenceSerializers:
+    def test_tree_bytes_match_reference(self):
+        trees = [planted_model()[1].tree, planted_model(seed=34)[1].tree,
+                 categorical_tree()]
+        kinds = {tree.schema[node.split.feature].kind
+                 for tree in trees for node in tree.nodes() if not node.is_leaf}
+        assert kinds == {"numeric", "categorical"}
+        for tree in trees:
+            assert dump_json(tree_to_dict(tree)) == dump_json(reference_tree_dict(tree))
+
+    def test_result_bytes_match_reference(self):
+        data, model = planted_model()
+        labels = cluster_assign_dataset(model, data)
+        separated = (np.arange(10) % 2, np.arange(10.0), np.ones(10, dtype=bool))
+        for group, times, events in ((labels, data.times, data.events), separated):
+            hr = cox_hazard_ratio(zip(times.tolist(), events.tolist(), group.tolist()))
+            assert dump_json(hr.to_json_dict()) == dump_json(reference_hazard_ratio_dict(hr))
+        x = one_hot(labels, model.k)
+        y = data.times > np.median(data.times)
+        rep = classify_and_score(logistic_fit(x, y), x, y)
+        assert dump_json(rep.to_json_dict()) == dump_json(reference_classification_dict(rep))
+
+
+class TestFittedObjectsImmutable:
+    def test_grown_and_loaded_models_reject_mutation(self, tmp_path):
+        _, model = planted_model()
+        save_model(model, tmp_path / "model.json")
+        for m in (model, load_model(tmp_path / "model.json")):
+            with pytest.raises(AttributeError):
+                m.tree.leaf_ids.append(99)
+            with pytest.raises(AttributeError):
+                m.tree.root = None
+            with pytest.raises(TypeError):
+                m.leaf_to_cluster[0] = 7
+            with pytest.raises(AttributeError):
+                m.k = 5
+            assert m.leaf_to_cluster == dict(model.leaf_to_cluster)
+
+    def test_model_copies_its_leaf_map(self):
+        _, model = planted_model()
+        leaf_to_cluster = dict(model.leaf_to_cluster)
+        copy = dataclasses.replace(model, leaf_to_cluster=leaf_to_cluster)
+        leaf_to_cluster[0] = 7
+        assert copy.leaf_to_cluster == model.leaf_to_cluster
 
 
 class TestModelJson:

@@ -35,6 +35,11 @@ def features_for(*uids):
     return {uid: [30.0] for uid in uids}
 
 
+def no_profiles(log):
+    """An empty profile schema and an empty profile for every user in the log."""
+    return FeatureSchema(()), dict.fromkeys(log.users, ())
+
+
 class TestActivityToSurvival:
     def test_dead_user(self):
         log = make_log(user("u1", 0.0, [1.0, 4.0]), study_end=20.0)
@@ -117,7 +122,8 @@ class TestActivityToSurvival:
         log1 = build_activity_log(rows, joins, 25.0)
         log2 = build_activity_log(shuffled, dict(reversed(joins.items())), 25.0)
         assert log1.users == log2.users
-        assert early_window_features(log1, 5.0) == early_window_features(log2, 5.0)
+        assert (early_window_features(log1, 5.0, *no_profiles(log1))
+                == early_window_features(log2, 5.0, *no_profiles(log2)))
         feats = features_for(*joins)
         ds1, _ = activity_to_survival(log1, 10.0, simple_schema(), feats)
         ds2, _ = activity_to_survival(log2, 10.0, simple_schema(), feats)
@@ -150,7 +156,7 @@ class TestActivityToSurvival:
 class TestEarlyWindowFeatures:
     def test_no_activity_gives_zeros(self):
         log = make_log(user("u1", 0.0, []), study_end=20.0)
-        schema, feats = early_window_features(log, 5.0)
+        schema, feats = early_window_features(log, 5.0, *no_profiles(log))
         assert feats["u1"] == [0.0, 0.0, 0.0, 0.0]
         assert schema.names == ("comments_sent", "comments_received",
                                 "partners", "days_active")
@@ -159,21 +165,21 @@ class TestEarlyWindowFeatures:
         records = ((1.0, "sent", "a"), (2.0, "sent", "b"),
                    (3.0, "sent", "a"))
         log = make_log(user("u1", 0.0, records), study_end=20.0)
-        _, feats = early_window_features(log, 5.0)
+        _, feats = early_window_features(log, 5.0, *no_profiles(log))
         sent, received, partners, days = feats["u1"]
         assert sent == 3.0 and received == 0.0 and partners == 2.0 and days == 3.0
 
     def test_boundary_excluded(self):
         records = ((5.0, "sent", "a"), (4.999, "received", "b"))
         log = make_log(user("u1", 0.0, records), study_end=20.0)
-        _, feats = early_window_features(log, 5.0)
+        _, feats = early_window_features(log, 5.0, *no_profiles(log))
         sent, received, partners, days = feats["u1"]
         assert sent == 0.0 and received == 1.0 and partners == 1.0
 
     def test_window_relative_to_join(self):
         records = ((11.0, "sent", "a"), (16.0, "sent", "b"))
         log = make_log(user("u1", 10.0, records), study_end=30.0)
-        _, feats = early_window_features(log, 5.0)
+        _, feats = early_window_features(log, 5.0, *no_profiles(log))
         assert feats["u1"][0] == 1.0
 
     def test_merged_with_profiles(self):
@@ -190,7 +196,7 @@ class TestEarlyWindowFeatures:
     def test_invalid_window(self):
         log = make_log(user("u1", 0.0, []), study_end=20.0)
         with pytest.raises(ValueError):
-            early_window_features(log, 0.0)
+            early_window_features(log, 0.0, *no_profiles(log))
 
 
 class TestCsvIngestion:
@@ -346,6 +352,8 @@ def activity_logs(draw):
 
 def columnar_ingest(rows, joins, study_end, window, cutoff, profile_schema, profiles):
     log = build_activity_log(rows, joins, study_end)
+    if profile_schema is None:
+        profile_schema, profiles = no_profiles(log)
     schema, feats = early_window_features(log, window, profile_schema, profiles)
     ds, discards = activity_to_survival(log, cutoff, schema, feats)
     return (ds.ids, ds.times.tobytes(), ds.events.tobytes(), [c.tobytes() for c in ds.columns],

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_risk_sets
-from survclust import SurvivalCurve, km_eval, km_fit
+from survclust import SurvivalCurve, km_eval, km_fit_arrays
 from survclust.errors import EmptySampleError, NoEventsError
 from survclust.kaplan_meier import risk_sets
 
@@ -28,7 +28,7 @@ def empirical_survival(times, t):
 
 class TestKmFit:
     def test_no_censoring(self):
-        curve = km_fit([(1.0, True), (2.0, True), (3.0, True)])
+        curve = km_fit_arrays([1.0, 2.0, 3.0], [True, True, True])
         assert np.allclose(curve.event_times, [1.0, 2.0, 3.0])
         assert np.allclose(curve.survival, [2 / 3, 1 / 3, 0.0])
         assert curve.n_events == 3
@@ -36,28 +36,28 @@ class TestKmFit:
 
     def test_censored_subject_leaves_risk_set(self):
         # n = (3, 1), d = (1, 1) evaluated by hand
-        curve = km_fit([(1.0, True), (2.0, False), (3.0, True)])
+        curve = km_fit_arrays([1.0, 2.0, 3.0], [True, False, True])
         assert np.allclose(curve.event_times, [1.0, 3.0])
         assert np.allclose(curve.survival, [2 / 3, 0.0])
 
     def test_mass_point(self):
-        curve = km_fit([(5.0, True)] * 4)
+        curve = km_fit_arrays([5.0] * 4, [True] * 4)
         assert np.allclose(curve.event_times, [5.0])
         assert np.allclose(curve.survival, [0.0])
         assert curve.n_events == 4
 
     def test_censor_tied_with_death_stays_at_risk(self):
         # censored at t=2 counts toward n_j at death time 2: n=(4,3,1), d=(1,1,1)
-        curve = km_fit([(1.0, True), (2.0, False), (2.0, True), (3.0, True)])
+        curve = km_fit_arrays([1.0, 2.0, 2.0, 3.0], [True, False, True, True])
         assert np.allclose(curve.survival, [3 / 4, 3 / 4 * 2 / 3, 0.0])
 
     def test_empty_sample(self):
         with pytest.raises(EmptySampleError):
-            km_fit([])
+            km_fit_arrays([], [])
 
     def test_no_events(self):
         with pytest.raises(NoEventsError):
-            km_fit([(1.0, False), (2.0, False)])
+            km_fit_arrays([1.0, 2.0], [False, False])
 
     def test_matches_brute_force_with_censoring(self):
         rng = np.random.default_rng(7)
@@ -66,7 +66,7 @@ class TestKmFit:
             samples = [(float(rng.integers(1, 8)), bool(rng.integers(0, 2))) for _ in range(n)]
             if not any(e for _, e in samples):
                 samples[0] = (samples[0][0], True)
-            curve = km_fit(samples)
+            curve = km_fit_arrays(*zip(*samples))
             for t in np.linspace(0, 9, 30):
                 assert km_eval(curve, float(t)) == pytest.approx(
                     brute_force_km(samples, float(t)), abs=1e-12)
@@ -76,14 +76,14 @@ class TestKmFit:
         for _ in range(30):
             n = int(rng.integers(1, 40))
             times = rng.uniform(0, 10, size=n)
-            curve = km_fit([(float(t), True) for t in times])
+            curve = km_fit_arrays(times, np.ones(n, dtype=bool))
             for t in np.linspace(0, 11, 25):
                 assert km_eval(curve, float(t)) == empirical_survival(times, t)
 
     def test_monotone_time_transform_invariance(self):
         samples = [(1.0, True), (2.0, False), (4.0, True), (4.0, True), (9.0, False)]
-        base = km_fit(samples)
-        warped = km_fit([(t ** 2 + 3 * t, e) for t, e in samples])
+        base = km_fit_arrays(*zip(*samples))
+        warped = km_fit_arrays(*zip(*[(t ** 2 + 3 * t, e) for t, e in samples]))
         assert np.allclose(base.survival, warped.survival)
         assert np.allclose(warped.event_times, [t ** 2 + 3 * t for t in base.event_times])
 
@@ -92,8 +92,8 @@ class TestKmFit:
         # the step times and event count are unchanged (it does enlarge every
         # risk set, so the step heights shift toward 1)
         samples = [(1.0, True), (2.0, True), (3.0, False)]
-        base = km_fit(samples)
-        extended = km_fit(samples + [(99.0, False)])
+        base = km_fit_arrays(*zip(*samples))
+        extended = km_fit_arrays(*zip(*samples + [(99.0, False)]))
         assert np.array_equal(base.event_times, extended.event_times)
         assert extended.n_subjects == base.n_subjects + 1
         assert extended.n_events == base.n_events
@@ -103,7 +103,7 @@ class TestKmFit:
 
 class TestKmEval:
     def setup_method(self):
-        self.curve = km_fit([(1.0, True), (2.0, False), (3.0, True)])
+        self.curve = km_fit_arrays([1.0, 2.0, 3.0], [True, False, True])
 
     def test_before_first_event(self):
         assert km_eval(self.curve, 0.0) == 1.0
@@ -112,7 +112,7 @@ class TestKmEval:
         assert km_eval(self.curve, 2.5) == pytest.approx(2 / 3)
 
     def test_at_last_death(self):
-        curve = km_fit([(1.0, True), (2.0, True), (3.0, True)])
+        curve = km_fit_arrays([1.0, 2.0, 3.0], [True, True, True])
         assert km_eval(curve, 3.0) == 0.0
 
     def test_right_continuity_at_step(self):
@@ -127,7 +127,7 @@ class TestCurveObject:
             SurvivalCurve(np.array([1.0, 2.0]), np.array([0.2, 0.5]), 2, 2)
 
     def test_json_round_trip(self):
-        curve = km_fit([(1.0, True), (2.0, False), (3.0, True)])
+        curve = km_fit_arrays([1.0, 2.0, 3.0], [True, False, True])
         other = SurvivalCurve.from_json_dict(curve.to_json_dict())
         assert np.array_equal(other.event_times, curve.event_times)
         assert np.array_equal(other.survival, curve.survival)

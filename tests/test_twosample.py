@@ -5,12 +5,10 @@ from hypothesis import strategies as st
 
 from oracles import (kuiper_permutation_pvalue, two_sample_kuiper_v,
                      union_grid_kuiper_v)
-from survclust import (bonferroni_threshold, km_eval, km_fit, kuiper_matrix,
-                       kuiper_pvalue, kuiper_statistic, logrank_test)
-from survclust.errors import (EmptySampleError, InvalidAlphaError,
-                              InvalidCountError, InvalidEventCountError,
-                              NoEventsError)
-from survclust.kaplan_meier import km_fit_arrays
+from survclust import (km_eval, km_fit_arrays, kuiper_matrix, kuiper_pvalue,
+                       kuiper_statistic, logrank_test)
+from survclust.errors import (EmptySampleError, InvalidCountError,
+                              InvalidEventCountError, NoEventsError)
 from survclust.twosample import kuiper_log_pvalue
 
 
@@ -18,20 +16,24 @@ def uncensored(times):
     return [(float(t), True) for t in times]
 
 
+def uncensored_curve(times):
+    return km_fit_arrays(times, np.ones(len(times), dtype=bool))
+
+
 class TestKuiperStatistic:
     def test_identical_curves(self):
-        curve = km_fit(uncensored([1.0, 2.0, 5.0]))
+        curve = uncensored_curve([1.0, 2.0, 5.0])
         assert kuiper_statistic(curve, curve) == 0.0
 
     def test_single_death_hand_case(self):
-        a = km_fit([(1.0, True)])
-        b = km_fit([(2.0, True)])
+        a = km_fit_arrays([1.0], [True])
+        b = km_fit_arrays([2.0], [True])
         assert kuiper_statistic(a, b) == pytest.approx(1.0)
 
     def test_crossing_curves_exceed_one_sided_distances(self):
         # a falls first then flattens; b starts above and crosses below
-        a = km_fit(uncensored([1.0, 1.5, 8.0, 9.0, 10.0, 11.0]))
-        b = km_fit(uncensored([3.0, 3.5, 4.0, 4.5, 5.0, 6.0]))
+        a = uncensored_curve([1.0, 1.5, 8.0, 9.0, 10.0, 11.0])
+        b = uncensored_curve([3.0, 3.5, 4.0, 4.5, 5.0, 6.0])
         grid = np.union1d(a.event_times, b.event_times)
         diff = np.array([km_eval(a, t) - km_eval(b, t) for t in grid])
         d_plus, d_minus = diff.max(), (-diff).max()
@@ -42,8 +44,8 @@ class TestKuiperStatistic:
 
     def test_symmetry(self):
         rng = np.random.default_rng(3)
-        a = km_fit(uncensored(rng.exponential(1.0, 30)))
-        b = km_fit(uncensored(rng.exponential(2.0, 20)))
+        a = uncensored_curve(rng.exponential(1.0, 30))
+        b = uncensored_curve(rng.exponential(2.0, 20))
         assert kuiper_statistic(a, b) == kuiper_statistic(b, a)
 
     def test_matches_classic_statistic_on_uncensored_data(self):
@@ -51,12 +53,12 @@ class TestKuiperStatistic:
         for _ in range(20):
             xs = rng.uniform(0, 1, 25)
             ys = rng.uniform(0, 1, 35)
-            lib = kuiper_statistic(km_fit(uncensored(xs)), km_fit(uncensored(ys)))
+            lib = kuiper_statistic(uncensored_curve(xs), uncensored_curve(ys))
             assert lib == pytest.approx(two_sample_kuiper_v(xs, ys), abs=1e-12)
 
     def test_range(self):
-        a = km_fit(uncensored([1.0, 2.0]))
-        b = km_fit(uncensored([10.0, 20.0]))
+        a = uncensored_curve([1.0, 2.0])
+        b = uncensored_curve([10.0, 20.0])
         v = kuiper_statistic(a, b)
         assert 0.0 <= v <= 2.0
 
@@ -227,33 +229,13 @@ class TestLogrank:
             [x.hex() for x in (b.statistic, b.p_value, b.effective_n)]
 
 
-class TestBonferroni:
-    def test_single_test(self):
-        assert bonferroni_threshold(0.05, 1) == 0.05
-
-    def test_ten_tests(self):
-        assert bonferroni_threshold(0.05, 10) == pytest.approx(0.005)
-
-    def test_five_hundred_tests(self):
-        assert bonferroni_threshold(0.05, 500) == pytest.approx(1e-4)
-
-    def test_invalid_alpha(self):
-        for alpha in (0.0, -0.1, 1.5):
-            with pytest.raises(InvalidAlphaError):
-                bonferroni_threshold(alpha, 5)
-
-    def test_invalid_count(self):
-        with pytest.raises(InvalidCountError):
-            bonferroni_threshold(0.05, 0)
-
-
 class TestKuiperTestOnCurves:
     def test_uses_event_counts(self):
         rng = np.random.default_rng(41)
         # same lifetimes, but heavy censoring shrinks the event counts
         times = rng.exponential(1.0, 200)
-        full = km_fit(uncensored(times))
-        censored = km_fit([(float(t), i % 4 == 0) for i, t in enumerate(times)])
+        full = uncensored_curve(times)
+        censored = km_fit_arrays(times, np.arange(times.size) % 4 == 0)
         v, p = kuiper_matrix([full, full, censored])
         assert p[0, 1] == 1.0
         # the p-value is taken at the curves' event counts, not their sizes
@@ -263,8 +245,8 @@ class TestKuiperTestOnCurves:
 
     def test_separated_curves_reject(self):
         rng = np.random.default_rng(43)
-        a = km_fit(uncensored(rng.exponential(0.2, 100)))
-        b = km_fit(uncensored(rng.exponential(5.0, 100)))
+        a = uncensored_curve(rng.exponential(0.2, 100))
+        b = uncensored_curve(rng.exponential(5.0, 100))
         assert kuiper_matrix([a, b])[1][0, 1] < 1e-8
 
 
