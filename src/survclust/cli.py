@@ -167,9 +167,9 @@ def cmd_simulate(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     save_dataset_csv(dataset, os.path.join(args.out, "subjects.csv"))
     save_json(schema_to_dict(dataset.schema), os.path.join(args.out, "schema.json"))
-    lines = ["id,group"] + [f"{sid},{int(g)}" for sid, g in zip(dataset.ids, labels)]
     with atomic_open(os.path.join(args.out, "labels.csv")) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("id,group\n")
+        fh.writelines(f"{sid},{g}\n" for sid, g in zip(dataset.ids, labels.tolist()))
     print(f"wrote {len(dataset)} subjects "
           f"({int(dataset.events.sum())} events) to {args.out}")
     return 0

@@ -26,7 +26,7 @@ from .tree import (CategoryTest, NumericTest, SplitCandidate, SurvivalTree,
                    TreeConfig, TreeNode)
 
 RESERVED_COLUMNS = ("id", "time", "event")
-# Rows parsed per chunk: bounds the memory of parsed-but-unconverted cells.
+# Rows per chunk read or written: bounds the memory of cells held as Python objects.
 CHUNK_ROWS = 1024
 
 
@@ -81,25 +81,28 @@ def schema_from_dict(d: dict) -> FeatureSchema:
 
 # ------------------------------------------------------------- subjects
 
-def _format_value(feature: Feature, value) -> str:
-    if feature.kind == NUMERIC:
-        return repr(float(value))
-    idx = int(value)
-    if 0 <= idx < len(feature.categories):
-        return feature.categories[idx]
-    return ""  # preserved as an invalid marker
+def _csv_field(text: str) -> str:
+    """``text`` as a CSV cell, quoted as ``csv.writer``'s QUOTE_MINIMAL does."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def save_dataset_csv(dataset: SurvivalDataset, path):
-    header = list(RESERVED_COLUMNS) + list(dataset.schema.names)
-    lines = [",".join(header)]
-    for i, sid in enumerate(dataset.ids):
-        row = [sid, repr(float(dataset.times[i])), "1" if dataset.events[i] else "0"]
-        row += [_format_value(f, col[i]) for f, col in
-                zip(dataset.schema, dataset.columns)]
-        lines.append(",".join(row))
+    """Write the subject CSV ``CHUNK_ROWS`` rows at a time, each chunk one
+    column of cells at a time; an out-of-range category code is written as
+    an empty cell."""
+    levels = [dict(enumerate(f.categories)) for f in dataset.schema]
     with atomic_open(path) as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(",".join(RESERVED_COLUMNS + dataset.schema.names) + "\n")
+        for start in range(0, len(dataset), CHUNK_ROWS):
+            rows = slice(start, start + CHUNK_ROWS)
+            columns = [map(_csv_field, dataset.ids[rows]), map(repr, dataset.times[rows].tolist()),
+                       map(("0", "1").__getitem__, dataset.events[rows].tolist())]
+            columns += [map(repr, col[rows].tolist()) if f.kind == NUMERIC
+                        else map(level.get, col[rows].tolist(), repeat(""))
+                        for f, level, col in zip(dataset.schema, levels, dataset.columns)]
+            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
 def _check_header(header: list[str], schema: FeatureSchema):

@@ -10,6 +10,7 @@ or parallelism cannot change the output.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,6 +41,12 @@ class SynthConfig:
         object.__setattr__(self, "groups", tuple(self.groups))
         if not self.groups:
             raise InvalidConfigError("need at least one group")
+        numbers = [self.entry_window, self.study_duration]
+        for g in self.groups:
+            numbers += [g.weight, g.hazard_rate, *g.feature_means]
+        if not all(map(math.isfinite, numbers)):
+            raise InvalidConfigError("weights, hazard rates, feature means, entry window "
+                                     "and study duration must be finite")
         if abs(sum(g.weight for g in self.groups) - 1.0) > 1e-9:
             raise InvalidConfigError("group weights must sum to 1")
         if any(g.weight < 0 for g in self.groups):
@@ -82,35 +89,33 @@ def default_group_specs(n_groups: int, n_signature: int = 5,
 
 
 def generate(config: SynthConfig) -> tuple[SurvivalDataset, np.ndarray]:
-    """Draw the dataset plus ground-truth group labels, reproducibly."""
-    n = config.n_subjects
-    weights = np.array([g.weight for g in config.groups])
-    cum = np.cumsum(weights)
-    labels = np.empty(n, dtype=np.int64)
-    times = np.empty(n)
-    events = np.empty(n, dtype=bool)
-    values = np.empty((n, config.n_signature + config.noise_features))
+    """Draw the dataset plus ground-truth group labels, reproducibly.
+
+    The per-subject loop only draws. The rest is whole-array arithmetic in
+    the form numpy's own distributions take, so every bit matches drawing
+    each subject with ``exponential(scale)`` (``scale * standard_exponential()``),
+    ``uniform(0, w)`` (``0 + w * random()``) and ``normal(loc, 1)``
+    (``loc + 1 * standard_normal()``).
+    """
+    n, n_sig = config.n_subjects, config.n_signature
+    u, unit_lifetime, unit_entry = np.empty(n), np.empty(n), np.empty(n)
+    z = np.empty((n, n_sig + config.noise_features))
     for i in range(n):
         rng = np.random.default_rng([config.seed, i])
-        u = rng.random()
-        g = int(np.searchsorted(cum, u, side="right"))
-        g = min(g, len(config.groups) - 1)
-        spec = config.groups[g]
-        lifetime = rng.exponential(1.0 / spec.hazard_rate)
-        entry = rng.uniform(0.0, config.entry_window)
-        horizon = config.study_duration - entry
-        sig = rng.normal(np.asarray(spec.feature_means), 1.0)
-        noise = rng.normal(0.0, 1.0, config.noise_features)
-        labels[i] = g
-        if lifetime <= horizon:
-            times[i] = lifetime
-            events[i] = True
-        else:
-            times[i] = horizon
-            events[i] = False
-        values[i, :config.n_signature] = sig
-        values[i, config.n_signature:] = noise
-    schema = config.schema()
+        u[i] = rng.random()
+        unit_lifetime[i] = rng.standard_exponential()
+        unit_entry[i] = rng.random()
+        rng.standard_normal(out=z[i])
+    cum = np.cumsum([g.weight for g in config.groups])
+    labels = np.minimum(cum.searchsorted(u, side="right"), len(config.groups) - 1)
+    scales = 1.0 / np.array([g.hazard_rate for g in config.groups])
+    means = np.array([g.feature_means for g in config.groups], dtype=float)
+    lifetime = scales[labels] * unit_lifetime
+    horizon = config.study_duration - (0.0 + config.entry_window * unit_entry)
+    events = lifetime <= horizon
+    sig = means[labels] + 1.0 * z[:, :n_sig]
+    noise = 0.0 + 1.0 * z[:, n_sig:]
     ids = [f"s{i:06d}" for i in range(n)]
-    dataset = SurvivalDataset(schema, ids, list(values.T), times, events)
+    dataset = SurvivalDataset(config.schema(), ids, [*sig.T, *noise.T],
+                              np.where(events, lifetime, horizon), events)
     return dataset, labels

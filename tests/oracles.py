@@ -406,3 +406,58 @@ def reference_classification_dict(rep):
         "f_measure": rep.f_measure, "accuracy": rep.accuracy,
         "fpr": rep.fpr,
     }
+
+
+def reference_generate(config):
+    """A synthetic population drawn one subject at a time, every value from
+    the subject's own stream: ``(ids, times, events, columns, labels)``."""
+    n = config.n_subjects
+    weights = np.array([g.weight for g in config.groups])
+    cum = np.cumsum(weights)
+    labels = np.empty(n, dtype=np.int64)
+    times = np.empty(n)
+    events = np.empty(n, dtype=bool)
+    values = np.empty((n, config.n_signature + config.noise_features))
+    for i in range(n):
+        rng = np.random.default_rng([config.seed, i])
+        u = rng.random()
+        g = int(np.searchsorted(cum, u, side="right"))
+        g = min(g, len(config.groups) - 1)
+        spec = config.groups[g]
+        lifetime = rng.exponential(1.0 / spec.hazard_rate)
+        entry = rng.uniform(0.0, config.entry_window)
+        horizon = config.study_duration - entry
+        sig = rng.normal(np.asarray(spec.feature_means), 1.0)
+        noise = rng.normal(0.0, 1.0, config.noise_features)
+        labels[i] = g
+        if lifetime <= horizon:
+            times[i] = lifetime
+            events[i] = True
+        else:
+            times[i] = horizon
+            events[i] = False
+        values[i, :config.n_signature] = sig
+        values[i, config.n_signature:] = noise
+    ids = [f"s{i:06d}" for i in range(n)]
+    return ids, times, events, list(values.T), labels
+
+
+def reference_save_dataset_csv(dataset, path):
+    """Write a subject CSV one cell at a time; ids are written as they are."""
+    def format_value(feature, value):
+        if feature.kind == "numeric":
+            return repr(float(value))
+        idx = int(value)
+        if 0 <= idx < len(feature.categories):
+            return feature.categories[idx]
+        return ""
+
+    header = ["id", "time", "event"] + list(dataset.schema.names)
+    lines = [",".join(header)]
+    for i, sid in enumerate(dataset.ids):
+        row = [sid, repr(float(dataset.times[i])), "1" if dataset.events[i] else "0"]
+        row += [format_value(f, col[i]) for f, col in
+                zip(dataset.schema, dataset.columns)]
+        lines.append(",".join(row))
+    with open(path, "w") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -40,6 +40,15 @@ class TestSimulate:
         assert run("simulate", "--groups", "3", "--weights", "0.5,0.5",
                    "--out", str(tmp_path / "x")) == 2
 
+    def test_non_finite_options_exit_2(self, tmp_path, capsys):
+        for flag, value in (("--weights", "nan,nan"), ("--rate-base", "nan"),
+                            ("--entry-window", "nan"), ("--study-duration", "inf")):
+            out = tmp_path / flag.strip("-")
+            assert run("simulate", "--groups", "2", "--n", "50", flag, value,
+                       "--out", str(out)) == 2, flag
+            assert "must be finite" in capsys.readouterr().err
+            assert not out.exists()
+
     def test_zero_groups_exit_2(self, tmp_path, capsys):
         assert run("simulate", "--groups", "0", "--out", str(tmp_path / "x")) == 2
         assert "need at least one group" in capsys.readouterr().err

@@ -1,6 +1,8 @@
 import csv
 import dataclasses
+import io
 import json
+import math
 from unittest import mock
 
 import numpy as np
@@ -9,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (reference_classification_dict, reference_hazard_ratio_dict,
-                     reference_subject_csv, reference_tree_dict)
+                     reference_save_dataset_csv, reference_subject_csv,
+                     reference_tree_dict)
 from survclust import (Feature, FeatureSchema, SurvivalDataset, dataio,
                        validate_dataset)
 from survclust.clustering import cluster_assign_dataset, fit_cluster_model
@@ -239,6 +242,82 @@ class TestColumnarReader:
             writer.writerows(rows)
         with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
             assert_matches_reference(path, schema, strict)
+
+
+CELL_FLOATS = st.one_of(
+    st.floats(width=64),
+    st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e16]))
+
+
+@st.composite
+def datasets(draw, ids, codes_valid):
+    """Datasets of 0-8 rows over 0-3 numeric or categorical features; category
+    codes are in range, or also -1 and beyond the last level."""
+    features = []
+    for j in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            features.append(Feature(f"x{j}", "numeric"))
+        else:
+            features.append(Feature(f"g{j}", "categorical",
+                                    tuple(f"L{k}" for k in range(draw(st.integers(1, 3))))))
+    schema = FeatureSchema(tuple(features))
+    n = draw(st.integers(0, 8))
+    columns = []
+    for f in schema:
+        top = len(f.categories) - 1
+        cells = (CELL_FLOATS if f.kind == "numeric"
+                 else st.integers(0, top) if codes_valid else st.integers(-1, top + 2))
+        columns.append(draw(st.lists(cells, min_size=n, max_size=n)))
+    return SurvivalDataset(schema, draw(st.lists(ids, min_size=n, max_size=n, unique=True)),
+                           columns, draw(st.lists(CELL_FLOATS, min_size=n, max_size=n)),
+                           draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+
+
+PLAIN_IDS = st.text(alphabet="abs0123456789_-.", min_size=1, max_size=8)
+HOSTILE_IDS = st.text(alphabet='ab,"\r\n \t', max_size=6)
+
+
+class TestSubjectCsvWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(datasets(PLAIN_IDS, codes_valid=False), st.sampled_from([1, 2, 3, 1024]))
+    def test_matches_per_cell_reference(self, tmp_path_factory, ds, chunk_rows):
+        folder = tmp_path_factory.mktemp("csv")
+        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+            save_dataset_csv(ds, folder / "got.csv")
+        reference_save_dataset_csv(ds, folder / "want.csv")
+        assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(datasets(HOSTILE_IDS, codes_valid=True))
+    def test_quoted_ids_round_trip(self, tmp_path_factory, ds):
+        path = tmp_path_factory.mktemp("csv") / "subjects.csv"
+        save_dataset_csv(ds, path)
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [row[0] for row in rows[1:]] == list(ds.ids)
+        lines = []
+        for sid, row in zip(ds.ids, rows[1:]):  # csv.writer's default dialect, one row each
+            written = io.StringIO()
+            csv.writer(written).writerow([sid] + row[1:])
+            lines.append(written.getvalue().removesuffix("\r\n") + "\n")
+        assert path.read_bytes().decode().split("\n", 1)[1] == "".join(lines)
+        back = load_dataset_csv(path, ds.schema)
+        assert back.ids == ds.ids
+        assert back.events.tolist() == ds.events.tolist()
+        np.testing.assert_array_equal(back.times, ds.times)
+        for a, b in zip(back.columns, ds.columns):
+            np.testing.assert_array_equal(a, b)
+
+    def test_id_with_comma_and_quote(self, tmp_path):
+        schema = FeatureSchema((Feature("x", "numeric"),))
+        ds = SurvivalDataset(schema, ["a,b", 'say "hi"', "plain"],
+                             [np.array([1.0, 2.0, 3.0])], np.array([1.0, 2.0, 3.0]),
+                             np.array([True, False, True]))
+        path = tmp_path / "subjects.csv"
+        save_dataset_csv(ds, path)
+        assert path.read_text() == ('id,time,event,x\n"a,b",1.0,1,1.0\n'
+                                    '"say ""hi""",2.0,0,2.0\nplain,3.0,1,3.0\n')
+        assert load_dataset_csv(path, schema).ids == ds.ids
 
 
 class TestTreeJson:

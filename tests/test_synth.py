@@ -1,6 +1,12 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from oracles import reference_generate
 from survclust import kuiper_statistic, kuiper_pvalue
 from survclust.errors import InvalidConfigError
 from survclust.kaplan_meier import km_fit_arrays
@@ -81,6 +87,18 @@ class TestGenerate:
             col = data.columns[j]
             assert abs(col[labels == 0].mean() - col[labels == 1].mean()) < 0.2
 
+    def test_rows_keyed_by_subject_index(self):
+        config = SynthConfig(default_group_specs(3, 2), n_subjects=300, entry_window=4.0,
+                             study_duration=12.0, noise_features=2, seed=21)
+        big, big_labels = generate(config)
+        small, small_labels = generate(replace(config, n_subjects=120))
+        assert small.ids == big.ids[:120]
+        assert small.times.tobytes() == big.times[:120].tobytes()
+        assert small.events.tobytes() == big.events[:120].tobytes()
+        assert small_labels.tobytes() == big_labels[:120].tobytes()
+        for a, b in zip(small.columns, big.columns):
+            assert a.tobytes() == b[:120].tobytes()
+
     def test_times_nonnegative_and_capped(self):
         config = SynthConfig((GroupSpec(1.0, 0.05, ()),), n_subjects=1000,
                              entry_window=4.0, study_duration=5.0, seed=17)
@@ -89,7 +107,50 @@ class TestGenerate:
         assert np.all(data.times[~data.events] <= 5.0)
 
 
+@st.composite
+def synth_configs(draw):
+    """1-4 groups, some of weight zero; 0-3 signature and 0-3 noise features."""
+    shares = draw(st.lists(st.integers(0, 4), min_size=1, max_size=4).filter(any))
+    n_sig = draw(st.integers(0, 3))
+    means = st.one_of(st.sampled_from([0.0, -0.0, 3.0]), st.floats(-5.0, 5.0))
+    groups = tuple(GroupSpec(share / sum(shares), draw(st.floats(0.01, 10.0)),
+                             tuple(draw(means) for _ in range(n_sig)))
+                   for share in shares)
+    entry_window = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+    study_duration = entry_window + draw(st.floats(0.01, 10.0))
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64)))
+    return SynthConfig(groups, draw(st.integers(1, 200)), entry_window, study_duration,
+                       draw(st.integers(0, 3)), seed)
+
+
+class TestReferenceGenerate:
+    @settings(max_examples=150, deadline=None)
+    @given(synth_configs())
+    def test_matches_per_subject_reference(self, config):
+        data, labels = generate(config)
+        ids, times, events, columns, ref_labels = reference_generate(config)
+        assert data.ids == tuple(ids)
+        assert data.times.tobytes() == times.tobytes()
+        assert data.events.tobytes() == events.tobytes()
+        assert labels.dtype == ref_labels.dtype
+        assert labels.tobytes() == ref_labels.tobytes()
+        assert len(data.columns) == len(columns)
+        for col, ref in zip(data.columns, columns):
+            assert col.tobytes() == ref.tobytes()
+
+
 class TestConfigValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("field", ["weight", "hazard_rate", "feature_mean",
+                                       "entry_window", "study_duration"])
+    def test_non_finite_numbers_rejected(self, field, value):
+        v = {"weight": 1.0, "hazard_rate": 1.0, "feature_mean": 0.0,
+             "entry_window": 1.0, "study_duration": 5.0, field: value}
+        with pytest.raises(InvalidConfigError, match="must be finite"):
+            SynthConfig((GroupSpec(v["weight"], v["hazard_rate"], (v["feature_mean"],)),),
+                        n_subjects=10, entry_window=v["entry_window"],
+                        study_duration=v["study_duration"])
+
     def test_weights_must_sum_to_one(self):
         with pytest.raises(InvalidConfigError):
             SynthConfig((GroupSpec(0.6, 1.0, ()), GroupSpec(0.6, 1.0, ())),
