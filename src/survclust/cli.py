@@ -21,7 +21,7 @@ import numpy as np
 
 from .clustering import cluster_assign_dataset, fit_cluster_model
 from .core import SurvivalDataset, validate_dataset
-from .dataio import (atomic_open, dump_json, iter_subject_chunks,
+from .dataio import (_csv_field, atomic_open, dump_json, iter_subject_chunks,
                      load_dataset_csv, load_json, load_model, save_dataset_csv,
                      save_json, save_model, schema_from_dict, schema_to_dict)
 from .errors import SurvClustError, UnreachableKError
@@ -300,7 +300,8 @@ def cmd_predict(args) -> int:
         out.write("id,cluster\n")
         for chunk in iter_subject_chunks(args.data, model.tree.schema, strict=unknown is None):
             labels = cluster_assign_dataset(model, chunk, unknown)
-            out.writelines(f"{sid},{label}\n" for sid, label in zip(chunk.ids, labels.tolist()))
+            out.writelines(f"{_csv_field(sid)},{label}\n"
+                           for sid, label in zip(chunk.ids, labels.tolist()))
     return 0
 
 

@@ -111,8 +111,8 @@ def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[
         raise ValueError("matrix must be square")
     if expansion < 1 or int(expansion) != expansion:
         raise ValueError("expansion must be a positive integer")
-    if inflation <= 0:
-        raise ValueError("inflation must be positive")
+    if not 0 < inflation < np.inf:
+        raise ValueError("inflation must be positive and finite")
     col_sums = m.sum(axis=0)
     if np.any(np.abs(col_sums - 1.0) > 1e-6):
         raise ValueError("columns must sum to 1")

@@ -83,7 +83,7 @@ def schema_from_dict(d: dict) -> FeatureSchema:
 
 def _csv_field(text: str) -> str:
     """``text`` as a CSV cell, quoted as ``csv.writer``'s QUOTE_MINIMAL does."""
-    if any(c in text for c in ',"\r\n'):
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
         return '"' + text.replace('"', '""') + '"'
     return text
 

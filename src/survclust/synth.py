@@ -113,9 +113,10 @@ def generate(config: SynthConfig) -> tuple[SurvivalDataset, np.ndarray]:
     lifetime = scales[labels] * unit_lifetime
     horizon = config.study_duration - (0.0 + config.entry_window * unit_entry)
     events = lifetime <= horizon
-    sig = means[labels] + 1.0 * z[:, :n_sig]
-    noise = 0.0 + 1.0 * z[:, n_sig:]
+    # in place, bit for bit loc + 1 * z: 1.0 * z is exact and + commutes
+    z[:, :n_sig] += means[labels]
+    z[:, n_sig:] += 0.0
     ids = [f"s{i:06d}" for i in range(n)]
-    dataset = SurvivalDataset(config.schema(), ids, [*sig.T, *noise.T],
+    dataset = SurvivalDataset(config.schema(), ids, [*z.T],
                               np.where(events, lifetime, horizon), events)
     return dataset, labels

@@ -9,10 +9,10 @@ effective event count N = n_a*n_b/(n_a+n_b).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import (EmptySampleError, InvalidCountError, InvalidEventCountError,
                      NoEventsError)
@@ -153,6 +153,30 @@ def logrank_test(group_samples) -> TestResult:
     stat = float(z @ np.linalg.pinv(v) @ z)
     if not np.isfinite(stat) or stat < 0:
         return TestResult(0.0, 1.0, total_events)
-    p = float(chi2.sf(stat, df=g - 1))
-    return TestResult(stat, p, total_events)
+    return TestResult(stat, _chi2_sf(stat, g - 1), total_events)
 
+
+def _chi2_sf(x: float, df: int) -> float:
+    """Chi-squared upper tail Q(a, y) at a = df/2, y = x/2 (A&S 26.4.4-5).
+
+    With t_k = y^k e^-y / Gamma(k + 1), each formed in log space so that no
+    factor underflows alone, Q is erfc(sqrt(y)) for odd df plus t_k summed
+    over k = a - 1, a - 2, ... >= 0, and 1 - Q is t_k summed over k = a,
+    a + 1, ... Below y = a, Q is 1 minus that series, so that p-values
+    within rounding of 1 read 1 rather than scatter below it.
+    """
+    y, a = x / 2.0, df / 2
+    if y <= 0:
+        return 1.0
+
+    def term(k):
+        return math.exp(k * math.log(y) - y - math.lgamma(k + 1))
+
+    if y < a:
+        lower, k = 0.0, a
+        while (t := term(k)) > lower * 1e-17:
+            lower, k = lower + t, k + 1
+        return 1.0 - lower
+    half = df % 2 / 2
+    total = math.erfc(math.sqrt(y)) if half else 0.0
+    return total + sum(term(j + half) for j in range(df // 2))

@@ -7,6 +7,7 @@ rank masks, never on fitted curves.
 
 import bisect
 import csv
+import decimal
 import math
 
 import numpy as np
@@ -112,6 +113,32 @@ def two_sample_kuiper_v(sample_a, sample_b):
     fb = np.searchsorted(b, grid, side="right") / b.size
     diff = fa - fb
     return max(diff.max(), 0.0) + max((-diff).max(), 0.0)
+
+
+_PI = decimal.Decimal("3.14159265358979323846264338327950288419716939937511")
+
+
+def reference_chi2_sf(x, df):
+    """Chi-squared upper tail Q(df/2, x/2) at 50 significant digits.
+
+    Climbs Q(a + 1, y) = Q(a, y) + y^a e^-y / Gamma(a + 1) from Q(1, y) = e^-y
+    (even df) or Q(1/2, y) = erfc(sqrt(y)) (odd df), carrying each step's
+    term to the next by the ratio y / (a + 1).
+    """
+    with decimal.localcontext() as ctx:
+        ctx.prec = 50
+        y = decimal.Decimal(x) / 2
+        if df % 2:
+            a, q = decimal.Decimal("0.5"), decimal.Decimal(math.erfc(math.sqrt(x / 2)))
+            term = 2 * (y / _PI).sqrt() * (-y).exp()   # Gamma(3/2) = sqrt(pi) / 2
+        else:
+            a, q = decimal.Decimal(1), (-y).exp()
+            term = y * (-y).exp()                      # Gamma(2) = 1
+        while 2 * a < df:
+            q += term
+            term = term * y / (a + 1)
+            a += 1
+        return float(q)
 
 
 def kuiper_permutation_pvalue(sample_a, sample_b, v_threshold, n_perm=10_000, seed=0):

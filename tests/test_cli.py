@@ -1,7 +1,13 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import survclust
 from survclust.cli import main
 
 
@@ -153,6 +159,14 @@ class TestFit:
     def test_usage_error_exits_2(self, tmp_path):
         assert run("fit", "--data") == 2
 
+    def test_non_finite_inflation_exits_2(self, tmp_path, capsys):
+        data = simulate_two_group(tmp_path, n=400)
+        for value in ("nan", "inf"):
+            assert run("fit", "--data", str(data / "subjects.csv"),
+                       "--schema", str(data / "schema.json"), "--inflation", value,
+                       "--out", str(tmp_path / "m.json")) == 2
+            assert "inflation must be positive and finite" in capsys.readouterr().err
+
 
 def fitted_model(tmp_path, **kw):
     data = simulate_two_group(tmp_path, **kw)
@@ -232,6 +246,24 @@ class TestPredict:
         assert run("predict", "--model", str(model_path),
                    "--data", str(data / "subjects.csv"), "--out", str(p2)) == 0
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_ids_quoted_like_the_subject_csv(self, tmp_path):
+        data, model_path = fitted_model(tmp_path)
+        lines = (data / "subjects.csv").read_text().splitlines(keepends=True)
+        lines[1] = '"a,b"' + lines[1][lines[1].index(","):]
+        lines[2] = '"q""x"' + lines[2][lines[2].index(","):]
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_text("".join(lines))
+        out = tmp_path / "labels.csv"
+        assert run("predict", "--model", str(model_path),
+                   "--data", str(quoted), "--out", str(out)) == 0
+        with open(quoted, newline="") as fh:
+            ids = [row[0] for row in csv.reader(fh)][1:]
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert ids[:2] == ["a,b", 'q"x']
+        assert {len(row) for row in rows} == {2}
+        assert [row[0] for row in rows] == ids
 
     def test_empty_csv(self, tmp_path):
         data, model_path = fitted_model(tmp_path)
@@ -488,3 +520,14 @@ class TestReport:
         for curve in payload["curves"]:
             assert set(curve) == {"t", "s", "n_events", "n_subjects"}
             assert all(0.0 <= s <= 1.0 for s in curve["s"])
+
+
+def test_cli_imports_only_numpy_and_the_standard_library():
+    code = ("import sys; before = set(sys.modules); import survclust.cli; "
+            "print(*{name.split('.')[0] for name in set(sys.modules) - before})")
+    src = str(Path(survclust.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env={**os.environ, "PYTHONPATH": src})
+    loaded = set(proc.stdout.split())
+    assert "survclust" in loaded
+    assert loaded - {"numpy", "survclust"} - set(sys.stdlib_module_names) == set()

@@ -208,6 +208,11 @@ class TestMcl:
         with pytest.raises(ValueError):
             mcl(np.ones((3, 3)))
 
+    @pytest.mark.parametrize("inflation", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_bad_inflation(self, inflation):
+        with pytest.raises(ValueError, match="positive and finite"):
+            mcl(np.eye(3), inflation=inflation)
+
 
 def make_leaf_samples(rates, n=120, seed=0):
     rng = np.random.default_rng(seed)

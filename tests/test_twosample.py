@@ -1,15 +1,17 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import (kuiper_permutation_pvalue, two_sample_kuiper_v,
-                     union_grid_kuiper_v)
+from oracles import (kuiper_permutation_pvalue, reference_chi2_sf,
+                     two_sample_kuiper_v, union_grid_kuiper_v)
 from survclust import (km_eval, km_fit_arrays, kuiper_matrix, kuiper_pvalue,
                        kuiper_statistic, logrank_test)
 from survclust.errors import (EmptySampleError, InvalidCountError,
                               InvalidEventCountError, NoEventsError)
-from survclust.twosample import kuiper_log_pvalue
+from survclust.twosample import _chi2_sf, kuiper_log_pvalue
 
 
 def uncensored(times):
@@ -227,6 +229,34 @@ class TestLogrank:
         a, b = logrank_test(groups), logrank_test(shuffled)
         assert [x.hex() for x in (a.statistic, a.p_value, a.effective_n)] == \
             [x.hex() for x in (b.statistic, b.p_value, b.effective_n)]
+
+
+class TestChi2Sf:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 40), st.floats(0.0, 3000.0))
+    def test_matches_decimal_oracle(self, df, x):
+        p, ref = _chi2_sf(x, df), reference_chi2_sf(x, df)
+        if ref >= 1e-290:
+            assert p == pytest.approx(ref, rel=1e-12, abs=0)
+        else:
+            assert p < 1e-290
+        assert 0.0 <= p <= 1.0
+        assert p >= _chi2_sf(x + 1, df)
+
+    def test_zero_statistic(self):
+        assert [_chi2_sf(0.0, df) for df in (1, 2, 3, 10)] == [1.0] * 4
+
+    def test_two_degrees_of_freedom_is_exponential(self):
+        # the finite sum is the single term e^-y from the mean x = 2 up
+        for x in (2.0, 3.5, 10.0, 123.456, 1400.0):
+            assert _chi2_sf(x, 2) == math.exp(-x / 2)
+        for x in (1e-8, 0.5, 1.999):
+            assert _chi2_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("x, df", [(3.8414588206941285, 1), (5.991464547107983, 2),
+                                       (7.814727903251178, 3), (18.30703805327515, 10)])
+    def test_95_percent_points(self, x, df):
+        assert _chi2_sf(x, df) == pytest.approx(0.05, abs=1e-12)
 
 
 class TestKuiperTestOnCurves:
