@@ -15,7 +15,6 @@ import os
 import sys
 from dataclasses import replace
 from itertools import chain
-from operator import itemgetter
 
 import numpy as np
 
@@ -128,13 +127,13 @@ def _load_training_dataset(args) -> SurvivalDataset:
         if not (args.activity and args.profiles and args.schema):
             raise SurvClustError("activity ingestion needs --activity, --profiles and --schema")
         profile_schema = schema_from_dict(load_json(args.schema))
-        rows = read_activity_csv(args.activity)
+        table = read_activity_csv(args.activity)
         profiles = read_profiles_csv(args.profiles, profile_schema)
         join_times = {uid: jt for uid, (jt, _) in profiles.items()}
         study_end = args.study_end
         if study_end is None:
-            study_end = max(chain(map(itemgetter(1), rows), join_times.values()))
-        log = build_activity_log(rows, join_times, study_end)
+            study_end = max(chain(table.timestamps.tolist(), join_times.values()))
+        log = build_activity_log(table, join_times, study_end)
         merged_schema, feats = early_window_features(
             log, args.window, profile_schema,
             {uid: values for uid, (_, values) in profiles.items()})

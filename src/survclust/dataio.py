@@ -13,8 +13,9 @@ import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
-from itertools import islice, repeat
-from typing import Iterator
+from functools import partial
+from itertools import chain, islice, repeat
+from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .kaplan_meier import SurvivalCurve
 from .tree import (CategoryTest, NumericTest, SplitCandidate, SurvivalTree,
                    TreeConfig, TreeNode)
 
+T = TypeVar("T")
 RESERVED_COLUMNS = ("id", "time", "event")
 # Rows per chunk read or written: bounds the memory of cells held as Python objects.
 CHUNK_ROWS = 1024
@@ -151,26 +153,101 @@ def _categories(cells: tuple, feature: Feature, strict: bool) -> np.ndarray:
     return codes
 
 
-def _chunk_dataset(rows: tuple, lines: tuple, header: list[str],
-                   schema: FeatureSchema, strict: bool) -> SurvivalDataset:
-    """Convert parsed rows one column at a time; the first bad row raises,
-    checked for its field count, ``event``, the features, then ``time``."""
-    column = {name: i for i, name in enumerate(header)}  # last one, if repeated
-    try:
-        if set(map(len, rows)) != {len(header)}:
-            raise SchemaMismatchError(f"expected {len(header)} fields, got {len(rows[0])}")
-        cells = list(zip(*rows))
-        events = _events(cells[column["event"]])
-        columns = [_numbers(cells[column[f.name]], f.name, blank_ok=not strict)
-                   if f.kind == NUMERIC else _categories(cells[column[f.name]], f, strict)
-                   for f in schema]
-        times = _numbers(cells[column["time"]], "time", blank_ok=False)
-    except SchemaMismatchError as bad:
-        if len(rows) > 1:  # find the first bad row
-            for row, line in zip(rows, lines):
-                _chunk_dataset([row], [line], header, schema, strict)
-        raise SchemaMismatchError(f"line {lines[0]}: {bad}") from None
+def _chunk_dataset(cells: list, column: dict, schema: FeatureSchema,
+                   strict: bool) -> SurvivalDataset:
+    """Convert a chunk's cells one column at a time, checking ``event``, the
+    features, then ``time``."""
+    events = _events(cells[column["event"]])
+    columns = [_numbers(cells[column[f.name]], f.name, blank_ok=not strict)
+               if f.kind == NUMERIC else _categories(cells[column[f.name]], f, strict)
+               for f in schema]
+    times = _numbers(cells[column["time"]], "time", blank_ok=False)
     return SurvivalDataset(schema, cells[column["id"]], columns, times, events)
+
+
+class CsvChunk(NamedTuple):
+    """Consecutive non-blank rows of a CSV as one sequence of cells per field;
+    ``line(i)`` is the 1-based line on which row ``i`` ends."""
+
+    columns: list
+    line: Callable[[int], int]
+
+
+def read_csv_chunks(fh) -> tuple[list[str], Iterator[CsvChunk]]:
+    """The header of a CSV opened with ``newline=""``, and its other non-blank
+    rows read ``CHUNK_ROWS`` lines at a time.
+
+    Cells are those ``csv.reader`` yields. A chunk holding no quote, CR,
+    NUL or line longer than ``csv.field_size_limit()`` is split on newlines
+    and commas; from the first chunk holding one on, ``csv.reader`` reads
+    the rest of the file, so a quoted field may span chunks. A row whose field count differs from the header's raises
+    :class:`SchemaMismatchError` naming its line, after the chunk of the rows
+    before it.
+    """
+    reader = csv.reader(fh)
+    header = next(reader, [])
+    return header, _chunks(fh, len(header), reader.line_num)
+
+
+def _chunks(fh, width: int, line: int) -> Iterator[CsvChunk]:
+    while lines := list(islice(fh, CHUNK_ROWS)):
+        text = "".join(lines)
+        if ('"' in text or "\r" in text or "\0" in text
+                or max(map(len, lines)) > csv.field_size_limit()):
+            yield from _reader_chunks(chain(lines, fh), width, line)
+            return
+        where = partial(_nonblank_line, line + 1, lines)
+        line += len(lines)
+        rows = lines
+        if text.startswith("\n") or "\n\n" in text:  # blank lines
+            rows = [row for row in lines if row != "\n"]
+            text = "".join(rows)
+            if not rows:
+                continue
+        # Each line break becomes a "\n" cell, so the rows all have ``width``
+        # fields if and only if every ``width + 1``-th cell is one of them.
+        cells = text.removesuffix("\n").replace("\n", ",\n,").split(",")
+        good = len(rows)
+        if (len(cells) != good * (width + 1) - 1
+                or cells[width::width + 1].count("\n") != good - 1):
+            good = next(i for i, row in enumerate(rows) if row.count(",") != width - 1)
+        if good:
+            yield CsvChunk([cells[j:good * (width + 1):width + 1] for j in range(width)], where)
+        if good < len(rows):
+            raise SchemaMismatchError(f"line {where(good)}: expected {width} fields, "
+                                      f"got {rows[good].count(',') + 1}")
+
+
+def _nonblank_line(first: int, lines: list[str], i: int) -> int:
+    return first + [j for j, text in enumerate(lines) if text != "\n"][i]
+
+
+def _reader_chunks(lines: Iterator[str], width: int, line: int) -> Iterator[CsvChunk]:
+    reader = csv.reader(lines)
+    numbered = ((line + reader.line_num, row) for row in reader if row)
+    while chunk := list(islice(numbered, CHUNK_ROWS)):
+        ends, rows = zip(*chunk)
+        good = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        if good:
+            yield CsvChunk(list(zip(*rows[:good])), ends.__getitem__)
+        if good < len(rows):
+            raise SchemaMismatchError(f"line {ends[good]}: expected {width} fields, "
+                                      f"got {len(rows[good])}")
+
+
+def convert_chunk(convert: Callable[[list], T], chunk: CsvChunk) -> T:
+    """``convert(chunk.columns)``. If that raises :class:`SchemaMismatchError`,
+    the rows are converted one at a time and the first one's error is raised
+    with its line, so only a single row's message is ever shown."""
+    try:
+        return convert(chunk.columns)
+    except SchemaMismatchError:
+        for i in range(len(chunk.columns[0])):
+            try:
+                convert([column[i:i + 1] for column in chunk.columns])
+            except SchemaMismatchError as bad:
+                raise SchemaMismatchError(f"line {chunk.line(i)}: {bad}") from None
+        raise
 
 
 def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[SurvivalDataset]:
@@ -183,13 +260,12 @@ def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[S
     raises :class:`SchemaMismatchError` naming its 1-based line.
     """
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
+        header, chunks = read_csv_chunks(fh)
         _check_header(header, schema)
-        numbered = ((reader.line_num, row) for row in reader if row)
-        while chunk := list(islice(numbered, CHUNK_ROWS)):
-            lines, rows = zip(*chunk)
-            yield _chunk_dataset(rows, lines, header, schema, strict)
+        column = {name: i for i, name in enumerate(header)}  # last one, if repeated
+        convert = partial(_chunk_dataset, column=column, schema=schema, strict=strict)
+        for chunk in chunks:
+            yield convert_chunk(convert, chunk)
 
 
 def iter_subjects_csv(path, schema: FeatureSchema, strict: bool = True) -> Iterator[Subject]:

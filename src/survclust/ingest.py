@@ -10,21 +10,21 @@ are discarded, as are dead users with zero lifetime.
 
 from __future__ import annotations
 
-import csv
 import math
-import operator
 from dataclasses import dataclass
+from functools import partial
 from itertools import compress, count, repeat
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from .core import NUMERIC, Feature, FeatureSchema, SurvivalDataset
+from .dataio import _categories, _numbers, convert_chunk, read_csv_chunks
 from .errors import InvalidCutoffError, SchemaMismatchError
 
 SENT = "sent"
 RECEIVED = "received"
-_DIRECTIONS = {RECEIVED: 0, SENT: 1}
+_DIRECTIONS = {SENT, RECEIVED}
 _DIRECTION_ERROR = f"direction must be {SENT!r} or {RECEIVED!r}, got {{!r}}"
 
 ACTIVITY_FEATURE_NAMES = ("comments_sent", "comments_received",
@@ -38,7 +38,8 @@ class ActivityLog:
     ``users`` holds the user ids in sorted order and ``join_times`` their
     join times. Record ``i`` belongs to user ``owner[i]``, happened at
     ``timestamps[i]``, was sent (else received) when ``sent[i]``, and names
-    its counterparty by the code ``partners[i]``; records are in input order.
+    its counterparty by the code ``partners[i]``, which only tells
+    counterparties apart; records are in input order.
     """
 
     users: tuple[str, ...]
@@ -130,54 +131,122 @@ def _distinct_per_user(owner: np.ndarray, codes: np.ndarray, n_users: int) -> np
     return np.bincount(pairs[first] // radix, minlength=n_users)
 
 
-def _csv_rows(path, required: Sequence[str], what: str):
-    """(line, the required fields' cells) for each non-blank row of a CSV;
-    a missing header column or a row whose field count differs from the
-    header's raises."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, [])
-        missing = set(required) - set(header)
-        if missing:
-            raise SchemaMismatchError(f"{what} CSV missing columns: {sorted(missing)}")
-        column = {name: i for i, name in enumerate(header)}  # last one, if repeated
-        pick = operator.itemgetter(*(column[name] for name in required))
-        for row in filter(None, reader):
-            if len(row) != len(header):
-                raise SchemaMismatchError(f"line {reader.line_num}: expected "
-                                          f"{len(header)} fields, got {len(row)}")
-            yield reader.line_num, pick(row)
+def _column_indices(header: list[str], required: Sequence[str], what: str) -> list[int]:
+    missing = set(required) - set(header)
+    if missing:
+        raise SchemaMismatchError(f"{what} CSV missing columns: {sorted(missing)}")
+    column = {name: i for i, name in enumerate(header)}  # last one, if repeated
+    return [column[name] for name in required]
 
 
-def _number(raw: str, name: str, line: int, finite: bool = False) -> float:
+def _finite(cells: Sequence[str], name: str) -> np.ndarray:
     try:
-        value = float(raw)
-    except ValueError:
-        raise SchemaMismatchError(
-            f"line {line}: {raw!r} is not a number in column {name!r}") from None
-    if finite and not math.isfinite(value):
-        raise SchemaMismatchError(f"line {line}: {raw!r} is not finite in column {name!r}")
-    return value
+        values = np.array(cells, dtype=np.float64)
+    except ValueError:  # name the first cell float() rejects
+        for raw in cells:
+            try:
+                float(raw)
+            except ValueError:
+                raise SchemaMismatchError(
+                    f"{raw!r} is not a number in column {name!r}") from None
+        raise
+    finite = np.isfinite(values)
+    if not finite.all():
+        raw = cells[int(np.argmin(finite))]
+        raise SchemaMismatchError(f"{raw!r} is not finite in column {name!r}")
+    return values
 
 
-def read_activity_csv(path) -> list[tuple[str, float, str, str]]:
-    """Rows of (user_id, timestamp, direction, partner_id).
+@dataclass(frozen=True)
+class ActivityTable:
+    """Activity records as read-only columns, in input order.
+
+    Record ``i`` is by user ``user_ids[users[i]]``, happened at
+    ``timestamps[i]``, was sent (else received) when ``sent[i]`` and names
+    the counterparty ``partner_ids[partners[i]]``. Ids are numbered in order
+    of first appearance.
+    """
+
+    user_ids: tuple[str, ...]
+    users: np.ndarray
+    timestamps: np.ndarray
+    sent: np.ndarray
+    partner_ids: tuple[str, ...]
+    partners: np.ndarray
+
+    def __post_init__(self):
+        for array in (self.users, self.timestamps, self.sent, self.partners):
+            array.flags.writeable = False
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    def __iter__(self) -> Iterator[tuple[str, float, str, str]]:
+        """Records as (user_id, timestamp, direction, partner_id) tuples."""
+        return zip(map(self.user_ids.__getitem__, self.users.tolist()),
+                   self.timestamps.tolist(),
+                   map((RECEIVED, SENT).__getitem__, self.sent.tolist()),
+                   map(self.partner_ids.__getitem__, self.partners.tolist()))
+
+
+def _activity_chunk(picked: list[int], first_rows: tuple[dict, dict], serial: Iterator[int],
+                    cells: list) -> tuple[np.ndarray, ...]:
+    """A chunk's (user codes, timestamps, sent, partner codes), checking the
+    timestamps, the directions, then the partners. A new id keeps the
+    serial number it is first offered, so ids number by first appearance."""
+    uids, stamps, directions, partners = (cells[i] for i in picked)
+    timestamps = _finite(stamps, "timestamp")
+    unknown = set(directions) - _DIRECTIONS
+    if unknown:
+        raise SchemaMismatchError(_DIRECTION_ERROR.format(min(unknown)))
+    if "" in partners or any(map(str.isspace, partners)):
+        raise SchemaMismatchError("missing value in column 'partner_id'")
+    n = len(uids)
+    return (np.fromiter(map(first_rows[0].setdefault, uids, serial), np.int64, count=n),
+            timestamps, np.fromiter(map(SENT.__eq__, directions), bool, count=n),
+            np.fromiter(map(first_rows[1].setdefault, partners, serial), np.int64, count=n))
+
+
+def read_activity_csv(path) -> ActivityTable:
+    """The records of an activity CSV (user_id, timestamp, direction, partner_id).
 
     Blank lines are skipped. A row with the wrong number of fields, a
     non-numeric or non-finite timestamp, a direction other than
     ``sent``/``received`` or a blank partner_id raises
     :class:`SchemaMismatchError` naming its line.
     """
-    rows = []
-    for line, (uid, ts, direction, partner) in _csv_rows(
-            path, ("user_id", "timestamp", "direction", "partner_id"), "activity"):
-        stamp = _number(ts, "timestamp", line, True)
-        if direction not in _DIRECTIONS:
-            raise SchemaMismatchError(f"line {line}: " + _DIRECTION_ERROR.format(direction))
-        if not partner.strip():
-            raise SchemaMismatchError(f"line {line}: missing value in column 'partner_id'")
-        rows.append((uid, stamp, direction, partner))
-    return rows
+    first_rows: tuple[dict[str, int], dict[str, int]] = ({}, {})  # user, partner id -> serial
+    with open(path, newline="") as fh:
+        header, chunks = read_csv_chunks(fh)
+        picked = _column_indices(header, ("user_id", "timestamp", "direction", "partner_id"),
+                                 "activity")
+        convert = partial(_activity_chunk, picked, first_rows, count())
+        parts = [convert_chunk(convert, chunk) for chunk in chunks]
+    empty = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool), np.zeros(0, np.int64))
+    users, timestamps, sent, partners = map(np.concatenate, zip(*parts, empty))
+    return ActivityTable(tuple(first_rows[0]), _renumber(first_rows[0], users), timestamps,
+                         sent, tuple(first_rows[1]), _renumber(first_rows[1], partners))
+
+
+def _renumber(first_rows: dict[str, int], codes: np.ndarray) -> np.ndarray:
+    """``codes`` (serial numbers) as positions in ``first_rows``."""
+    serials = np.fromiter(first_rows.values(), np.int64, count=len(first_rows))
+    position = np.zeros(serials.max(initial=-1) + 1, np.int64)
+    position[serials] = np.arange(len(serials))
+    return position[codes]
+
+
+def _profile_chunk(picked: list[int], schema: FeatureSchema, out: dict, cells: list):
+    """Add a chunk's profiles to ``out``, checking for repeated user ids, the
+    features, then the join times."""
+    uids, joins, *raw = (cells[i] for i in picked)
+    if len(set(uids)) < len(uids) or not out.keys().isdisjoint(uids):
+        raise SchemaMismatchError(f"duplicate user_id {uids[0]!r}")
+    values = [(_numbers(column, f.name, blank_ok=True) if f.kind == NUMERIC
+               else _categories(column, f, strict=False)).tolist()
+              for f, column in zip(schema, raw)]
+    join_times = _finite(joins, "join_time").tolist()
+    out.update({uid: (join, row) for uid, join, *row in zip(uids, join_times, *values)})
 
 
 def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, list]]:
@@ -191,46 +260,37 @@ def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, lis
     :class:`SchemaMismatchError` naming its line.
     """
     out: dict[str, tuple[float, list]] = {}
-    for line, (uid, join, *cells) in _csv_rows(
-            path, ("user_id", "join_time", *schema.names), "profile"):
-        if uid in out:
-            raise SchemaMismatchError(f"line {line}: duplicate user_id {uid!r}")
-        values = []
-        for feature, raw in zip(schema, cells):
-            if feature.kind == NUMERIC:
-                values.append(_number(raw, feature.name, line) if raw.strip() else float("nan"))
-            else:
-                values.append(feature.categories.index(raw) if raw in feature.categories else -1)
-        out[uid] = (_number(join, "join_time", line, True), values)
+    with open(path, newline="") as fh:
+        header, chunks = read_csv_chunks(fh)
+        picked = _column_indices(header, ("user_id", "join_time", *schema.names), "profile")
+        convert = partial(_profile_chunk, picked, schema, out)
+        for chunk in chunks:
+            convert_chunk(convert, chunk)
     return out
 
 
-def build_activity_log(activity_rows: Sequence[tuple[str, float, str, str]],
-                       join_times: Mapping[str, float], study_end: float) -> ActivityLog:
-    """Assemble a log from raw rows plus per-user join times.
+def build_activity_log(table: ActivityTable, join_times: Mapping[str, float],
+                       study_end: float) -> ActivityLog:
+    """Assemble a log from activity records plus per-user join times.
 
-    Users present in ``join_times`` but without activity rows still appear
-    (with no records). Raises ``ValueError`` for the first row, in order,
-    naming an unknown user or a bad direction; then for the first user, in
-    ``join_times`` order, with activity before joining; then for the first
-    user, in id order, who joins or has activity after the study end.
+    Users present in ``join_times`` but without records still appear (with
+    no records). Raises ``ValueError`` for a non-finite ``study_end``; then
+    for the first record, in order, by an unknown user; then for the first
+    user, in ``join_times`` order, with activity before joining; then for
+    the first user, in id order, who joins or has activity after the study
+    end.
     """
+    if not math.isfinite(study_end):
+        raise ValueError(f"study end must be finite, got {study_end}")
     users = tuple(sorted(join_times))
     index = {uid: i for i, uid in enumerate(users)}
-    n = len(activity_rows)
-    uids, stamps, directions, partner_ids = (
-        map(operator.itemgetter(i), activity_rows) for i in range(4))
-    owner = np.fromiter(map(index.get, uids, repeat(-1)), np.int64, count=n)
-    direction = np.fromiter(map(_DIRECTIONS.get, directions, repeat(-1)), np.int8, count=n)
-    bad = np.flatnonzero((owner < 0) | (direction < 0))
-    if bad.size:
-        uid, _, name, _ = activity_rows[bad[0]]
-        raise ValueError(f"activity row for unknown user {uid!r}" if owner[bad[0]] < 0
-                         else _DIRECTION_ERROR.format(name))
+    owner = np.fromiter(map(index.get, table.user_ids, repeat(-1)), np.int64,
+                        count=len(table.user_ids))[table.users]
+    if owner.min(initial=0) < 0:
+        uid = table.user_ids[table.users[np.argmin(owner)]]
+        raise ValueError(f"activity row for unknown user {uid!r}")
     joins = np.fromiter(map(join_times.__getitem__, users), np.float64, count=len(users))
-    timestamps = np.fromiter(stamps, np.float64, count=n)
-    first_row: dict[str, int] = {}  # partner id -> first row naming it, its code
-    partners = np.fromiter(map(first_row.setdefault, partner_ids, count()), np.int64, count=n)
+    timestamps = table.timestamps
     early = np.bincount(owner[timestamps < joins[owner]], minlength=len(users)) > 0
     if early.any():
         uid = next(u for u in join_times if early[index[u]])
@@ -241,4 +301,5 @@ def build_activity_log(activity_rows: Sequence[tuple[str, float, str, str]],
         i = int(np.argmax(late))
         raise ValueError(f"user {users[i]!r} joins after the study end" if late_join[i]
                          else f"user {users[i]!r} has activity after the study end")
-    return ActivityLog(users, joins, float(study_end), owner, timestamps, direction == 1, partners)
+    return ActivityLog(users, joins, float(study_end), owner, timestamps, table.sent,
+                       table.partners)

@@ -282,6 +282,53 @@ def reference_route(tree, values, unknown=None):
     return node.leaf_id
 
 
+def reference_read_activity_csv(path):
+    """Activity CSV rows as ``(user_id, timestamp, direction, partner_id)``
+    tuples, one ``csv.reader`` row at a time.
+
+    Blank lines are skipped. A missing header column raises
+    ``SchemaMismatchError`` naming the columns; the first bad row raises
+    ``SchemaMismatchError("line N: <problem>")``, N being the reader's line
+    count after the row, for the first of: its field count, a timestamp
+    that is not a number, one that is not finite, its direction, a blank
+    partner_id.
+    """
+    from survclust.errors import SchemaMismatchError
+
+    required = ("user_id", "timestamp", "direction", "partner_id")
+    rows = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        missing = set(required) - set(header)
+        if missing:
+            raise SchemaMismatchError(f"activity CSV missing columns: {sorted(missing)}")
+        column = {name: i for i, name in enumerate(header)}
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) != len(header):
+                raise SchemaMismatchError(
+                    f"line {line}: expected {len(header)} fields, got {len(row)}")
+            uid, ts, direction, partner = (row[column[name]] for name in required)
+            try:
+                stamp = float(ts)
+            except ValueError:
+                raise SchemaMismatchError(
+                    f"line {line}: {ts!r} is not a number in column 'timestamp'") from None
+            if not math.isfinite(stamp):
+                raise SchemaMismatchError(
+                    f"line {line}: {ts!r} is not finite in column 'timestamp'")
+            if direction not in ("sent", "received"):
+                raise SchemaMismatchError(f"line {line}: direction must be 'sent' or "
+                                          f"'received', got {direction!r}")
+            if not partner.strip():
+                raise SchemaMismatchError(f"line {line}: missing value in column 'partner_id'")
+            rows.append((uid, stamp, direction, partner))
+    return rows
+
+
 def reference_ingest(rows, join_times, study_end, window, cutoff,
                      profile_schema=None, profiles=None):
     """Activity rows to ``(ids, times, events, columns, discards)``, one object

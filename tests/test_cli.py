@@ -444,13 +444,15 @@ class TestBadActivityRows:
     ACTIVITY = "user_id,timestamp,direction,partner_id\nu1,1.0,sent,u2\nu2,2.0,received,u1\n"
     PROFILES = "user_id,join_time,age\nu1,0.0,30\nu2,0.5,41\n"
 
-    def check(self, tmp_path, capsys, expected, activity=ACTIVITY, profiles=PROFILES):
+    def check(self, tmp_path, capsys, expected, activity=ACTIVITY, profiles=PROFILES,
+              flags=()):
         (tmp_path / "a.csv").write_text(activity)
         (tmp_path / "p.csv").write_text(profiles)
         (tmp_path / "s.json").write_text(
             json.dumps({"features": [{"name": "age", "kind": "numeric"}]}))
         ingest = ["--activity", str(tmp_path / "a.csv"), "--profiles", str(tmp_path / "p.csv"),
-                  "--schema", str(tmp_path / "s.json"), "--cutoff", "1", "--window", "1"]
+                  "--schema", str(tmp_path / "s.json"), "--cutoff", "1", "--window", "1",
+                  *flags]
         _, model_path = fitted_model(tmp_path, n=400)
         for argv in (["fit", *ingest, "--out", str(tmp_path / "m.json")],
                      ["evaluate", "--model", str(model_path), *ingest]):
@@ -500,6 +502,11 @@ class TestBadActivityRows:
     def test_blank_partner(self, tmp_path, capsys):
         self.check(tmp_path, capsys, "line 2: missing value in column 'partner_id'",
                    activity="user_id,timestamp,direction,partner_id\nu1,1.0,sent,\n")
+
+    def test_non_finite_study_end(self, tmp_path, capsys):
+        for raw in ("nan", "inf"):
+            self.check(tmp_path, capsys, f"error: study end must be finite, got {raw}\n",
+                       flags=["--study-end", raw])
 
     def test_missing_activity_column(self, tmp_path, capsys):
         self.check(tmp_path, capsys, "activity CSV missing columns: ['partner_id']",

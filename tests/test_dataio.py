@@ -244,6 +244,99 @@ class TestColumnarReader:
             assert_matches_reference(path, schema, strict)
 
 
+def tokenizer_outcome(path):
+    """Non-blank rows after the header as read by ``read_csv_chunks``, then
+    ``("error", message)`` if it raised."""
+    rows = []
+    with open(path, newline="") as fh:
+        header, chunks = dataio.read_csv_chunks(fh)
+        try:
+            for chunk in chunks:
+                rows += map(list, zip(*chunk.columns))
+                assert [chunk.line(i) for i in range(len(chunk.columns[0]))]
+        except SchemaMismatchError as err:
+            rows.append(("error", str(err)))
+    return header, rows
+
+
+def reader_outcome(path):
+    """The same, from ``csv.reader`` row by row."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, [])
+        rows = []
+        for row in filter(None, reader):
+            if len(row) != len(header):
+                rows.append(("error", f"line {reader.line_num}: expected {len(header)} "
+                                      f"fields, got {len(row)}"))
+                break
+            rows.append(row)
+    return header, rows
+
+
+PIECES = ["a", "b", " ", ",", ",", '"', "\r", "\n", "\n", "\r\n", "\n\n", '"x\ny"', '"q""r"']
+
+
+@st.composite
+def csv_texts(draw):
+    """CSV text: rows of cells joined by commas, each cell plain or a random
+    run of commas, quotes, CRs, LFs, CRLFs, blank lines and quoted fields
+    holding a line break; LF or CRLF endings, maybe no final newline."""
+    width = draw(st.integers(1, 3))
+    ending = draw(st.sampled_from(["\n", "\r\n"]))
+    pieces = st.sampled_from(draw(st.lists(st.sampled_from(PIECES), min_size=1, unique=True)))
+    lines = []
+    for _ in range(draw(st.integers(0, 14))):
+        count = width + draw(st.sampled_from([0] * 8 + [-1, 1]))
+        cells = [draw(st.sampled_from(["c", "dd", ""])) if draw(st.integers(0, 3))
+                 else "".join(draw(st.lists(pieces, max_size=3))) for _ in range(count)]
+        lines.append(",".join(cells) + ending)
+    text = "".join(lines)
+    return text if draw(st.booleans()) else text.removesuffix(ending)
+
+
+class TestCsvTokenizer:
+    @settings(max_examples=500, deadline=None)
+    @given(csv_texts(), st.sampled_from([1, 2, 3, 1024]))
+    def test_matches_csv_reader(self, tmp_path_factory, text, chunk_rows):
+        path = tmp_path_factory.mktemp("csv") / "text.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+            assert tokenizer_outcome(path) == reader_outcome(path)
+
+    def test_examples(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_bytes(b'h,k\n\na,b\n"c\nd",e\r\n\n"f,g",""')
+        assert reader_outcome(path) == (["h", "k"], [["a", "b"], ["c\nd", "e"], ["f,g", ""]])
+        for chunk_rows in (1, 2, 1024):
+            with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+                assert tokenizer_outcome(path) == reader_outcome(path)
+        path.write_bytes(b"h,k\na,b\n\nc\nd,e\n")
+        with mock.patch.object(dataio, "CHUNK_ROWS", 2):
+            assert tokenizer_outcome(path) == (["h", "k"], [["a", "b"], (
+                "error", "line 4: expected 2 fields, got 1")])
+        path.write_text("h,k\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
+        for outcome_of in (tokenizer_outcome, reader_outcome):
+            with pytest.raises(csv.Error, match="field larger than field limit"):
+                outcome_of(path)
+
+    @pytest.mark.parametrize("at", [1, 2, 3])
+    def test_quoted_multi_line_id_across_chunks(self, tmp_path, at):
+        ids = [f"s{i}" for i in range(6)]
+        ids[at] = "two\nlines,\n\nand \"quotes\""
+        ds = SurvivalDataset(mixed_schema(), ids, [np.arange(6.0), np.arange(6) % 2],
+                             np.arange(1.0, 7.0), np.arange(6) % 3 == 0)
+        path = tmp_path / "subjects.csv"
+        save_dataset_csv(ds, path)
+        with mock.patch.object(dataio, "CHUNK_ROWS", 2):
+            small = load_dataset_csv(path, ds.schema)
+        whole = load_dataset_csv(path, ds.schema)
+        assert small.ids == whole.ids == ds.ids
+        for a, b in zip((*small.columns, small.times, small.events),
+                        (*whole.columns, whole.times, whole.events)):
+            assert a.tobytes() == b.tobytes()
+
+
 CELL_FLOATS = st.one_of(
     st.floats(width=64),
     st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.2e-308, 1e16]))

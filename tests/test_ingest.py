@@ -1,16 +1,29 @@
+import csv
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import reference_ingest
-from survclust import Feature, FeatureSchema, validate_dataset
+from oracles import reference_ingest, reference_read_activity_csv
+from survclust import Feature, FeatureSchema, dataio, validate_dataset
 from survclust.errors import InvalidCutoffError, SchemaMismatchError
-from survclust.ingest import (activity_to_survival, build_activity_log,
+from survclust.ingest import (ActivityTable, activity_to_survival, build_activity_log,
                               early_window_features, read_activity_csv,
                               read_profiles_csv)
+
+
+def activity_table(rows):
+    """An ActivityTable holding (user_id, timestamp, direction, partner_id) rows."""
+    uids, stamps, directions, partners = zip(*rows) if rows else ((),) * 4
+    assert set(directions) <= {"sent", "received"}
+    user_ids, partner_ids = tuple(dict.fromkeys(uids)), tuple(dict.fromkeys(partners))
+    return ActivityTable(user_ids, np.array([user_ids.index(u) for u in uids], dtype=np.int64),
+                         np.array(stamps, dtype=np.float64),
+                         np.array([d == "sent" for d in directions], dtype=bool), partner_ids,
+                         np.array([partner_ids.index(p) for p in partners], dtype=np.int64))
 
 
 def user(uid, join, activity):
@@ -24,7 +37,8 @@ def user(uid, join, activity):
 
 def make_log(*users, study_end):
     rows = [row for _, _, user_rows in users for row in user_rows]
-    return build_activity_log(rows, {uid: join for uid, join, _ in users}, study_end)
+    return build_activity_log(activity_table(rows), {uid: join for uid, join, _ in users},
+                              study_end)
 
 
 def simple_schema():
@@ -119,8 +133,8 @@ class TestActivityToSurvival:
         rows = [(uid, join + float(rng.integers(0, 12)), ("sent", "received")[rng.integers(2)],
                  f"p{rng.integers(4)}") for uid, join in joins.items() for _ in range(5)]
         shuffled = [rows[i] for i in rng.permutation(len(rows))]
-        log1 = build_activity_log(rows, joins, 25.0)
-        log2 = build_activity_log(shuffled, dict(reversed(joins.items())), 25.0)
+        log1 = build_activity_log(activity_table(rows), joins, 25.0)
+        log2 = build_activity_log(activity_table(shuffled), dict(reversed(joins.items())), 25.0)
         assert log1.users == log2.users
         assert (early_window_features(log1, 5.0, *no_profiles(log1))
                 == early_window_features(log2, 5.0, *no_profiles(log2)))
@@ -151,6 +165,12 @@ class TestActivityToSurvival:
         log = make_log(user("u1", 0.0, []), user("u2", 1.0, []), study_end=20.0)
         with pytest.raises(ValueError):
             dataclasses.replace(log, users=("u1", "u1"))
+
+    @pytest.mark.parametrize("study_end", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_study_end(self, study_end):
+        with pytest.raises(ValueError) as err:
+            make_log(user("u1", 0.0, [1.0]), study_end=study_end)
+        assert str(err.value) == f"study end must be finite, got {study_end}"
 
 
 class TestEarlyWindowFeatures:
@@ -217,7 +237,7 @@ class TestCsvIngestion:
         schema = FeatureSchema((Feature("age", "numeric"),
                                 Feature("gender", "categorical", ("M", "F"))))
         rows = read_activity_csv(activity)
-        assert rows[0] == ("u1", 1.5, "sent", "u2")
+        assert list(rows)[0] == ("u1", 1.5, "sent", "u2")
         prof = read_profiles_csv(profiles, schema)
         assert prof["u1"] == (0.0, [35.0, 0])
         assert prof["u2"] == (1.0, [28.0, 1])
@@ -242,13 +262,13 @@ class TestCsvIngestion:
 
     def test_unknown_user_rejected(self):
         with pytest.raises(ValueError):
-            build_activity_log([("ghost", 1.0, "sent", "x")], {"u1": 0.0}, 10.0)
+            build_activity_log(activity_table([("ghost", 1.0, "sent", "x")]), {"u1": 0.0}, 10.0)
 
     def test_blank_lines_skipped(self, tmp_path):
         activity = tmp_path / "activity.csv"
         activity.write_text("user_id,timestamp,direction,partner_id\n\n"
                             "u1,1.5,sent,u2\n\n")
-        assert read_activity_csv(activity) == [("u1", 1.5, "sent", "u2")]
+        assert list(read_activity_csv(activity)) == [("u1", 1.5, "sent", "u2")]
         profiles = tmp_path / "profiles.csv"
         profiles.write_text("user_id,join_time,age\n\nu1,0.0,\n")
         prof = read_profiles_csv(profiles, simple_schema())
@@ -350,8 +370,15 @@ def activity_logs(draw):
             PROFILE_SCHEMA if profiled else None, profiles if profiled else None)
 
 
-def columnar_ingest(rows, joins, study_end, window, cutoff, profile_schema, profiles):
-    log = build_activity_log(rows, joins, study_end)
+def write_activity_csv(path, rows):
+    with open(path, "w", newline="") as fh:
+        fh.write("user_id,timestamp,direction,partner_id\n")
+        fh.writelines(f"{uid},{stamp!r},{direction},{partner}\n"
+                      for uid, stamp, direction, partner in rows)
+
+
+def columnar_ingest(path, joins, study_end, window, cutoff, profile_schema, profiles):
+    log = build_activity_log(read_activity_csv(path), joins, study_end)
     if profile_schema is None:
         profile_schema, profiles = no_profiles(log)
     schema, feats = early_window_features(log, window, profile_schema, profiles)
@@ -360,7 +387,7 @@ def columnar_ingest(rows, joins, study_end, window, cutoff, profile_schema, prof
             [(d.user_id, d.reason) for d in discards])
 
 
-def outcome(ingest, case):
+def outcome(ingest, *case):
     try:
         return ingest(*case)
     except Exception as exc:  # compared by type and message
@@ -370,11 +397,71 @@ def outcome(ingest, case):
 class TestReferenceIngest:
     @settings(max_examples=400, deadline=None)
     @given(activity_logs())
-    def test_matches_reference(self, case):
-        def reference(*args):
-            ids, times, events, columns, discards = reference_ingest(*args)
+    def test_matches_reference(self, tmp_path_factory, case):
+        rows, *rest = case
+        path = tmp_path_factory.mktemp("ingest") / "activity.csv"
+        write_activity_csv(path, rows)
+
+        def reference(path, *args):
+            ids, times, events, columns, discards = reference_ingest(
+                reference_read_activity_csv(path), *args)
             return (tuple(ids), np.array(times, dtype=np.float64).tobytes(),
                     np.array(events, dtype=bool).tobytes(),
                     [c.tobytes() for c in columns], discards)
 
-        assert outcome(columnar_ingest, case) == outcome(reference, case)
+        assert outcome(columnar_ingest, path, *rest) == outcome(reference, path, *rest)
+
+
+ACTIVITY_FIELDS = ["user_id", "timestamp", "direction", "partner_id"]
+STAMPS = st.one_of(st.floats(allow_nan=False, allow_infinity=False).map(repr),
+                   st.sampled_from(["0", " 2.5 ", "1e3", "1_0", "-0.0", "7."]))
+IDS = st.one_of(st.text(alphabet="uv1 ", min_size=1, max_size=3),
+                st.text(alphabet='uv1,"\r\n ', min_size=1, max_size=4))
+FAULTS = {"ragged": None, "nan": ("timestamp", "nan"), "inf": ("timestamp", "-inf"),
+          "word": ("timestamp", "soon"), "blank stamp": ("timestamp", ""),
+          "direction": ("direction", "Sent"), "blank partner": ("partner_id", ""),
+          "space partner": ("partner_id", "  ")}
+
+
+@st.composite
+def activity_csvs(draw):
+    """Activity CSV text: fields in any order, maybe with an extra column;
+    ids that need quoting (commas, quotes, CR, LF); blank lines; LF or CRLF
+    endings, maybe no final newline; and rows with one fault each (a wrong
+    field count, a non-finite or non-numeric timestamp, a bad direction, a
+    blank partner) anywhere, so also past the first chunk."""
+    header = draw(st.permutations(ACTIVITY_FIELDS + draw(st.sampled_from([[], ["note"]]))))
+    lines = []
+    for _ in range(draw(st.integers(0, 12))):
+        kind = draw(st.sampled_from(["clean"] * 12 + ["blank"] * 2 + list(FAULTS)))
+        if kind == "blank":
+            lines.append(None)
+            continue
+        cells = {"user_id": draw(IDS), "timestamp": draw(STAMPS), "partner_id": draw(IDS),
+                 "direction": draw(st.sampled_from(["sent", "received"])), "note": "x"}
+        if FAULTS.get(kind):
+            field, value = FAULTS[kind]
+            cells[field] = value
+        row = [cells[name] for name in header]
+        if kind == "ragged":
+            row = row[:-1] if draw(st.booleans()) else row + ["7"]
+        lines.append(row)
+    return header, lines, draw(st.sampled_from(["\n", "\r\n"])), draw(st.booleans())
+
+
+class TestActivityReader:
+    @settings(max_examples=400, deadline=None)
+    @given(activity_csvs(), st.sampled_from([1, 2, 3, 1024]))
+    def test_matches_row_by_row_reference(self, tmp_path_factory, case, chunk_rows):
+        header, lines, ending, final_newline = case
+        path = tmp_path_factory.mktemp("activity") / "activity.csv"
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator=ending)
+            writer.writerow(header)
+            for row in lines:
+                fh.write(ending) if row is None else writer.writerow(row)
+        if not final_newline:
+            path.write_bytes(path.read_bytes().removesuffix(ending.encode()))
+        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+            got = outcome(lambda: list(read_activity_csv(path)))
+        assert got == outcome(reference_read_activity_csv, path)
