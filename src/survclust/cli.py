@@ -203,9 +203,8 @@ def cmd_fit(args) -> int:
         test = node.split.test.describe(tree.schema[node.split.feature])
         print(f"  node {node.node_id}: {test}  "
               f"p={node.split.p_value:.3e} (m={node.n_candidates})")
-    labels = cluster_assign_dataset(model, dataset)
-    sizes = np.bincount(labels, minlength=model.k)
-    print(f"clusters: k={model.k}, sizes={sizes.tolist()}")
+    sizes = [curve.n_subjects for curve in model.cluster_curves]
+    print(f"clusters: k={model.k}, sizes={sizes}")
     print(f"model written to {args.out}")
     return 0
 

@@ -14,7 +14,7 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
-from itertools import chain, islice, repeat
+from itertools import chain, count, islice, repeat
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
@@ -180,13 +180,24 @@ def read_csv_chunks(fh) -> tuple[list[str], Iterator[CsvChunk]]:
     Cells are those ``csv.reader`` yields. A chunk holding no quote, CR,
     NUL or line longer than ``csv.field_size_limit()`` is split on newlines
     and commas; from the first chunk holding one on, ``csv.reader`` reads
-    the rest of the file, so a quoted field may span chunks. A row whose field count differs from the header's raises
-    :class:`SchemaMismatchError` naming its line, after the chunk of the rows
-    before it.
+    the rest of the file, so a quoted field may span chunks. A row whose
+    field count differs from the header's, or a field larger than the
+    limit, raises :class:`SchemaMismatchError` naming its line, after the
+    chunk of the rows before it.
     """
     reader = csv.reader(fh)
-    header = next(reader, [])
+    _, header = next(_numbered_rows(reader, 0), (0, []))
     return header, _chunks(fh, len(header), reader.line_num)
+
+
+def _numbered_rows(reader, first: int) -> Iterator[tuple[int, list[str]]]:
+    """``(line, row)`` per row of ``reader``, lines counted on from ``first``;
+    a ``csv.Error`` becomes :class:`SchemaMismatchError` naming its line."""
+    try:
+        for row in reader:
+            yield first + reader.line_num, row
+    except csv.Error as err:
+        raise SchemaMismatchError(f"line {first + reader.line_num}: {err}") from None
 
 
 def _chunks(fh, width: int, line: int) -> Iterator[CsvChunk]:
@@ -223,8 +234,7 @@ def _nonblank_line(first: int, lines: list[str], i: int) -> int:
 
 
 def _reader_chunks(lines: Iterator[str], width: int, line: int) -> Iterator[CsvChunk]:
-    reader = csv.reader(lines)
-    numbered = ((line + reader.line_num, row) for row in reader if row)
+    numbered = ((end, row) for end, row in _numbered_rows(csv.reader(lines), line) if row)
     while chunk := list(islice(numbered, CHUNK_ROWS)):
         ends, rows = zip(*chunk)
         good = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
@@ -287,88 +297,71 @@ def load_dataset_csv(path, schema: FeatureSchema, strict: bool = False) -> Survi
 
 # ------------------------------------------------------------------ tree
 
-def _test_to_dict(test) -> dict:
-    if isinstance(test, NumericTest):
-        return {"kind": "numeric_lt", "threshold": test.threshold}
-    return {"kind": "category_eq", "index": test.category_index}
-
-
-def _test_from_dict(d: dict):
-    if d["kind"] == "numeric_lt":
-        return NumericTest(float(d["threshold"]))
-    if d["kind"] == "category_eq":
-        return CategoryTest(int(d["index"]))
-    raise ValueError(f"unknown test kind {d['kind']!r}")
+def _node_to_dict(node: TreeNode, schema: FeatureSchema) -> dict:
+    if node.is_leaf:
+        return {"n_subjects": node.n_subjects, "n_events": node.n_events}
+    return {"feature": schema[node.split.feature].name, **asdict(node.split.test),
+            "p_value": node.split.p_value, "statistic": node.split.statistic,
+            "n_candidates": node.n_candidates,
+            "left": _node_to_dict(node.left, schema), "right": _node_to_dict(node.right, schema)}
 
 
 def tree_to_dict(tree: SurvivalTree) -> dict:
-    nodes = []
-    for node in tree.nodes():
-        if node.is_leaf:
-            nodes.append({
-                "id": node.node_id,
-                "leaf_id": node.leaf_id,
-                "n_subjects": node.n_subjects,
-                "n_events": node.n_events,
-                "curve": node.curve.to_json_dict(),
-            })
-        else:
-            nodes.append({
-                "id": node.node_id,
-                "feature": tree.schema[node.split.feature].name,
-                "test": _test_to_dict(node.split.test),
-                "p_value": node.split.p_value,
-                "statistic": node.split.statistic,
-                "n_candidates": node.n_candidates,
-                "left": node.left.node_id,
-                "right": node.right.node_id,
-            })
-    return {
-        "schema": schema_to_dict(tree.schema),
-        "config": asdict(tree.config),
-        "root": tree.root.node_id,
-        "nodes": nodes,
-        "leaf_ids": list(tree.leaf_ids),
-    }
+    """The schema, the config and the nodes nested from the root; ids, leaf
+    ids and leaf curves are not stored."""
+    return {"schema": schema_to_dict(tree.schema), "config": asdict(tree.config),
+            "root": _node_to_dict(tree.root, tree.schema)}
 
 
 def tree_from_dict(d: dict) -> SurvivalTree:
+    """The tree of :func:`tree_to_dict`, nodes and leaves numbered in preorder,
+    left subtree first, as :func:`grow_tree` numbers them; leaves have no curve."""
     schema = schema_from_dict(d["schema"])
     config = TreeConfig(**d["config"])
-    by_id = {node["id"]: node for node in d["nodes"]}
+    node_ids, leaf_ids = count(), count()
 
-    def build(node_id: int) -> TreeNode:
-        raw = by_id[node_id]
-        if "leaf_id" in raw:
-            return TreeNode(raw["id"], leaf_id=raw["leaf_id"],
-                            n_subjects=raw["n_subjects"], n_events=raw["n_events"],
-                            curve=SurvivalCurve.from_json_dict(raw["curve"]))
-        split = SplitCandidate(schema.index(raw["feature"]),
-                               _test_from_dict(raw["test"]),
-                               raw["p_value"], raw["statistic"])
-        return TreeNode(raw["id"], split=split, n_candidates=raw["n_candidates"],
+    def build(raw: dict) -> TreeNode:
+        node_id = next(node_ids)
+        if "feature" not in raw:
+            return TreeNode(node_id, leaf_id=next(leaf_ids), n_subjects=int(raw["n_subjects"]),
+                            n_events=int(raw["n_events"]))
+        feature = schema.index(raw["feature"])
+        test = (NumericTest(float(raw["threshold"])) if schema[feature].kind == NUMERIC
+                else CategoryTest(int(raw["category_index"])))
+        split = SplitCandidate(feature, test, float(raw["p_value"]), float(raw["statistic"]))
+        return TreeNode(node_id, split=split, n_candidates=int(raw["n_candidates"]),
                         left=build(raw["left"]), right=build(raw["right"]))
 
-    return SurvivalTree(schema, build(d["root"]), config, d["leaf_ids"])
+    return SurvivalTree(schema, build(d["root"]), config, range(next(leaf_ids)))
 
 
 # ----------------------------------------------------------------- model
 
+FORMAT_VERSION = 2
+
+
 def model_to_dict(model: ClusterModel) -> dict:
-    return {
-        "tree": tree_to_dict(model.tree),
-        "k": model.k,
-        "leaf_to_cluster": [[lid, model.leaf_to_cluster[lid]]
-                            for lid in sorted(model.leaf_to_cluster)],
-        "cluster_curves": [c.to_json_dict() for c in model.cluster_curves],
-    }
+    return {"format_version": FORMAT_VERSION, "tree": tree_to_dict(model.tree),
+            "leaf_to_cluster": [model.leaf_to_cluster[lid] for lid in model.tree.leaf_ids],
+            "cluster_curves": [c.to_json_dict() for c in model.cluster_curves]}
 
 
 def model_from_dict(d: dict) -> ClusterModel:
+    """The model of :func:`model_to_dict`, ``k`` being the number of curves; the
+    leaves must map onto clusters ``0 .. k - 1``, leaf ``i`` by entry ``i``."""
+    if d.get("format_version") != FORMAT_VERSION:
+        raise SchemaMismatchError(f"model format_version is {d.get('format_version')!r}, "
+                                  f"not {FORMAT_VERSION}: refit the model")
     tree = tree_from_dict(d["tree"])
-    leaf_to_cluster = {int(lid): int(cid) for lid, cid in d["leaf_to_cluster"]}
     curves = tuple(SurvivalCurve.from_json_dict(c) for c in d["cluster_curves"])
-    return ClusterModel(tree, leaf_to_cluster, int(d["k"]), curves)
+    clusters = d["leaf_to_cluster"]
+    if len(clusters) < len(tree.leaf_ids):
+        raise SchemaMismatchError(f"the model maps leaf {len(clusters)} to no cluster")
+    if len(clusters) > len(tree.leaf_ids) or set(clusters) != set(range(len(curves))):
+        raise SchemaMismatchError(
+            f"leaf_to_cluster must map each of the {len(tree.leaf_ids)} leaves to one of "
+            f"clusters 0..{len(curves) - 1}, and each cluster to a leaf; got {clusters}")
+    return ClusterModel(tree, dict(enumerate(clusters)), len(curves), curves)
 
 
 def save_model(model: ClusterModel, path):
@@ -376,4 +369,10 @@ def save_model(model: ClusterModel, path):
 
 
 def load_model(path) -> ClusterModel:
-    return model_from_dict(load_json(path))
+    """The model saved at ``path``; a malformed file raises
+    :class:`SchemaMismatchError` naming it."""
+    try:
+        return model_from_dict(load_json(path))
+    except (KeyError, TypeError, IndexError, AttributeError, RecursionError) as err:
+        raise SchemaMismatchError(
+            f"{path}: malformed model file ({type(err).__name__}: {err})") from None

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from itertools import compress, count, repeat
+from itertools import compress, repeat
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -189,11 +189,11 @@ class ActivityTable:
                    map(self.partner_ids.__getitem__, self.partners.tolist()))
 
 
-def _activity_chunk(picked: list[int], first_rows: tuple[dict, dict], serial: Iterator[int],
-                    cells: list) -> tuple[np.ndarray, ...]:
+def _activity_chunk(picked: list[int], codes: tuple[dict, dict], cells: list
+                    ) -> tuple[np.ndarray, ...]:
     """A chunk's (user codes, timestamps, sent, partner codes), checking the
-    timestamps, the directions, then the partners. A new id keeps the
-    serial number it is first offered, so ids number by first appearance."""
+    timestamps, the directions, then the partners. Ids are coded in order of
+    first appearance."""
     uids, stamps, directions, partners = (cells[i] for i in picked)
     timestamps = _finite(stamps, "timestamp")
     unknown = set(directions) - _DIRECTIONS
@@ -201,10 +201,16 @@ def _activity_chunk(picked: list[int], first_rows: tuple[dict, dict], serial: It
         raise SchemaMismatchError(_DIRECTION_ERROR.format(min(unknown)))
     if "" in partners or any(map(str.isspace, partners)):
         raise SchemaMismatchError("missing value in column 'partner_id'")
-    n = len(uids)
-    return (np.fromiter(map(first_rows[0].setdefault, uids, serial), np.int64, count=n),
-            timestamps, np.fromiter(map(SENT.__eq__, directions), bool, count=n),
-            np.fromiter(map(first_rows[1].setdefault, partners, serial), np.int64, count=n))
+    return (_dense_codes(codes[0], uids), timestamps,
+            np.fromiter(map(SENT.__eq__, directions), bool, count=len(uids)),
+            _dense_codes(codes[1], partners))
+
+
+def _dense_codes(code: dict[str, int], ids: Sequence[str]) -> np.ndarray:
+    """Each id's code in ``code``; a new id is stored with the count of ids before it."""
+    # map pulls len(code) just before setdefault stores the id it pairs with
+    return np.fromiter(map(code.setdefault, ids, map(len, repeat(code))), np.int64,
+                       count=len(ids))
 
 
 def read_activity_csv(path) -> ActivityTable:
@@ -215,25 +221,16 @@ def read_activity_csv(path) -> ActivityTable:
     ``sent``/``received`` or a blank partner_id raises
     :class:`SchemaMismatchError` naming its line.
     """
-    first_rows: tuple[dict[str, int], dict[str, int]] = ({}, {})  # user, partner id -> serial
+    codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # user, partner id -> code
     with open(path, newline="") as fh:
         header, chunks = read_csv_chunks(fh)
         picked = _column_indices(header, ("user_id", "timestamp", "direction", "partner_id"),
                                  "activity")
-        convert = partial(_activity_chunk, picked, first_rows, count())
+        convert = partial(_activity_chunk, picked, codes)
         parts = [convert_chunk(convert, chunk) for chunk in chunks]
     empty = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool), np.zeros(0, np.int64))
     users, timestamps, sent, partners = map(np.concatenate, zip(*parts, empty))
-    return ActivityTable(tuple(first_rows[0]), _renumber(first_rows[0], users), timestamps,
-                         sent, tuple(first_rows[1]), _renumber(first_rows[1], partners))
-
-
-def _renumber(first_rows: dict[str, int], codes: np.ndarray) -> np.ndarray:
-    """``codes`` (serial numbers) as positions in ``first_rows``."""
-    serials = np.fromiter(first_rows.values(), np.int64, count=len(first_rows))
-    position = np.zeros(serials.max(initial=-1) + 1, np.int64)
-    position[serials] = np.arange(len(serials))
-    return position[codes]
+    return ActivityTable(tuple(codes[0]), users, timestamps, sent, tuple(codes[1]), partners)
 
 
 def _profile_chunk(picked: list[int], schema: FeatureSchema, out: dict, cells: list):

@@ -76,7 +76,9 @@ class TreeConfig:
 
 @dataclass(frozen=True)
 class TreeNode:
-    """Internal node (split + children) or leaf (curve + counts)."""
+    """Internal node (split + children) or leaf (counts + curve). ``curve`` is
+    fitted by :func:`grow_tree`, read only by ``build_leaf_graph`` during a
+    fit, and ``None`` on a tree loaded from JSON."""
 
     node_id: int
     split: Optional[SplitCandidate] = None

@@ -405,42 +405,24 @@ def reference_ingest(rows, join_times, study_end, window, cutoff,
 
 
 def reference_tree_dict(tree):
-    """JSON form of a tree with every field named: a recursive preorder walk
-    (left subtree first) and the config's five fields listed one by one."""
-    def curve_dict(curve):
-        return {"t": curve.event_times.tolist(), "s": curve.survival.tolist(),
-                "n_events": int(curve.n_events), "n_subjects": int(curve.n_subjects)}
-
-    nodes = []
-
-    def walk(node):
+    """JSON form of a tree with every field named: each node a dict holding
+    its children, and the config's five fields listed one by one."""
+    def node_dict(node):
         if node.is_leaf:
-            nodes.append({
-                "id": node.node_id,
-                "leaf_id": node.leaf_id,
-                "n_subjects": node.n_subjects,
-                "n_events": node.n_events,
-                "curve": curve_dict(node.curve),
-            })
-            return
+            return {"n_subjects": node.n_subjects, "n_events": node.n_events}
         feature = tree.schema[node.split.feature]
-        test = ({"kind": "numeric_lt", "threshold": node.split.test.threshold}
-                if feature.kind == "numeric"
-                else {"kind": "category_eq", "index": node.split.test.category_index})
-        nodes.append({
-            "id": node.node_id,
+        test = ({"threshold": node.split.test.threshold} if feature.kind == "numeric"
+                else {"category_index": node.split.test.category_index})
+        return {
             "feature": feature.name,
-            "test": test,
+            **test,
             "p_value": node.split.p_value,
             "statistic": node.split.statistic,
             "n_candidates": node.n_candidates,
-            "left": node.left.node_id,
-            "right": node.right.node_id,
-        })
-        walk(node.left)
-        walk(node.right)
+            "left": node_dict(node.left),
+            "right": node_dict(node.right),
+        }
 
-    walk(tree.root)
     config = tree.config
     features = [{"name": f.name, "kind": f.kind,
                  **({"categories": list(f.categories)} if f.kind == "categorical" else {})}
@@ -454,9 +436,7 @@ def reference_tree_dict(tree):
             "max_depth": config.max_depth,
             "max_numeric_thresholds": config.max_numeric_thresholds,
         },
-        "root": tree.root.node_id,
-        "nodes": nodes,
-        "leaf_ids": list(tree.leaf_ids),
+        "root": node_dict(tree.root),
     }
 
 

@@ -86,7 +86,7 @@ class TestFit:
                    "--out", str(model_path))
         assert code == 0
         model = json.loads(model_path.read_text())
-        assert model["k"] == 2
+        assert len(model["cluster_curves"]) == 2
         # agreement with planted labels via predict
         pred_path = tmp_path / "pred.csv"
         assert run("predict", "--model", str(model_path),
@@ -140,8 +140,8 @@ class TestFit:
                    "--schema", str(out_dir / "schema.json"),
                    "--alpha", "1e-12", "--out", str(model_path)) == 0
         model = json.loads(model_path.read_text())
-        assert model["k"] == 1
-        assert len(model["tree"]["leaf_ids"]) == 1
+        assert len(model["cluster_curves"]) == 1
+        assert len(model["leaf_to_cluster"]) == 1
 
     def test_missing_file_exits_1(self, tmp_path):
         assert run("fit", "--data", str(tmp_path / "nope.csv"),
@@ -343,11 +343,70 @@ class TestUnmappedLeaf:
         assert not (tmp_path / "p.csv").exists()
 
 
+class TestHostileModel:
+    """A malformed model file exits 2 from every command that loads it, with a
+    message naming the problem."""
+
+    def check(self, tmp_path, capsys, edit, expected):
+        data, model_path = fitted_model(tmp_path, n=400)
+        text = edit(json.loads(model_path.read_text()))
+        model_path.write_text(text if isinstance(text, str) else json.dumps(text))
+        for argv in (["predict", "--model", str(model_path),
+                      "--data", str(data / "subjects.csv"), "--out", str(tmp_path / "p.csv")],
+                     ["evaluate", "--model", str(model_path), "--data", str(data / "subjects.csv")],
+                     ["report", "--model", str(model_path)]):
+            capsys.readouterr()
+            assert run(*argv) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and expected in err
+        assert not (tmp_path / "p.csv").exists()
+
+    def test_missing_cluster_curves(self, tmp_path, capsys):
+        def edit(model):
+            del model["cluster_curves"]
+            return model
+        self.check(tmp_path, capsys, edit, "malformed model file (KeyError: 'cluster_curves')")
+
+    def test_format_1_file(self, tmp_path, capsys):
+        curve = {"t": [1.0], "s": [0.5], "n_events": 1, "n_subjects": 2}
+        old = {"k": 1, "leaf_to_cluster": [[0, 0]], "cluster_curves": [curve],
+               "tree": {"schema": {"features": [{"name": "x", "kind": "numeric"}]},
+                        "config": {}, "root": 0, "leaf_ids": [0],
+                        "nodes": [{"id": 0, "leaf_id": 0, "n_subjects": 2, "n_events": 1,
+                                   "curve": curve}]}}
+        self.check(tmp_path, capsys, lambda model: old,
+                   "model format_version is None, not 2: refit the model")
+
+    def test_unknown_split_feature(self, tmp_path, capsys):
+        def edit(model):
+            model["tree"]["root"]["feature"] = "f999"
+            return model
+        self.check(tmp_path, capsys, edit, "malformed model file (KeyError: 'f999')")
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        def edit(model):
+            model["tree"]["root"] = "ROOT"
+            deep = '{"feature":"sig0","left":' * 5000 + "{}" + "}" * 5000
+            return json.dumps(model).replace('"ROOT"', deep)
+        self.check(tmp_path, capsys, edit, "malformed model file (RecursionError: ")
+
+    def test_cluster_without_curve(self, tmp_path, capsys):
+        def edit(model):
+            model["leaf_to_cluster"][0] = 5
+            return model
+        self.check(tmp_path, capsys, edit, "leaf_to_cluster must map each of the")
+
+    def test_leaf_map_one_entry_short(self, tmp_path, capsys):
+        def edit(model):
+            model["leaf_to_cluster"].pop()
+            return model
+        self.check(tmp_path, capsys, edit, "to no cluster")
+
+
 class TestPredictNan:
     def test_strict_nan_goes_to_false_child(self, tmp_path):
         data, model_path = fitted_model(tmp_path)
-        model = json.loads(model_path.read_text())["tree"]
-        root = next(n for n in model["nodes"] if n["id"] == model["root"])
+        root = json.loads(model_path.read_text())["tree"]["root"]
         lines = (data / "subjects.csv").read_text().splitlines()
         column = lines[0].split(",").index(root["feature"])
         rows = [lines[0]]
@@ -399,6 +458,16 @@ class TestBadSubjectRows:
     def test_non_numeric_feature(self, tmp_path, capsys):
         self.check(tmp_path, capsys, lambda cells: cells[:-1] + ["n/a"],
                    "line 3: 'n/a' is not a number in column 'noise2'")
+
+    def test_oversized_quoted_id(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        self.check(tmp_path, capsys, lambda cells: ['"' + "x" * 200_000 + '"'] + cells[1:],
+                   f"line 3: field larger than field limit ({limit})")
+
+    def test_oversized_bare_id(self, tmp_path, capsys):
+        limit = csv.field_size_limit()
+        self.check(tmp_path, capsys, lambda cells: ["x" * 200_000] + cells[1:],
+                   f"line 3: field larger than field limit ({limit})")
 
 
 class TestEvaluateValidatesData:
@@ -515,6 +584,16 @@ class TestBadActivityRows:
     def test_missing_profile_column(self, tmp_path, capsys):
         self.check(tmp_path, capsys, "profile CSV missing columns: ['age']",
                    profiles="user_id,join_time\nu1,0.0\n")
+
+    def test_oversized_activity_field(self, tmp_path, capsys):
+        self.check(tmp_path, capsys,
+                   f"line 3: field larger than field limit ({csv.field_size_limit()})",
+                   activity=self.ACTIVITY.replace("received,u1", "received," + "u" * 200_000))
+
+    def test_oversized_profile_field(self, tmp_path, capsys):
+        self.check(tmp_path, capsys,
+                   f"line 2: field larger than field limit ({csv.field_size_limit()})",
+                   profiles=self.PROFILES.replace("u1,0.0,30", '"' + "u" * 200_000 + '",0.0,30'))
 
 
 class TestReport:

@@ -315,10 +315,12 @@ class TestCsvTokenizer:
         with mock.patch.object(dataio, "CHUNK_ROWS", 2):
             assert tokenizer_outcome(path) == (["h", "k"], [["a", "b"], (
                 "error", "line 4: expected 2 fields, got 1")])
-        path.write_text("h,k\n" + "x" * (csv.field_size_limit() + 1) + ",1\n")
-        for outcome_of in (tokenizer_outcome, reader_outcome):
-            with pytest.raises(csv.Error, match="field larger than field limit"):
-                outcome_of(path)
+        limit = csv.field_size_limit()
+        path.write_text("h,k\n" + "x" * (limit + 1) + ",1\n")
+        assert tokenizer_outcome(path) == (["h", "k"], [
+            ("error", f"line 2: field larger than field limit ({limit})")])
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            reader_outcome(path)
 
     @pytest.mark.parametrize("at", [1, 2, 3])
     def test_quoted_multi_line_id_across_chunks(self, tmp_path, at):
@@ -505,3 +507,41 @@ class TestModelJson:
         path = tmp_path / "out.json"
         save_json({"x": 1}, path)
         assert [p.name for p in tmp_path.iterdir()] == ["out.json"]
+
+
+class TestModelRoundTrip:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(st.integers(0, 2**32 - 1), st.integers(150, 400), st.data())
+    def test_save_then_load_keeps_routing_curves_and_bytes(self, tmp_path_factory, seed, n,
+                                                           draw):
+        rng = np.random.default_rng(seed)
+        schema = FeatureSchema((Feature("x", "numeric"),
+                                Feature("plan", "categorical", ("a", "b", "c")),
+                                Feature("noise", "numeric")))
+        x, level = rng.normal(size=n), rng.integers(0, 3, n)
+        scale = np.array([0.3, 1.0, 4.0])[level] * np.where(x < 0, 1.0, 3.0)
+        data = SurvivalDataset(schema, [f"s{i}" for i in range(n)],
+                               [x, level, rng.normal(size=n)],
+                               rng.exponential(scale), rng.random(n) < 0.85)
+        tree = grow_tree(data, TreeConfig(min_leaf_subjects=20, min_leaf_events=3))
+        k = draw.draw(st.integers(1, fit_cluster_model(data, tree).k), label="k")
+        model = fit_cluster_model(data, tree, k=k)
+        path = tmp_path_factory.mktemp("model") / "model.json"
+        save_model(model, path)
+        back = load_model(path)
+
+        assert [(node.node_id, node.leaf_id) for node in back.tree.nodes()] == \
+            [(node.node_id, node.leaf_id) for node in tree.nodes()]
+        assert back.k == model.k and back.leaf_to_cluster == model.leaf_to_cluster
+        # rows with a missing value or an unknown category take every policy's branch
+        x_scored, level_scored = x.copy(), level.copy()
+        x_scored[::7] = np.nan
+        level_scored[::5] = rng.choice([-1, 3], size=level_scored[::5].size)
+        scored = SurvivalDataset(schema, data.ids, [x_scored, level_scored, data.columns[2]],
+                                 data.times, data.events)
+        for unknown in (None, "majority"):
+            assert np.array_equal(cluster_assign_dataset(back, scored, unknown),
+                                  cluster_assign_dataset(model, scored, unknown))
+        for a, b in zip(back.cluster_curves, model.cluster_curves, strict=True):
+            assert a.to_json_dict() == b.to_json_dict()
+        assert dump_json(model_to_dict(back)) + "\n" == path.read_text()
