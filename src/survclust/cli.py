@@ -10,7 +10,6 @@ one thread.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from dataclasses import replace
@@ -21,8 +20,8 @@ import numpy as np
 from .clustering import cluster_assign_dataset, fit_cluster_model
 from .core import SurvivalDataset, validate_dataset
 from .dataio import (_csv_field, atomic_open, dump_json, iter_subject_chunks,
-                     load_dataset_csv, load_json, load_model, save_dataset_csv,
-                     save_json, save_model, schema_from_dict, schema_to_dict)
+                     load_dataset_csv, load_model, load_schema, save_dataset_csv,
+                     save_json, save_model, schema_to_dict)
 from .errors import SurvClustError, UnreachableKError
 from .evaluation import (classify_and_score, cox_hazard_ratio, logistic_fit,
                          one_hot, survival_labels)
@@ -126,7 +125,7 @@ def _load_training_dataset(args) -> SurvivalDataset:
     if args.activity or args.profiles:
         if not (args.activity and args.profiles and args.schema):
             raise SurvClustError("activity ingestion needs --activity, --profiles and --schema")
-        profile_schema = schema_from_dict(load_json(args.schema))
+        profile_schema = load_schema(args.schema)
         table = read_activity_csv(args.activity)
         profiles = read_profiles_csv(args.profiles, profile_schema)
         join_times = {uid: jt for uid, (jt, _) in profiles.items()}
@@ -143,7 +142,7 @@ def _load_training_dataset(args) -> SurvivalDataset:
         return dataset
     if not (args.data and args.schema):
         raise SurvClustError("need --data and --schema (or the activity trio)")
-    schema = schema_from_dict(load_json(args.schema))
+    schema = load_schema(args.schema)
     return load_dataset_csv(args.data, schema)
 
 
@@ -197,11 +196,11 @@ def cmd_fit(args) -> int:
                               expansion=args.expansion, inflation=args.inflation)
     save_model(model, args.out)
 
-    internal = [n for n in tree.nodes() if not n.is_leaf]
+    internal = [(i, node) for i, node in enumerate(tree.nodes()) if not node.is_leaf]
     print(f"tree: {len(tree.leaf_ids)} leaves, {len(internal)} splits")
-    for node in internal[:10]:
+    for i, node in internal[:10]:
         test = node.split.test.describe(tree.schema[node.split.feature])
-        print(f"  node {node.node_id}: {test}  "
+        print(f"  node {i}: {test}  "
               f"p={node.split.p_value:.3e} (m={node.n_candidates})")
     sizes = [curve.n_subjects for curve in model.cluster_curves]
     print(f"clusters: k={model.k}, sizes={sizes}")
@@ -325,7 +324,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except UnreachableKError as exc:
         return _fail(str(exc), 3)
-    except (OSError, json.JSONDecodeError) as exc:
+    except OSError as exc:
         return _fail(str(exc), 1)
     except (SurvClustError, ValueError) as exc:
         return _fail(str(exc), 2)

@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from types import MappingProxyType
-from typing import Mapping
 
 import numpy as np
 
 from .core import Subject, SurvivalDataset
-from .errors import NonConvergenceError, SurvClustError, UnreachableKError
+from .errors import NonConvergenceError, SchemaMismatchError, UnreachableKError
 from .kaplan_meier import SurvivalCurve, km_fit_arrays
 from .tree import SurvivalTree, assign_leaf, assign_leaves
 from .twosample import kuiper_matrix
@@ -38,25 +36,22 @@ MCL_MAX_ITER = 200
 
 @dataclass(frozen=True)
 class LeafGraph:
-    """Complete weighted graph over leaves; weights are Kuiper p-values."""
+    """Complete weighted graph over leaves, in leaf order; weights are Kuiper p-values."""
 
-    leaf_ids: tuple[int, ...]
     weights: np.ndarray
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64).copy()
-        n = len(self.leaf_ids)
-        if w.shape != (n, n):
-            raise ValueError("weight matrix shape does not match leaf count")
+        if w.ndim != 2 or w.shape[0] != w.shape[1]:
+            raise ValueError("weight matrix must be square")
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
 
 
 def build_leaf_graph(tree: SurvivalTree) -> LeafGraph:
     """Pairwise Kuiper p-values between leaf curves; diagonal fixed at 1."""
-    leaves = sorted(tree.leaves(), key=lambda node: node.leaf_id)
-    _, p = kuiper_matrix([node.curve for node in leaves])
-    return LeafGraph(tuple(node.leaf_id for node in leaves), p)
+    _, p = kuiper_matrix([node.curve for node in tree.leaves()])
+    return LeafGraph(p)
 
 
 def sinkhorn_knopp(w: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> np.ndarray:
@@ -140,21 +135,31 @@ def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[
 
 @dataclass(frozen=True)
 class ClusterModel:
-    """Final leaf-to-cluster map with per-cluster pooled survival curves."""
+    """Leaf ``i`` is in cluster ``leaf_to_cluster[i]``; one pooled survival curve per cluster."""
 
     tree: SurvivalTree
-    leaf_to_cluster: Mapping[int, int]
-    k: int
+    leaf_to_cluster: tuple[int, ...]
     cluster_curves: tuple[SurvivalCurve, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "leaf_to_cluster", MappingProxyType(dict(self.leaf_to_cluster)))
+        clusters, n_leaves = tuple(self.leaf_to_cluster), len(self.tree.leaf_ids)
+        if len(clusters) < n_leaves:
+            raise SchemaMismatchError(f"the model maps leaf {len(clusters)} to no cluster")
+        if len(clusters) > n_leaves or set(clusters) != set(range(self.k)):
+            raise SchemaMismatchError(
+                f"leaf_to_cluster must map each of the {n_leaves} leaves to one of clusters "
+                f"0..{self.k - 1}, and each cluster to a leaf; got {list(clusters)}")
+        object.__setattr__(self, "leaf_to_cluster", tuple(map(int, clusters)))
+
+    @property
+    def k(self) -> int:
+        return len(self.cluster_curves)
 
 
 def leaf_samples(tree: SurvivalTree, data: SurvivalDataset) -> dict[int, tuple[np.ndarray, np.ndarray]]:
     """Route a dataset through the tree: leaf id -> (times, events) arrays."""
     labels = assign_leaves(tree, data)
-    return {int(lid): (data.times[labels == lid], data.events[labels == lid])
+    return {lid: (data.times[labels == lid], data.events[labels == lid])
             for lid in tree.leaf_ids}
 
 
@@ -206,12 +211,11 @@ def coarsen_to_k(partition: list[list[int]], graph: LeafGraph, tree: SurvivalTre
         del curves[j]
 
     order = sorted(range(len(groups)), key=lambda g: groups[g][0])
-    leaf_to_cluster = {}
+    leaf_to_cluster = [0] * len(graph.weights)
     for new_id, g in enumerate(order):
         for lid in groups[g]:
-            leaf_to_cluster[int(graph.leaf_ids[lid])] = new_id
-    cluster_curves = tuple(curves[g] for g in order)
-    return ClusterModel(tree, leaf_to_cluster, len(groups), cluster_curves)
+            leaf_to_cluster[lid] = new_id
+    return ClusterModel(tree, leaf_to_cluster, tuple(curves[g] for g in order))
 
 
 def cluster_assign(model: ClusterModel, subject: Subject) -> int:
@@ -222,13 +226,7 @@ def cluster_assign(model: ClusterModel, subject: Subject) -> int:
 def cluster_assign_dataset(model: ClusterModel, data: SurvivalDataset,
                            unknown: str | None = None) -> np.ndarray:
     """Vectorized cluster labels for a whole dataset (``unknown`` as in assign_leaves)."""
-    leaf_labels = assign_leaves(model.tree, data, unknown)
-    lookup = np.full(max(model.tree.leaf_ids) + 1, -1, dtype=np.int64)
-    for lid in model.tree.leaf_ids:
-        if lid not in model.leaf_to_cluster:
-            raise SurvClustError(f"the model maps leaf {lid} to no cluster")
-        lookup[lid] = model.leaf_to_cluster[lid]
-    return lookup[leaf_labels]
+    return np.array(model.leaf_to_cluster)[assign_leaves(model.tree, data, unknown)]
 
 
 def fit_cluster_model(data: SurvivalDataset, tree: SurvivalTree, k: int | None = None,

@@ -9,12 +9,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
-from itertools import chain, count, islice, repeat
+from itertools import chain, islice, repeat
 from typing import Callable, Iterator, NamedTuple, TypeVar
 
 import numpy as np
@@ -61,6 +62,17 @@ def load_json(path):
         return json.load(fh)
 
 
+def _load(path, what: str, from_dict: Callable[[dict], T]) -> T:
+    """``from_dict`` of the JSON at ``path``; a file that is not JSON or is
+    malformed raises :class:`SchemaMismatchError` naming it."""
+    try:
+        return from_dict(load_json(path))
+    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, IndexError,
+            AttributeError, RecursionError) as err:
+        raise SchemaMismatchError(
+            f"{path}: malformed {what} file ({type(err).__name__}: {err})") from None
+
+
 # ---------------------------------------------------------------- schema
 
 def schema_to_dict(schema: FeatureSchema) -> dict:
@@ -79,6 +91,10 @@ def schema_from_dict(d: dict) -> FeatureSchema:
         features.append(Feature(entry["name"], entry["kind"],
                                 tuple(entry.get("categories", ()))))
     return FeatureSchema(tuple(features))
+
+
+def load_schema(path) -> FeatureSchema:
+    return _load(path, "schema", schema_from_dict)
 
 
 # ------------------------------------------------------------- subjects
@@ -314,25 +330,26 @@ def tree_to_dict(tree: SurvivalTree) -> dict:
 
 
 def tree_from_dict(d: dict) -> SurvivalTree:
-    """The tree of :func:`tree_to_dict`, nodes and leaves numbered in preorder,
-    left subtree first, as :func:`grow_tree` numbers them; leaves have no curve."""
+    """The tree of :func:`tree_to_dict`; leaves have no curve. A split whose
+    threshold is not finite, or whose level is not one of its feature's,
+    raises :class:`SchemaMismatchError`."""
     schema = schema_from_dict(d["schema"])
     config = TreeConfig(**d["config"])
-    node_ids, leaf_ids = count(), count()
 
     def build(raw: dict) -> TreeNode:
-        node_id = next(node_ids)
         if "feature" not in raw:
-            return TreeNode(node_id, leaf_id=next(leaf_ids), n_subjects=int(raw["n_subjects"]),
-                            n_events=int(raw["n_events"]))
+            return TreeNode(n_subjects=int(raw["n_subjects"]), n_events=int(raw["n_events"]))
         feature = schema.index(raw["feature"])
         test = (NumericTest(float(raw["threshold"])) if schema[feature].kind == NUMERIC
                 else CategoryTest(int(raw["category_index"])))
+        if not (math.isfinite(test.threshold) if schema[feature].kind == NUMERIC
+                else 0 <= test.category_index < len(schema[feature].categories)):
+            raise SchemaMismatchError(f"the split on {raw['feature']!r} cannot route: {test}")
         split = SplitCandidate(feature, test, float(raw["p_value"]), float(raw["statistic"]))
-        return TreeNode(node_id, split=split, n_candidates=int(raw["n_candidates"]),
+        return TreeNode(split=split, n_candidates=int(raw["n_candidates"]),
                         left=build(raw["left"]), right=build(raw["right"]))
 
-    return SurvivalTree(schema, build(d["root"]), config, range(next(leaf_ids)))
+    return SurvivalTree(schema, build(d["root"]), config)
 
 
 # ----------------------------------------------------------------- model
@@ -342,26 +359,16 @@ FORMAT_VERSION = 2
 
 def model_to_dict(model: ClusterModel) -> dict:
     return {"format_version": FORMAT_VERSION, "tree": tree_to_dict(model.tree),
-            "leaf_to_cluster": [model.leaf_to_cluster[lid] for lid in model.tree.leaf_ids],
+            "leaf_to_cluster": list(model.leaf_to_cluster),
             "cluster_curves": [c.to_json_dict() for c in model.cluster_curves]}
 
 
 def model_from_dict(d: dict) -> ClusterModel:
-    """The model of :func:`model_to_dict`, ``k`` being the number of curves; the
-    leaves must map onto clusters ``0 .. k - 1``, leaf ``i`` by entry ``i``."""
     if d.get("format_version") != FORMAT_VERSION:
         raise SchemaMismatchError(f"model format_version is {d.get('format_version')!r}, "
                                   f"not {FORMAT_VERSION}: refit the model")
-    tree = tree_from_dict(d["tree"])
-    curves = tuple(SurvivalCurve.from_json_dict(c) for c in d["cluster_curves"])
-    clusters = d["leaf_to_cluster"]
-    if len(clusters) < len(tree.leaf_ids):
-        raise SchemaMismatchError(f"the model maps leaf {len(clusters)} to no cluster")
-    if len(clusters) > len(tree.leaf_ids) or set(clusters) != set(range(len(curves))):
-        raise SchemaMismatchError(
-            f"leaf_to_cluster must map each of the {len(tree.leaf_ids)} leaves to one of "
-            f"clusters 0..{len(curves) - 1}, and each cluster to a leaf; got {clusters}")
-    return ClusterModel(tree, dict(enumerate(clusters)), len(curves), curves)
+    return ClusterModel(tree_from_dict(d["tree"]), d["leaf_to_cluster"],
+                        tuple(SurvivalCurve.from_json_dict(c) for c in d["cluster_curves"]))
 
 
 def save_model(model: ClusterModel, path):
@@ -369,10 +376,4 @@ def save_model(model: ClusterModel, path):
 
 
 def load_model(path) -> ClusterModel:
-    """The model saved at ``path``; a malformed file raises
-    :class:`SchemaMismatchError` naming it."""
-    try:
-        return model_from_dict(load_json(path))
-    except (KeyError, TypeError, IndexError, AttributeError, RecursionError) as err:
-        raise SchemaMismatchError(
-            f"{path}: malformed model file ({type(err).__name__}: {err})") from None
+    return _load(path, "model", model_from_dict)

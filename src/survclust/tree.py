@@ -10,7 +10,6 @@ ranking and gate use log p-values, which stay ordered where p underflows.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional, Union
@@ -80,12 +79,10 @@ class TreeNode:
     fitted by :func:`grow_tree`, read only by ``build_leaf_graph`` during a
     fit, and ``None`` on a tree loaded from JSON."""
 
-    node_id: int
     split: Optional[SplitCandidate] = None
     n_candidates: int = 0
     left: Optional["TreeNode"] = None
     right: Optional["TreeNode"] = None
-    leaf_id: Optional[int] = None
     n_subjects: int = 0
     n_events: int = 0
     curve: Optional[SurvivalCurve] = None
@@ -100,10 +97,10 @@ class SurvivalTree:
     schema: FeatureSchema
     root: TreeNode
     config: TreeConfig
-    leaf_ids: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "leaf_ids", tuple(self.leaf_ids))
+    @property
+    def leaf_ids(self) -> range:  # leaf i is leaves()[i]
+        return range(len(self.leaves()))
 
     def leaves(self) -> list[TreeNode]:
         return [node for node in self.nodes() if node.is_leaf]
@@ -214,11 +211,8 @@ def grow_tree(data: SurvivalDataset, config: TreeConfig = TreeConfig()) -> Survi
     """Recursively grow the significance-gated tree on a validated dataset."""
     if len(data) == 0 or not data.events.any():
         raise NoEventsAtRootError("tree growth requires at least one observed event")
-    node_ids = itertools.count()
-    leaf_ids: list[int] = []
 
     def make_node(node_data: SurvivalDataset, depth: int) -> TreeNode:
-        node_id = next(node_ids)
         n = len(node_data)
         n_events = node_data.n_events
         chosen, candidates = None, []
@@ -227,18 +221,14 @@ def grow_tree(data: SurvivalDataset, config: TreeConfig = TreeConfig()) -> Survi
             candidates = enumerate_splits(node_data, node_data.schema, config)
             chosen = best_split(node_data, candidates, config)
         if chosen is None:
-            leaf_ids.append(len(leaf_ids))
             curve = km_fit_arrays(node_data.times, node_data.events)
-            return TreeNode(node_id, leaf_id=leaf_ids[-1], n_subjects=n,
-                            n_events=n_events, curve=curve)
+            return TreeNode(n_subjects=n, n_events=n_events, curve=curve)
         mask = chosen.test.evaluate(node_data.columns[chosen.feature])
         left = make_node(node_data.subset_mask(mask), depth + 1)
         right = make_node(node_data.subset_mask(~mask), depth + 1)
-        return TreeNode(node_id, split=chosen, n_candidates=len(candidates),
-                        left=left, right=right)
+        return TreeNode(split=chosen, n_candidates=len(candidates), left=left, right=right)
 
-    root = make_node(data, 0)
-    return SurvivalTree(data.schema, root, config, leaf_ids)
+    return SurvivalTree(data.schema, make_node(data, 0), config)
 
 
 def _check_schema(tree: SurvivalTree, subject: Subject):
@@ -282,10 +272,13 @@ def _route(tree: SurvivalTree, columns, n: int, unknown: Optional[str]) -> np.nd
     if unknown not in (None, "majority"):
         raise ValueError(f"unknown routing policy {unknown!r}")
     labels = np.full(n, -1, dtype=np.int64)
+    leaf = 0
 
     def walk(node: TreeNode, idx: np.ndarray):
-        if node.is_leaf:
-            labels[idx] = node.leaf_id
+        nonlocal leaf
+        if node.is_leaf:  # every leaf, even one given no rows, in preorder: left subtree first
+            labels[idx] = leaf
+            leaf += 1
             return
         column = columns[node.split.feature][idx]
         go_left = node.split.test.evaluate(column)

@@ -260,13 +260,18 @@ def reference_subject_csv(path, schema, strict):
 def reference_route(tree, values, unknown=None):
     """Leaf id of one row of feature values, walking the tree node by node.
 
+    Leaves are numbered in preorder, left subtree first: the id counts the
+    leaves of every left subtree the walk passes by going right.
     ``unknown="majority"`` sends NaN numerics and out-of-range categories to
     the child whose leaves hold more training subjects, ties to the left.
     """
     def size(node):
         return node.n_subjects if node.is_leaf else size(node.left) + size(node.right)
 
-    node = tree.root
+    def n_leaves(node):
+        return 1 if node.is_leaf else n_leaves(node.left) + n_leaves(node.right)
+
+    node, leaf_id = tree.root, 0
     while not node.is_leaf:
         feature = tree.schema[node.split.feature]
         value = values[node.split.feature]
@@ -278,8 +283,10 @@ def reference_route(tree, values, unknown=None):
             go_left = value == node.split.test.category_index
         if missing and unknown == "majority":
             go_left = size(node.left) >= size(node.right)
+        if not go_left:
+            leaf_id += n_leaves(node.left)
         node = node.left if go_left else node.right
-    return node.leaf_id
+    return leaf_id
 
 
 def reference_read_activity_csv(path):

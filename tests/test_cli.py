@@ -159,6 +159,41 @@ class TestFit:
     def test_usage_error_exits_2(self, tmp_path):
         assert run("fit", "--data") == 2
 
+    def test_malformed_schema_exits_2(self, tmp_path, capsys):
+        schema = tmp_path / "schema.json"
+        data = tmp_path / "subjects.csv"
+        data.write_text("id,time,event,x\na,1.0,1,0.5\n")
+        activity, profiles = tmp_path / "activity.csv", tmp_path / "profiles.csv"
+        activity.write_text("user_id,timestamp,direction,partner_id\n")
+        profiles.write_text("user_id,join_time\n")
+        for text, error in ((b"{}", "KeyError"), (b"[1]", "TypeError"),
+                            (b'{"features":[{"name":"x"}]}', "KeyError"),
+                            (b"not json", "JSONDecodeError"), (b"\xff{}", "UnicodeDecodeError")):
+            schema.write_bytes(text)
+            for source in (["--data", str(data)],
+                           ["--activity", str(activity), "--profiles", str(profiles)]):
+                capsys.readouterr()
+                assert run("fit", *source, "--schema", str(schema),
+                           "--out", str(tmp_path / "m.json")) == 2, (text, source)
+                assert f"error: {schema}: malformed schema file ({error}: " in \
+                    capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+    def test_prints_splits_by_preorder_number(self, tmp_path, capsys):
+        _, model_path = fitted_model(tmp_path)
+        printed = [line for line in capsys.readouterr().out.splitlines()
+                   if line.startswith("  node ")]
+
+        def preorder(node):
+            children = preorder(node["left"]) + preorder(node["right"]) if "feature" in node else []
+            return [node] + children
+
+        nodes = preorder(json.loads(model_path.read_text())["tree"]["root"])
+        expected = [f"  node {i}: {node['feature']} < " for i, node in enumerate(nodes)
+                    if "feature" in node][:10]
+        assert len(printed) == len(expected) > 1
+        assert all(line.startswith(prefix) for line, prefix in zip(printed, expected))
+
     def test_non_finite_inflation_exits_2(self, tmp_path, capsys):
         data = simulate_two_group(tmp_path, n=400)
         for value in ("nan", "inf"):
@@ -401,6 +436,29 @@ class TestHostileModel:
             model["leaf_to_cluster"].pop()
             return model
         self.check(tmp_path, capsys, edit, "to no cluster")
+
+    def test_not_json(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, lambda model: "not json",
+                   f"{tmp_path / 'model.json'}: malformed model file (JSONDecodeError: ")
+
+    def test_non_finite_threshold(self, tmp_path, capsys):
+        def edit(model):
+            model["tree"]["root"]["threshold"] = float("nan")
+            return model
+        self.check(tmp_path, capsys, edit, "cannot route: NumericTest(threshold=nan)")
+
+    def test_category_index_outside_levels(self, tmp_path, capsys):
+        for index in (7, 3, -1):
+            def edit(model):
+                root = model["tree"]["root"]
+                feature, = (f for f in model["tree"]["schema"]["features"]
+                            if f["name"] == root["feature"])
+                feature.update(kind="categorical", categories=["a", "b", "c"])
+                del root["threshold"]
+                root["category_index"] = index
+                return model
+            self.check(tmp_path / str(index), capsys, edit,
+                       f"cannot route: CategoryTest(category_index={index})")
 
 
 class TestPredictNan:

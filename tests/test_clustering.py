@@ -6,14 +6,14 @@ from hypothesis.extra.numpy import arrays
 
 from oracles import reference_mcl_blocks
 from survclust import Feature, FeatureSchema, SurvivalDataset
-from survclust.clustering import (WEIGHT_FLOOR, build_leaf_graph,
+from survclust.clustering import (WEIGHT_FLOOR, ClusterModel, build_leaf_graph,
                                   cluster_assign, cluster_assign_dataset,
                                   coarsen_to_k, fit_cluster_model,
                                   leaf_samples, mcl, sinkhorn_knopp)
-from survclust.errors import NonConvergenceError, UnreachableKError
+from survclust.errors import NonConvergenceError, SchemaMismatchError, UnreachableKError
 from survclust.kaplan_meier import km_fit_arrays
 from survclust.tree import (NumericTest, SplitCandidate, SurvivalTree,
-                            TreeConfig, TreeNode, grow_tree)
+                            TreeConfig, TreeNode, assign_leaves, grow_tree)
 from survclust.twosample import kuiper_matrix, logrank_test
 
 
@@ -24,22 +24,59 @@ def uncensored_curve(times):
 def single_leaf_tree(times):
     schema = FeatureSchema((Feature("x", "numeric"),))
     curve = uncensored_curve(times)
-    root = TreeNode(0, leaf_id=0, n_subjects=len(times), n_events=len(times), curve=curve)
-    return SurvivalTree(schema, root, TreeConfig(), [0])
+    root = TreeNode(n_subjects=len(times), n_events=len(times), curve=curve)
+    return SurvivalTree(schema, root, TreeConfig())
 
 
 def four_leaf_tree(curves):
     """Hand-built tree splitting x at 1.5 then 0.5 / 2.5 into four leaves."""
     schema = FeatureSchema((Feature("x", "numeric"),))
-    leaves = [TreeNode(3 + i, leaf_id=i, n_subjects=c.n_subjects,
-                       n_events=c.n_events, curve=c) for i, c in enumerate(curves)]
-    inner_l = TreeNode(1, split=SplitCandidate(0, NumericTest(0.5), 1e-4, 1.0),
+    leaves = [TreeNode(n_subjects=c.n_subjects, n_events=c.n_events, curve=c)
+              for c in curves]
+    inner_l = TreeNode(split=SplitCandidate(0, NumericTest(0.5), 1e-4, 1.0),
                        n_candidates=3, left=leaves[0], right=leaves[1])
-    inner_r = TreeNode(2, split=SplitCandidate(0, NumericTest(2.5), 1e-4, 1.0),
+    inner_r = TreeNode(split=SplitCandidate(0, NumericTest(2.5), 1e-4, 1.0),
                        n_candidates=3, left=leaves[2], right=leaves[3])
-    root = TreeNode(0, split=SplitCandidate(0, NumericTest(1.5), 1e-4, 1.0),
+    root = TreeNode(split=SplitCandidate(0, NumericTest(1.5), 1e-4, 1.0),
                     n_candidates=3, left=inner_l, right=inner_r)
-    return SurvivalTree(schema, root, TreeConfig(), [0, 1, 2, 3])
+    return SurvivalTree(schema, root, TreeConfig())
+
+
+class TestLeafNumbering:
+    def test_leaves_number_left_to_right(self):
+        tree = four_leaf_tree([uncensored_curve([1.0, 2.0])] * 4)
+        data = SurvivalDataset(tree.schema, list("abcd"), [np.array([2.0, 0.0, 3.0, 1.0])],
+                               np.ones(4), np.ones(4, dtype=bool))
+        assert assign_leaves(tree, data).tolist() == [2, 0, 3, 1]
+        assert tree.leaf_ids == range(4)
+
+
+class TestClusterModel:
+    """Every model, however made, maps each leaf of its tree to one cluster
+    and each cluster to a leaf."""
+
+    def build(self, leaf_to_cluster):
+        curve = uncensored_curve([1.0, 2.0])
+        return ClusterModel(four_leaf_tree([curve] * 4), leaf_to_cluster, (curve, curve))
+
+    def test_valid_map(self):
+        model = self.build([0, 0, 1, 1])
+        assert model.leaf_to_cluster == (0, 0, 1, 1)
+        assert model.k == 2
+        # a map read from JSON may hold 1.0 for 1; it is stored as the int
+        assert [type(c) for c in self.build([0.0, 0, 1.0, 1]).leaf_to_cluster] == [int] * 4
+
+    def test_map_one_entry_short(self):
+        with pytest.raises(SchemaMismatchError, match="the model maps leaf 3 to no cluster"):
+            self.build((0, 0, 1))
+
+    def test_map_one_entry_long(self):
+        with pytest.raises(SchemaMismatchError, match="leaf_to_cluster must map each of the 4"):
+            self.build((0, 0, 1, 1, 0))
+
+    def test_cluster_without_curve(self):
+        with pytest.raises(SchemaMismatchError, match="leaf_to_cluster must map each of the 4"):
+            self.build((0, 0, 1, 2))
 
 
 class TestBuildLeafGraph:
@@ -234,7 +271,7 @@ class TestCoarsenToK:
         balanced = sinkhorn_knopp(np.maximum(graph.weights, WEIGHT_FLOOR))
         model = coarsen_to_k([[0, 1], [2, 3]], graph, tree, 2, samples4, balanced, 2, 2.0)
         assert model.k == 2
-        assert model.leaf_to_cluster == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert model.leaf_to_cluster == (0, 0, 1, 1)
 
     def test_merge_down_pairs_similar_clusters(self):
         # leaves 0,1 share one lifetime law, 2,3 another far away
@@ -252,7 +289,7 @@ class TestCoarsenToK:
         balanced = sinkhorn_knopp(np.maximum(graph.weights, WEIGHT_FLOOR))
         model = coarsen_to_k([[0], [1], [2], [3]], graph, tree, 2, samples, balanced, 2, 2.0)
         assert model.k == 2
-        assert model.leaf_to_cluster == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert model.leaf_to_cluster == (0, 0, 1, 1)
 
     def test_single_leaf_k2_unreachable(self):
         tree = single_leaf_tree([1.0, 2.0, 3.0])
@@ -281,7 +318,7 @@ class TestCoarsenToK:
         # hand the coarsener an under-segmented partition
         model = coarsen_to_k([[0, 1, 2, 3]], graph, tree, 2, samples, balanced, 2, 2.0)
         assert model.k == 2
-        assert model.leaf_to_cluster == {0: 0, 1: 0, 2: 1, 3: 1}
+        assert model.leaf_to_cluster == (0, 0, 1, 1)
 
     def test_sweep_actually_raises_inflation(self):
         # blocks bridged at 0.5: inflation 2.0 under-segments, ~4.0 splits
@@ -314,7 +351,7 @@ class TestCoarsenToK:
         graph = build_leaf_graph(tree)
         balanced = sinkhorn_knopp(np.maximum(graph.weights, WEIGHT_FLOOR))
         model = coarsen_to_k([[0], [1], [2], [3]], graph, tree, 3, samples, balanced, 2, 2.0)
-        assert model.leaf_to_cluster == {0: 0, 1: 1, 2: 0, 3: 2}
+        assert model.leaf_to_cluster == (0, 1, 0, 2)
 
     def test_invalid_k(self):
         tree = single_leaf_tree([1.0])

@@ -472,18 +472,19 @@ class TestFittedObjectsImmutable:
         save_model(model, tmp_path / "model.json")
         for m in (model, load_model(tmp_path / "model.json")):
             with pytest.raises(AttributeError):
-                m.tree.leaf_ids.append(99)
+                m.tree.leaf_ids = range(99)
             with pytest.raises(AttributeError):
                 m.tree.root = None
             with pytest.raises(TypeError):
                 m.leaf_to_cluster[0] = 7
             with pytest.raises(AttributeError):
                 m.k = 5
-            assert m.leaf_to_cluster == dict(model.leaf_to_cluster)
+            assert m.leaf_to_cluster == model.leaf_to_cluster
+            assert [n.is_leaf for n in m.tree.nodes()] == [n.is_leaf for n in model.tree.nodes()]
 
     def test_model_copies_its_leaf_map(self):
         _, model = planted_model()
-        leaf_to_cluster = dict(model.leaf_to_cluster)
+        leaf_to_cluster = list(model.leaf_to_cluster)
         copy = dataclasses.replace(model, leaf_to_cluster=leaf_to_cluster)
         leaf_to_cluster[0] = 7
         assert copy.leaf_to_cluster == model.leaf_to_cluster
@@ -530,8 +531,8 @@ class TestModelRoundTrip:
         save_model(model, path)
         back = load_model(path)
 
-        assert [(node.node_id, node.leaf_id) for node in back.tree.nodes()] == \
-            [(node.node_id, node.leaf_id) for node in tree.nodes()]
+        assert [node.is_leaf for node in back.tree.nodes()] == \
+            [node.is_leaf for node in tree.nodes()]
         assert back.k == model.k and back.leaf_to_cluster == model.leaf_to_cluster
         # rows with a missing value or an unknown category take every policy's branch
         x_scored, level_scored = x.copy(), level.copy()

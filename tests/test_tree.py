@@ -326,8 +326,8 @@ class TestGrowTree:
         labels = assign_leaves(tree, data)
         leaves = tree.leaves()
         assert sum(leaf.n_subjects for leaf in leaves) == len(data)
-        for leaf in leaves:
-            mask = labels == leaf.leaf_id
+        for leaf_id, leaf in enumerate(leaves):
+            mask = labels == leaf_id
             assert int(mask.sum()) == leaf.n_subjects
             assert int(data.events[mask].sum()) == leaf.n_events
 
@@ -405,8 +405,8 @@ class TestAssignLeaf:
         per_leaf = {}
         for s in data.subjects():
             per_leaf[assign_leaf(tree, s)] = per_leaf.get(assign_leaf(tree, s), 0) + 1
-        for leaf in tree.leaves():
-            assert per_leaf.get(leaf.leaf_id, 0) == leaf.n_subjects
+        for leaf_id, leaf in enumerate(tree.leaves()):
+            assert per_leaf.get(leaf_id, 0) == leaf.n_subjects
 
     def test_boundary_value_goes_right(self):
         rng = np.random.default_rng(13)
@@ -418,11 +418,11 @@ class TestAssignLeaf:
         from survclust.kaplan_meier import km_fit_arrays
         curve = km_fit_arrays([1.0], [True])
         schema = FeatureSchema((Feature("x", "numeric"),))
-        left = TreeNode(1, leaf_id=0, n_subjects=1, n_events=1, curve=curve)
-        right = TreeNode(2, leaf_id=1, n_subjects=1, n_events=1, curve=curve)
-        root = TreeNode(0, split=SplitCandidate(0, NumericTest(2.0), 0.01, 1.0),
+        left = TreeNode(n_subjects=1, n_events=1, curve=curve)
+        right = TreeNode(n_subjects=1, n_events=1, curve=curve)
+        root = TreeNode(split=SplitCandidate(0, NumericTest(2.0), 0.01, 1.0),
                         n_candidates=1, left=left, right=right)
-        t = SurvivalTree(schema, root, SMALL, [0, 1])
+        t = SurvivalTree(schema, root, SMALL)
         assert assign_leaf(t, Subject("a", (1.9,), 1.0, True)) == 0
         assert assign_leaf(t, Subject("b", (2.0,), 1.0, True)) == 1
 
@@ -451,20 +451,17 @@ def random_tree_and_rows(seed):
                 for j in range(rng.integers(1, 4))]
     schema = FeatureSchema(tuple(features))
     thresholds = np.array([-1.0, 0.0, 0.5, 1.0])
-    ids, leaf_ids = iter(range(100)), []
 
     def build(depth):
         if depth == 3 or rng.random() < 0.3:
-            leaf_ids.append(len(leaf_ids))
-            return TreeNode(next(ids), leaf_id=leaf_ids[-1], n_subjects=int(rng.integers(0, 4)))
+            return TreeNode(n_subjects=int(rng.integers(0, 4)))
         j = int(rng.integers(len(schema)))
         test = (NumericTest(float(rng.choice(thresholds))) if schema[j].kind == "numeric"
                 else CategoryTest(int(rng.integers(len(schema[j].categories)))))
-        node_id = next(ids)
-        return TreeNode(node_id, split=SplitCandidate(j, test, 0.01, 1.0),
-                        left=build(depth + 1), right=build(depth + 1))
+        split = SplitCandidate(j, test, 0.01, 1.0)
+        return TreeNode(split=split, left=build(depth + 1), right=build(depth + 1))
 
-    tree = SurvivalTree(schema, build(0), SMALL, leaf_ids)
+    tree = SurvivalTree(schema, build(0), SMALL)
     n = int(rng.integers(0, 40))
     columns = [rng.choice(np.r_[thresholds, np.nan, np.inf, 0.25], n) if f.kind == "numeric"
                else rng.integers(-1, len(f.categories) + 1, n) for f in schema]
@@ -494,18 +491,18 @@ class TestRouter:
                     assign_leaf(tree, s)
 
     def test_majority_ties_go_left(self):
-        left = TreeNode(1, leaf_id=0, n_subjects=5)
-        right = TreeNode(2, leaf_id=1, n_subjects=5)
-        root = TreeNode(0, split=SplitCandidate(0, NumericTest(2.0), 0.01, 1.0),
+        left = TreeNode(n_subjects=5)
+        right = TreeNode(n_subjects=5)
+        root = TreeNode(split=SplitCandidate(0, NumericTest(2.0), 0.01, 1.0),
                         left=left, right=right)
         schema = FeatureSchema((Feature("x", "numeric"),))
-        tree = SurvivalTree(schema, root, SMALL, [0, 1])
+        tree = SurvivalTree(schema, root, SMALL)
         data = SurvivalDataset(schema, ["a", "b"], [np.array([np.nan, 3.0])],
                                np.ones(2), np.ones(2, dtype=bool))
         assert assign_leaves(tree, data).tolist() == [1, 1]
         assert assign_leaves(tree, data, "majority").tolist() == [0, 1]
         root = dataclasses.replace(root, right=dataclasses.replace(right, n_subjects=6))
-        tree = SurvivalTree(schema, root, SMALL, [0, 1])
+        tree = SurvivalTree(schema, root, SMALL)
         assert assign_leaves(tree, data, "majority").tolist() == [1, 1]
 
     def test_unknown_policy_checked(self):
