@@ -189,9 +189,15 @@ class CsvChunk(NamedTuple):
     line: Callable[[int], int]
 
 
+def open_csv(path):
+    """``path`` opened for :func:`read_csv_chunks`: UTF-8 text, with
+    ``newline=""`` and each byte that is not UTF-8 read as a lone surrogate."""
+    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
+
+
 def read_csv_chunks(fh) -> tuple[list[str], Iterator[CsvChunk]]:
-    """The header of a CSV opened with ``newline=""``, and its other non-blank
-    rows read ``CHUNK_ROWS`` lines at a time.
+    """The header of a CSV opened with :func:`open_csv`, and its other
+    non-blank rows read ``CHUNK_ROWS`` lines at a time.
 
     Cells are those ``csv.reader`` yields. A chunk holding no quote, CR,
     NUL or line longer than ``csv.field_size_limit()`` is split on newlines
@@ -199,11 +205,26 @@ def read_csv_chunks(fh) -> tuple[list[str], Iterator[CsvChunk]]:
     the rest of the file, so a quoted field may span chunks. A row whose
     field count differs from the header's, or a field larger than the
     limit, raises :class:`SchemaMismatchError` naming its line, after the
-    chunk of the rows before it.
+    chunk of the rows before it; a byte that is not UTF-8 raises it naming
+    the file and its line (only a chunk that is not ASCII is checked).
     """
     reader = csv.reader(fh)
     _, header = next(_numbered_rows(reader, 0), (0, []))
+    _check_utf8(fh.name, "".join(header), lambda at: reader.line_num)
     return header, _chunks(fh, len(header), reader.line_num)
+
+
+def _check_utf8(name, text: str, line: Callable[[int], int]):
+    """Raise :class:`SchemaMismatchError` at the first character of ``text``
+    read from a byte that is not UTF-8; ``line(i)`` is character i's line."""
+    if text.isascii():
+        return
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError as err:
+        byte = ord(text[err.start]) - 0xDC00  # surrogateescape's code for the byte
+        raise SchemaMismatchError(f"{name}: line {line(err.start)}: "
+                                  f"byte 0x{byte:02x} is not UTF-8") from None
 
 
 def _numbered_rows(reader, first: int) -> Iterator[tuple[int, list[str]]]:
@@ -219,9 +240,10 @@ def _numbered_rows(reader, first: int) -> Iterator[tuple[int, list[str]]]:
 def _chunks(fh, width: int, line: int) -> Iterator[CsvChunk]:
     while lines := list(islice(fh, CHUNK_ROWS)):
         text = "".join(lines)
+        _check_utf8(fh.name, text, lambda at: line + 1 + text.count("\n", 0, at))
         if ('"' in text or "\r" in text or "\0" in text
                 or max(map(len, lines)) > csv.field_size_limit()):
-            yield from _reader_chunks(chain(lines, fh), width, line)
+            yield from _reader_chunks(fh.name, chain(lines, fh), width, line)
             return
         where = partial(_nonblank_line, line + 1, lines)
         line += len(lines)
@@ -249,10 +271,13 @@ def _nonblank_line(first: int, lines: list[str], i: int) -> int:
     return first + [j for j, text in enumerate(lines) if text != "\n"][i]
 
 
-def _reader_chunks(lines: Iterator[str], width: int, line: int) -> Iterator[CsvChunk]:
+def _reader_chunks(name, lines: Iterator[str], width: int, line: int) -> Iterator[CsvChunk]:
     numbered = ((end, row) for end, row in _numbered_rows(csv.reader(lines), line) if row)
     while chunk := list(islice(numbered, CHUNK_ROWS)):
         ends, rows = zip(*chunk)
+        if not "".join(map("".join, rows)).isascii():
+            for end, row in chunk:
+                _check_utf8(name, "".join(row), lambda at: end)
         good = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
         if good:
             yield CsvChunk(list(zip(*rows[:good])), ends.__getitem__)
@@ -285,7 +310,7 @@ def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[S
     ``event`` other than 0/1 or a non-numeric ``time`` or feature cell
     raises :class:`SchemaMismatchError` naming its 1-based line.
     """
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         header, chunks = read_csv_chunks(fh)
         _check_header(header, schema)
         column = {name: i for i, name in enumerate(header)}  # last one, if repeated
@@ -331,8 +356,8 @@ def tree_to_dict(tree: SurvivalTree) -> dict:
 
 def tree_from_dict(d: dict) -> SurvivalTree:
     """The tree of :func:`tree_to_dict`; leaves have no curve. A split whose
-    threshold is not finite, or whose level is not one of its feature's,
-    raises :class:`SchemaMismatchError`."""
+    threshold is not a finite JSON number, or whose level is not the JSON
+    integer of one of its feature's levels, raises :class:`SchemaMismatchError`."""
     schema = schema_from_dict(d["schema"])
     config = TreeConfig(**d["config"])
 
@@ -340,9 +365,14 @@ def tree_from_dict(d: dict) -> SurvivalTree:
         if "feature" not in raw:
             return TreeNode(n_subjects=int(raw["n_subjects"]), n_events=int(raw["n_events"]))
         feature = schema.index(raw["feature"])
-        test = (NumericTest(float(raw["threshold"])) if schema[feature].kind == NUMERIC
-                else CategoryTest(int(raw["category_index"])))
-        if not (math.isfinite(test.threshold) if schema[feature].kind == NUMERIC
+        numeric = schema[feature].kind == NUMERIC
+        field, kinds = ("threshold", (int, float)) if numeric else ("category_index", int)
+        value = raw[field]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise SchemaMismatchError(f"the split on {raw['feature']!r} has {field} {value!r}, "
+                                      f"not a JSON {'number' if numeric else 'integer'}")
+        test = NumericTest(float(value)) if numeric else CategoryTest(value)
+        if not (math.isfinite(test.threshold) if numeric
                 else 0 <= test.category_index < len(schema[feature].categories)):
             raise SchemaMismatchError(f"the split on {raw['feature']!r} cannot route: {test}")
         split = SplitCandidate(feature, test, float(raw["p_value"]), float(raw["statistic"]))

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import NUMERIC, Feature, FeatureSchema, SurvivalDataset
-from .dataio import _categories, _numbers, convert_chunk, read_csv_chunks
+from .dataio import _categories, _numbers, convert_chunk, open_csv, read_csv_chunks
 from .errors import InvalidCutoffError, SchemaMismatchError
 
 SENT = "sent"
@@ -222,7 +222,7 @@ def read_activity_csv(path) -> ActivityTable:
     :class:`SchemaMismatchError` naming its line.
     """
     codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # user, partner id -> code
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         header, chunks = read_csv_chunks(fh)
         picked = _column_indices(header, ("user_id", "timestamp", "direction", "partner_id"),
                                  "activity")
@@ -257,7 +257,7 @@ def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, lis
     :class:`SchemaMismatchError` naming its line.
     """
     out: dict[str, tuple[float, list]] = {}
-    with open(path, newline="") as fh:
+    with open_csv(path) as fh:
         header, chunks = read_csv_chunks(fh)
         picked = _column_indices(header, ("user_id", "join_time", *schema.names), "profile")
         convert = partial(_profile_chunk, picked, schema, out)

@@ -460,6 +460,23 @@ class TestHostileModel:
             self.check(tmp_path / str(index), capsys, edit,
                        f"cannot route: CategoryTest(category_index={index})")
 
+    def test_split_fields_of_another_json_type(self, tmp_path, capsys):
+        for field, value, kind in (("category_index", 1.7, "integer"),
+                                   ("category_index", True, "integer"),
+                                   ("threshold", "1.5", "number")):
+            def edit(model):
+                root = model["tree"]["root"]
+                if field == "category_index":
+                    feature, = (f for f in model["tree"]["schema"]["features"]
+                                if f["name"] == root["feature"])
+                    feature.update(kind="categorical", categories=["a", "b", "c"])
+                    del root["threshold"]
+                root[field] = value
+                return model
+            # the message names the split's feature, in quotes, just before this
+            self.check(tmp_path / f"{field}-{value}", capsys, edit,
+                       f"' has {field} {value!r}, not a JSON {kind}")
+
 
 class TestPredictNan:
     def test_strict_nan_goes_to_false_child(self, tmp_path):
@@ -489,7 +506,7 @@ class TestBadSubjectRows:
         lines = (data / "subjects.csv").read_text().splitlines()
         lines[2] = ",".join(edit(lines[2].split(",")))
         bad = tmp_path / "bad.csv"
-        bad.write_text("\n".join(lines) + "\n")
+        bad.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         predicted = tmp_path / "p.csv"
         for argv in (["fit", "--data", str(bad), "--schema", str(data / "schema.json"),
                       "--out", str(tmp_path / "m.json")],
@@ -526,6 +543,23 @@ class TestBadSubjectRows:
         limit = csv.field_size_limit()
         self.check(tmp_path, capsys, lambda cells: ["x" * 200_000] + cells[1:],
                    f"line 3: field larger than field limit ({limit})")
+
+    def test_byte_not_utf8(self, tmp_path, capsys):
+        # "\udcff" is written as the byte 0xff; a quoted id sends the file
+        # through the csv module's reader
+        for bad_id in ("s\udcff", '"s,\udcff"'):
+            self.check(tmp_path, capsys, lambda cells: [bad_id] + cells[1:],
+                       f"{tmp_path / 'bad.csv'}: line 3: byte 0xff is not UTF-8")
+
+    def test_utf8_id(self, tmp_path):
+        data, model_path = fitted_model(tmp_path, n=400)
+        lines = (data / "subjects.csv").read_text().splitlines()
+        lines[2] = "s\u00e9" + lines[2][lines[2].index(","):]
+        (tmp_path / "s.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert run("predict", "--model", str(model_path), "--data", str(tmp_path / "s.csv"),
+                   "--out", str(tmp_path / "p.csv")) == 0
+        labels = (tmp_path / "p.csv").read_text(encoding="utf-8").splitlines()
+        assert labels[2].startswith("s\u00e9,")
 
 
 class TestEvaluateValidatesData:
@@ -573,8 +607,8 @@ class TestBadActivityRows:
 
     def check(self, tmp_path, capsys, expected, activity=ACTIVITY, profiles=PROFILES,
               flags=()):
-        (tmp_path / "a.csv").write_text(activity)
-        (tmp_path / "p.csv").write_text(profiles)
+        (tmp_path / "a.csv").write_bytes(activity.encode("utf-8", "surrogateescape"))
+        (tmp_path / "p.csv").write_bytes(profiles.encode("utf-8", "surrogateescape"))
         (tmp_path / "s.json").write_text(
             json.dumps({"features": [{"name": "age", "kind": "numeric"}]}))
         ingest = ["--activity", str(tmp_path / "a.csv"), "--profiles", str(tmp_path / "p.csv"),
@@ -647,6 +681,12 @@ class TestBadActivityRows:
         self.check(tmp_path, capsys,
                    f"line 3: field larger than field limit ({csv.field_size_limit()})",
                    activity=self.ACTIVITY.replace("received,u1", "received," + "u" * 200_000))
+
+    def test_byte_not_utf8(self, tmp_path, capsys):
+        self.check(tmp_path, capsys, f"{tmp_path / 'a.csv'}: line 3: byte 0xe9 is not UTF-8",
+                   activity=self.ACTIVITY.replace("received,u1", "received,u\udce9"))
+        self.check(tmp_path, capsys, f"{tmp_path / 'p.csv'}: line 2: byte 0xfe is not UTF-8",
+                   profiles=self.PROFILES.replace("u1,0.0,30", "u1,0.0,3\udcfe"))
 
     def test_oversized_profile_field(self, tmp_path, capsys):
         self.check(tmp_path, capsys,

@@ -1,12 +1,14 @@
+import itertools
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from oracles import reference_mcl_blocks
 from survclust import Feature, FeatureSchema, SurvivalDataset
-from survclust.clustering import (WEIGHT_FLOOR, ClusterModel, build_leaf_graph,
+from survclust.clustering import (WEIGHT_FLOOR, ClusterModel, LeafGraph, build_leaf_graph,
                                   cluster_assign, cluster_assign_dataset,
                                   coarsen_to_k, fit_cluster_model,
                                   leaf_samples, mcl, sinkhorn_knopp)
@@ -40,6 +42,16 @@ def four_leaf_tree(curves):
     root = TreeNode(split=SplitCandidate(0, NumericTest(1.5), 1e-4, 1.0),
                     n_candidates=3, left=inner_l, right=inner_r)
     return SurvivalTree(schema, root, TreeConfig())
+
+
+def comb_tree(curves):
+    """Hand-built tree with leaf i holding curves[i]: x < 0.5, else x < 1.5, ..."""
+    leaves = [TreeNode(n_subjects=c.n_subjects, n_events=c.n_events, curve=c) for c in curves]
+    node = leaves[-1]
+    for i in reversed(range(len(curves) - 1)):
+        node = TreeNode(split=SplitCandidate(0, NumericTest(i + 0.5), 1e-4, 1.0),
+                        n_candidates=1, left=leaves[i], right=node)
+    return SurvivalTree(FeatureSchema((Feature("x", "numeric"),)), node, TreeConfig())
 
 
 class TestLeafNumbering:
@@ -352,6 +364,29 @@ class TestCoarsenToK:
         balanced = sinkhorn_knopp(np.maximum(graph.weights, WEIGHT_FLOOR))
         model = coarsen_to_k([[0], [1], [2], [3]], graph, tree, 3, samples, balanced, 2, 2.0)
         assert model.leaf_to_cluster == (0, 1, 0, 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, 7), st.integers(0, 2**32 - 1), st.data())
+    def test_merges_as_rebuilding_the_matrix_each_round(self, n_leaves, seed, data):
+        rng = np.random.default_rng(seed)
+        samples = {lid: (np.ceil(rng.exponential(rng.choice([0.5, 1.0, 4.0]), 40) * 3),
+                         rng.random(40) < 0.7) for lid in range(n_leaves)}
+        assume(all(events.any() for _, events in samples.values()))
+        tree = comb_tree([km_fit_arrays(*samples[lid]) for lid in range(n_leaves)])
+        k = data.draw(st.integers(1, n_leaves))
+        model = coarsen_to_k([[lid] for lid in range(n_leaves)], LeafGraph(np.eye(n_leaves)),
+                             tree, k, samples, np.eye(n_leaves), 2, 2.0)
+        # reference: the merge loop with the whole matrix rebuilt every round
+        groups = [[lid] for lid in range(n_leaves)]
+        while len(groups) > k:
+            _, p = kuiper_matrix([km_fit_arrays(*map(np.concatenate,
+                                                     zip(*(samples[lid] for lid in g))))
+                                  for g in groups])
+            i, j = max(itertools.combinations(range(len(groups)), 2), key=p.__getitem__)
+            groups[i] = sorted(groups[i] + groups[j])
+            del groups[j]
+        assert sorted(groups) == [[lid for lid in range(n_leaves)
+                                   if model.leaf_to_cluster[lid] == c] for c in range(k)]
 
     def test_invalid_k(self):
         tree = single_leaf_tree([1.0])

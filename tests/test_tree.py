@@ -1,4 +1,6 @@
 import dataclasses
+import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,11 +12,12 @@ from survclust import Feature, FeatureSchema, Subject, SurvivalDataset
 from survclust.dataio import tree_from_dict, tree_to_dict
 from survclust.errors import NoEventsAtRootError, SchemaMismatchError
 from survclust.synth import SynthConfig, default_group_specs, generate
-from survclust.tree import (CategoryTest, NumericTest, SplitCandidate, SurvivalTree,
-                            TreeConfig, TreeNode, assign_leaf, assign_leaves,
+from survclust import tree
+from survclust.tree import (CategoryTest, KuiperBounds, NumericTest, SplitCandidate,
+                            SurvivalTree, TreeConfig, TreeNode, assign_leaf, assign_leaves,
                             best_split, enumerate_splits, grow_tree,
                             score_candidates)
-from survclust.twosample import kuiper_pvalue
+from survclust.twosample import kuiper_log_pvalue, kuiper_pvalue
 
 
 def numeric_dataset(values, times=None, events=None, name="x"):
@@ -242,6 +245,87 @@ class TestScoreCandidates:
         cands = enumerate_splits(data, data.schema, SMALL)
         shuffled = [cands[i] for i in rng.permutation(len(cands))]
         assert_matches_oracle(data, shuffled)
+
+
+@st.composite
+def small_nodes(draw):
+    """A node of about 2 x min_leaf_subjects subjects whose lifetimes depend on
+    a tied numeric feature, with a noise feature and a three-level one; the
+    times may tie (so that subjects are censored at death times) and be
+    censored heavily."""
+    min_leaf = draw(st.integers(2, 15))
+    n = draw(st.integers(2 * min_leaf, 2 * min_leaf + 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = rng.integers(0, draw(st.integers(2, 8)), n).astype(float)
+    levels = rng.integers(0, 3, n)
+    rate = np.exp(draw(st.floats(0.0, 3.0)) * (x > np.median(x)) + 0.5 * (levels == 1))
+    times = rng.exponential(1.0 / rate)
+    if draw(st.booleans()):
+        times = np.ceil(4.0 * times)
+    events = rng.random(n) >= draw(st.sampled_from([0.0, 0.3, 0.8]))
+    assume(events.sum() >= 2)
+    schema = FeatureSchema((Feature("x", "numeric"), Feature("noise", "numeric"),
+                            Feature("g", "categorical", ("a", "b", "c"))))
+    data = SurvivalDataset(schema, [f"s{i}" for i in range(n)],
+                           [x, rng.normal(size=n), levels], times, events)
+    config = TreeConfig(alpha=draw(st.sampled_from([0.05, 0.5, 1.0])),
+                        min_leaf_subjects=min_leaf, min_leaf_events=draw(st.integers(1, 3)),
+                        max_numeric_thresholds=draw(st.integers(2, 32)))
+    return data, config
+
+
+def exhaustive_best_split(data, candidates, config):
+    """best_split scoring every candidate in full: the reference for pruning."""
+    if not candidates:
+        return None
+    v, events_true, events_false = score_candidates(data, candidates)
+    log_p = kuiper_log_pvalue(v, events_true, events_false)
+    best = int(np.argmin(log_p))
+    if log_p[best] >= math.log(config.alpha) - math.log(len(candidates)):
+        return None
+    result = kuiper_pvalue(v[best], int(events_true[best]), int(events_false[best]))
+    return dataclasses.replace(candidates[best], p_value=result.p_value,
+                               statistic=result.statistic)
+
+
+class TestPrunedSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(small_nodes())
+    def test_same_split_as_scoring_every_candidate(self, node):
+        data, config = node
+        candidates = enumerate_splits(data, data.schema, config)
+        # bound from two blocks up on every node, however small
+        with mock.patch.multiple(tree, BOUND_BLOCKS=2, PASS_COST_PER_BLOCK=0,
+                                 PASS_COST_FIXED=0):
+            pruned = best_split(data, candidates, config)
+        assert pruned == exhaustive_best_split(data, candidates, config)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_nodes(), st.integers(1, 64), st.integers(0, 2**32 - 1))
+    def test_bounds_hold_the_exact_statistic(self, node, blocks, seed):
+        data, config = node
+        candidates = enumerate_splits(data, data.schema, config)
+        assume(candidates)
+        v, events_true, events_false = score_candidates(data, candidates)
+        bounds = KuiperBounds(data, candidates)
+        v_lo, v_hi, bound_true, bound_false = bounds(np.arange(len(candidates)), blocks)
+        assert np.all(v_lo <= v + 1e-12) and np.all(v <= v_hi + 1e-12)
+        assert np.array_equal(bound_true, events_true)
+        assert np.array_equal(bound_false, events_false)
+        # a subset of the candidates gets the same bounds
+        keep = np.flatnonzero(np.random.default_rng(seed).random(len(candidates)) < 0.5)
+        assume(keep.size)
+        for full, kept in zip((v_lo, v_hi, bound_true), bounds(keep, blocks)):
+            assert np.array_equal(kept, full[keep])
+
+    def test_prunes_the_root_of_a_planted_population(self):
+        data, _ = generate(SynthConfig(default_group_specs(3, 5), 3000, 4.0, 12.0, 20, 1))
+        config = TreeConfig()
+        candidates = enumerate_splits(data, data.schema, config)
+        with mock.patch.object(tree, "score_candidates", wraps=score_candidates) as scored:
+            chosen = best_split(data, candidates, config)
+        assert chosen == exhaustive_best_split(data, candidates, config)
+        assert len(scored.call_args.args[1]) < len(candidates) // 10
 
 
 class TestUnderflowedPvalues:
