@@ -8,6 +8,7 @@ materialized as :class:`Subject` objects on demand.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -134,7 +135,7 @@ class SurvivalDataset:
     def subset_mask(self, mask: np.ndarray) -> "SurvivalDataset":
         """Row subset in original order; shares the schema."""
         mask = np.asarray(mask, dtype=bool)
-        ids = [sid for sid, keep in zip(self.ids, mask) if keep]
+        ids = tuple(compress(self.ids, mask.tolist()))
         columns = [col[mask] for col in self.columns]
         return SurvivalDataset(self.schema, ids, columns, self.times[mask], self.events[mask])
 

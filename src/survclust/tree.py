@@ -355,7 +355,7 @@ def grow_tree(data: SurvivalDataset, config: TreeConfig = TreeConfig()) -> Survi
         raise NoEventsAtRootError("tree growth requires at least one observed event")
     # in time order, so that the children subset_mask cuts are too and sort fast
     order = np.argsort(data.times, kind="stable")
-    data = SurvivalDataset(data.schema, [data.ids[i] for i in order.tolist()],
+    data = SurvivalDataset(data.schema, tuple(map(data.ids.__getitem__, order.tolist())),
                            [col[order] for col in data.columns], data.times[order],
                            data.events[order])
 

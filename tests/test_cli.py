@@ -55,6 +55,13 @@ class TestSimulate:
             assert "must be finite" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("simulate", "--groups", "2", "--n", "50", "--seed", "-1",
+                   "--out", str(out)) == 2
+        assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_groups_exit_2(self, tmp_path, capsys):
         assert run("simulate", "--groups", "0", "--out", str(tmp_path / "x")) == 2
         assert "need at least one group" in capsys.readouterr().err

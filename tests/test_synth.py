@@ -7,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_generate
-from survclust import kuiper_statistic, kuiper_pvalue
+from survclust import kuiper_statistic, kuiper_pvalue, synth
 from survclust.errors import InvalidConfigError
 from survclust.kaplan_meier import km_fit_arrays
-from survclust.synth import GroupSpec, SynthConfig, default_group_specs, generate
+from survclust.synth import (GroupSpec, SynthConfig, _stream_states, default_group_specs,
+                             generate)
 
 
 def one_group_config(rate=2.0, n=4000, study=1e6, seed=5):
@@ -118,9 +119,31 @@ def synth_configs(draw):
                    for share in shares)
     entry_window = draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
     study_duration = entry_window + draw(st.floats(0.01, 10.0))
-    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64)))
+    seed = draw(st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64),
+                          st.integers(2**64, 2**200)))
     return SynthConfig(groups, draw(st.integers(1, 200)), entry_window, study_duration,
                        draw(st.integers(0, 3)), seed)
+
+
+# 1, 2 and 3+ entropy words; from 2**96 on the entropy outgrows numpy's 4-word pool
+seeds = st.one_of(st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96, 2**200]),
+                  st.integers(0, 2**32 - 1), st.integers(2**32, 2**96), st.integers(2**96, 2**200))
+
+
+class TestStreamStates:
+    @settings(max_examples=100, deadline=None)
+    @given(seeds, st.lists(st.one_of(st.sampled_from([0, 1, 2**32 - 1]),
+                                     st.integers(0, 2**32 - 1)), min_size=1, max_size=5))
+    def test_matches_seed_sequence(self, seed, index):
+        states = _stream_states(seed, np.array(index))
+        assert states.dtype == np.uint64 and states.shape == (len(index), 4)
+        for i, row in zip(index, states):
+            ref = np.random.SeedSequence([seed, i]).generate_state(4, np.uint64)
+            assert row.tobytes() == ref.tobytes()
+
+    def test_index_needs_one_word(self):
+        with pytest.raises(ValueError):
+            _stream_states(0, np.array([2**32]))
 
 
 class TestReferenceGenerate:
@@ -135,6 +158,18 @@ class TestReferenceGenerate:
         assert labels.dtype == ref_labels.dtype
         assert labels.tobytes() == ref_labels.tobytes()
         assert len(data.columns) == len(columns)
+        for col, ref in zip(data.columns, columns):
+            assert col.tobytes() == ref.tobytes()
+
+    def test_streams_match_reference_across_blocks(self, monkeypatch):
+        monkeypatch.setattr(synth, "_BLOCK", 7)
+        config = SynthConfig(default_group_specs(3, 2), n_subjects=50, entry_window=4.0,
+                             study_duration=12.0, noise_features=1, seed=2**100 + 3)
+        data, labels = generate(config)
+        _, times, events, columns, ref_labels = reference_generate(config)
+        assert data.times.tobytes() == times.tobytes()
+        assert data.events.tobytes() == events.tobytes()
+        assert labels.tobytes() == ref_labels.tobytes()
         for col, ref in zip(data.columns, columns):
             assert col.tobytes() == ref.tobytes()
 
@@ -170,6 +205,24 @@ class TestConfigValidation:
         with pytest.raises(InvalidConfigError):
             SynthConfig((GroupSpec(0.5, 1.0, (0.0,)), GroupSpec(0.5, 1.0, ())),
                         n_subjects=10, entry_window=1.0, study_duration=5.0)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5, 7.0, "7", None])
+    def test_seed_must_be_non_negative_integer(self, seed):
+        with pytest.raises(InvalidConfigError, match="seed must be a non-negative integer"):
+            SynthConfig((GroupSpec(1.0, 1.0, ()),), n_subjects=10, entry_window=1.0,
+                        study_duration=5.0, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        config = SynthConfig((GroupSpec(1.0, 1.0, ()),), n_subjects=10, entry_window=1.0,
+                             study_duration=5.0, seed=np.uint64(2**64 - 1))
+        assert config.seed == 2**64 - 1 and type(config.seed) is int
+
+    def test_n_subjects_at_most_2_to_32(self):
+        SynthConfig((GroupSpec(1.0, 1.0, ()),), n_subjects=2**32, entry_window=1.0,
+                    study_duration=5.0)
+        with pytest.raises(InvalidConfigError, match="at most 2"):
+            SynthConfig((GroupSpec(1.0, 1.0, ()),), n_subjects=2**32 + 1, entry_window=1.0,
+                        study_duration=5.0)
 
     def test_default_group_specs(self):
         specs = default_group_specs(3, n_signature=2)
