@@ -13,7 +13,6 @@ import argparse
 import os
 import sys
 from dataclasses import replace
-from itertools import chain
 
 import numpy as np
 
@@ -23,8 +22,8 @@ from .dataio import (_csv_field, atomic_open, dump_json, iter_subject_chunks,
                      load_dataset_csv, load_model, load_schema, save_dataset_csv,
                      save_json, save_model, schema_to_dict)
 from .errors import SurvClustError, UnreachableKError
-from .evaluation import (classify_and_score, cox_hazard_ratio, logistic_fit,
-                         one_hot, survival_labels)
+from .evaluation import (check_horizons, classify_and_score, cox_hazard_ratio,
+                         logistic_fit, one_hot, survival_labels)
 from .ingest import (activity_to_survival, build_activity_log,
                      early_window_features, read_activity_csv,
                      read_profiles_csv)
@@ -131,7 +130,9 @@ def _load_training_dataset(args) -> SurvivalDataset:
         join_times = {uid: jt for uid, (jt, _) in profiles.items()}
         study_end = args.study_end
         if study_end is None:
-            study_end = max(chain(table.timestamps.tolist(), join_times.values()))
+            if not (len(table) or join_times):
+                raise SurvClustError("no timestamps or join times to default --study-end to")
+            study_end = max([table.timestamps.max(initial=-np.inf), *join_times.values()])
         log = build_activity_log(table, join_times, study_end)
         merged_schema, feats = early_window_features(
             log, args.window, profile_schema,
@@ -235,6 +236,9 @@ def _classification_block(model, dataset, labels_by_id, args):
 def cmd_evaluate(args) -> int:
     if not 0 < args.split < 1:
         raise SurvClustError("--split must be between 0 and 1")
+    if args.seed < 0:
+        raise SurvClustError("--seed must be a non-negative integer")
+    check_horizons(args.t0, args.t1)
     model = load_model(args.model)
     if args.data and not args.schema:
         dataset = load_dataset_csv(args.data, model.tree.schema)

@@ -10,6 +10,7 @@ regression fitted by IRLS and reports threshold metrics.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -91,25 +92,25 @@ def cox_hazard_ratio(samples) -> HazardRatioResult:
     return HazardRatioResult(float(beta), hazard_ratio, std_err, ci, iterations, diverged)
 
 
+def check_horizons(t0: float, t1: float):
+    """Raise InvalidHorizonsError unless 0 < t0 < t1 (so a NaN fails)."""
+    if not (0 < t0 < t1):
+        raise InvalidHorizonsError(f"need 0 < t0 < t1, got t0={t0}, t1={t1}")
+
+
 def survival_labels(dataset: SurvivalDataset, t0: float, t1: float) -> list[tuple[str, bool]]:
-    """(id, alive_at_t1) for subjects alive at t0 with a determined outcome.
+    """(id, alive_at_t1), in dataset order, for subjects alive at t0 with a
+    determined outcome.
 
     Alive at t0 means observed time strictly greater than t0. Death before
     t1 labels False; surviving to t1 or beyond (censored or not) labels
     True; censoring inside (t0, t1) leaves the outcome unknown and drops
     the subject.
     """
-    if not (0 < t0 < t1):
-        raise InvalidHorizonsError(f"need 0 < t0 < t1, got t0={t0}, t1={t1}")
-    out: list[tuple[str, bool]] = []
-    for sid, time, event in zip(dataset.ids, dataset.times, dataset.events):
-        if time <= t0:
-            continue
-        if time >= t1:
-            out.append((sid, True))
-        elif event:
-            out.append((sid, False))
-    return out
+    check_horizons(t0, t1)
+    alive = dataset.times >= t1
+    eligible = ~(dataset.times <= t0) & (alive | dataset.events)  # a NaN time is not <= t0
+    return list(compress(zip(dataset.ids, alive.tolist()), eligible.tolist()))
 
 
 def one_hot(labels: np.ndarray, k: int) -> np.ndarray:

@@ -173,44 +173,11 @@ def enumerate_splits(data: SurvivalDataset, schema: FeatureSchema,
     return out
 
 
-def _by_feature(candidates: list[SplitCandidate]) -> dict[int, list[int]]:
-    """The indices of ``candidates`` per feature, in order."""
-    by_feature: dict[int, list[int]] = {}
-    for i, c in enumerate(candidates):
-        by_feature.setdefault(c.feature, []).append(i)
-    return by_feature
-
-
-def score_candidates(data: SurvivalDataset, candidates: list[SplitCandidate]
-                     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Kuiper V and child event counts (true side, false side) per candidate.
-
-    Child curves are evaluated on the node's distinct death times, so V
-    equals :func:`kuiper_statistic` on the fitted child curves. Each
-    feature's candidates are scored together from their candidates x
-    subjects mask in time order.
-    """
-    order = np.argsort(data.times, kind="stable")
-    times, events = data.times[order], data.events[order]
-    _, node_at_risk, node_deaths = risk_sets(times, events,
-                                             np.ones((1, times.size), dtype=bool))
-
-    v = np.zeros(len(candidates))
-    events_true = np.zeros(len(candidates), dtype=np.int64)
-    for feature, idx in _by_feature(candidates).items():
-        col = data.columns[feature][order]
-        mask = np.array([candidates[i].test.evaluate(col) for i in idx])
-        _, at_risk, deaths = risk_sets(times, events, mask)
-        diff = survival_on_grid(at_risk, deaths)
-        diff -= survival_on_grid(node_at_risk - at_risk, node_deaths - deaths)
-        v[idx] = diff.max(axis=1, initial=0.0) - diff.min(axis=1, initial=0.0)
-        events_true[idx] = deaths.sum(axis=1)
-    return v, events_true, int(events.sum()) - events_true
-
-
 class KuiperBounds:
-    """Bounds V_lo <= V <= V_hi on the Kuiper V of a node's candidates, from
-    counts on a grid of blocks of the node's distinct death times.
+    """A node's split-search table: the node in time order, its risk sets and
+    each subject's rank among each feature's cuts. It gives each candidate
+    bounds V_lo <= V <= V_hi on its Kuiper V from counts on a grid of blocks
+    of the node's distinct death times, and V itself (:meth:`exact`).
 
     A block with D deaths, N subjects at risk at its first death time and s
     still at risk after its last one has Kaplan-Meier factors whose product
@@ -220,26 +187,33 @@ class KuiperBounds:
     into equal drops. The counts of the candidates come from one histogram
     of the node's subjects, with a row per interval between the thresholds
     of a feature (summed cumulatively) or per level, and three columns per
-    block. Subject order does not matter; the node must hold a death.
+    block.
     """
 
     def __init__(self, data: SurvivalDataset, candidates: list[SplitCandidate]):
-        node = km_fit_arrays(data.times, data.events)
-        self._events = data.events
+        order = np.argsort(data.times, kind="stable")
+        self._times, self._events = data.times[order], data.events[order]
+        death_times, self._at_risk, self._deaths = risk_sets(
+            self._times, self._events, np.ones((1, order.size), dtype=bool))
+        survival = survival_on_grid(self._at_risk, self._deaths)[0]
         # 1 + j for subjects with t_j <= time < t_j+1, 0 before the first death time
-        self._segment = np.searchsorted(node.event_times, data.times, side="right")
+        self._segment = np.searchsorted(death_times, self._times, side="right")
         # the node curve's drop before each death time, as a share of its whole drop
-        self._drop = (1.0 - np.r_[1.0, node.survival[:-1]]) / (1.0 - node.survival[-1])
+        self._drop = (1.0 - np.r_[1.0, survival][:-1]) / (1.0 - survival[-1:])
         # Per feature: its candidates, their places among the feature's sorted
         # cuts (thresholds or levels), the number of cuts, and each subject's
-        # rank: for thresholds the number of cuts at or below its value, for
-        # levels the place of its value, or the number of cuts if untested.
+        # rank, so that a candidate's true side is rank <= place for thresholds
+        # (rank: the cuts at or below the value) and rank == place for levels
+        # (rank: the place of the value, or the number of cuts if untested).
+        by_feature: dict[int, list[int]] = {}
+        for i, c in enumerate(candidates):
+            by_feature.setdefault(c.feature, []).append(i)
         self._features = []
-        for feature, idx in _by_feature(candidates).items():
+        for feature, idx in by_feature.items():
             numeric = isinstance(candidates[idx[0]].test, NumericTest)
             cut = np.array([candidates[i].test.threshold if numeric
                             else candidates[i].test.category_index for i in idx])
-            cuts, col = np.unique(cut), data.columns[feature]
+            cuts, col = np.unique(cut), data.columns[feature][order]
             place = np.searchsorted(cuts, cut)
             if numeric:
                 rank = np.searchsorted(cuts, col, side="right")
@@ -249,6 +223,33 @@ class KuiperBounds:
                 rank[cuts[rank] != col] = cuts.size
             self._features.append((np.array(idx), place, cuts.size, rank, numeric))
         self._n_candidates = len(candidates)
+
+    def _kept(self, keep: np.ndarray):
+        """Per feature with candidates in ``keep``: their positions in ``keep``
+        and places, the feature's number of cuts, ranks and kind."""
+        at = np.full(self._n_candidates, -1)
+        at[keep] = np.arange(len(keep))
+        for idx, place, n_cuts, rank, numeric in self._features:
+            pos = at[idx]
+            chosen = pos >= 0
+            if chosen.any():
+                yield pos[chosen], place[chosen], n_cuts, rank, numeric
+
+    def exact(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Kuiper V and child event counts (true side, false side) of the
+        candidates ``keep`` (indices, in order), from each feature's candidates
+        x subjects mask. Child curves are evaluated on the node's distinct
+        death times, so V equals :func:`kuiper_statistic` on the fitted curves."""
+        v = np.zeros(len(keep))
+        events_true = np.zeros(len(keep), dtype=np.int64)
+        for pos, place, _, rank, numeric in self._kept(keep):
+            mask = rank <= place[:, None] if numeric else rank == place[:, None]
+            _, at_risk, deaths = risk_sets(self._times, self._events, mask)
+            diff = survival_on_grid(at_risk, deaths)
+            diff -= survival_on_grid(self._at_risk - at_risk, self._deaths - deaths)
+            v[pos] = diff.max(axis=1, initial=0.0) - diff.min(axis=1, initial=0.0)
+            events_true[pos] = deaths.sum(axis=1)
+        return v, events_true, int(self._deaths.sum()) - events_true
 
     def __call__(self, keep: np.ndarray, blocks: int
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -264,29 +265,23 @@ class KuiperBounds:
         column = (block[self._segment]
                   + (blocks + 1) * np.where(self._events, 1, 2 * last[self._segment]))
 
-        kept = np.zeros(self._n_candidates, dtype=bool)
-        kept[keep] = True
-        # a candidate's true side is rows base + 1 .. row of the histogram
-        row, base = np.zeros((2, self._n_candidates), dtype=np.int64)
+        # a kept candidate's true side is rows base + 1 .. row of the histogram
+        row, base = np.zeros((2, len(keep)), dtype=np.int64)
         hist, offset = [], 0
-        for idx, place, n_cuts, rank, numeric in self._features:
-            chosen = kept[idx]
-            if not chosen.any():
-                continue
-            idx, place = idx[chosen], place[chosen]
+        for pos, place, n_cuts, rank, numeric in self._kept(keep):
             cuts = np.unique(place[place >= 0])
             if numeric:  # row 1 + m: values with m kept thresholds at or below them
                 rows = 1 + np.searchsorted(cuts, np.arange(n_cuts + 1))
             else:  # row 1 + m: the m-th kept level; row 0: any other value
                 rows = np.zeros(n_cuts + 1, dtype=np.int64)
                 rows[cuts] = 1 + np.arange(cuts.size)
-            row[idx] = offset + np.where(place >= 0, rows[place], 0)
-            base[idx] = offset if numeric else row[idx] - 1
+            row[pos] = offset + np.where(place >= 0, rows[place], 0)
+            base[pos] = offset if numeric else row[pos] - 1
             n_rows = rows.max() + 1
             hist.append(np.bincount(rows[rank] * width + column, minlength=n_rows * width))
             offset += n_rows
         cum = np.cumsum(_block_risk(np.concatenate(hist), blocks), axis=0)
-        true = cum[row[keep]] - cum[base[keep]]
+        true = cum[row] - cum[base]
         node = _block_risk(np.bincount(column, minlength=width), blocks)
         # (kind, side, candidate, block), kinds N, s + D and D as _block_risk gives them
         at_risk, late, deaths = np.moveaxis(np.stack([true, node - true]), 2, 0)
@@ -317,19 +312,19 @@ def best_split(data: SurvivalDataset, candidates: list[SplitCandidate],
     coarse grid of the node's death times (:class:`KuiperBounds`): those
     that cannot win or pass the gate are dropped, and the grid doubles on
     the rest while more than one is left, that pays, and the grid has fewer
-    blocks than the node has deaths. Only the rest are scored by
-    :func:`score_candidates`, so the result is that of scoring them all.
+    blocks than the node has deaths. Only the rest are scored exactly
+    (:meth:`KuiperBounds.exact`), so the result is that of scoring them all.
     """
     if not candidates:
         return None
     gate = math.log(config.alpha) - math.log(len(candidates))
     n_events = data.n_events  # at least the number of death times
-    keep, blocks, bounds = np.arange(len(candidates)), BOUND_BLOCKS, None
+    table = KuiperBounds(data, candidates)
+    keep, blocks = np.arange(len(candidates)), BOUND_BLOCKS
     while (keep.size > 1 and blocks < n_events
            and 4 * (PASS_COST_PER_BLOCK * keep.size * (blocks + 1) + PASS_COST_FIXED)
            <= keep.size * (len(data) + n_events)):
-        bounds = bounds or KuiperBounds(data, candidates)
-        v_lo, v_hi, events_true, events_false = bounds(keep, blocks)
+        v_lo, v_hi, events_true, events_false = table(keep, blocks)
         v = np.stack([v_hi + BOUND_SLACK, np.maximum(v_lo - BOUND_SLACK, 0.0)])
         log_p_lo, log_p_hi = kuiper_log_pvalue(v, events_true, events_false)
         log_p_lo -= BOUND_SLACK * (1.0 + np.abs(log_p_lo))
@@ -339,14 +334,13 @@ def best_split(data: SurvivalDataset, candidates: list[SplitCandidate],
         blocks *= 2
     if keep.size == 0:
         return None
-    kept = candidates if bounds is None else [candidates[i] for i in keep]
-    v, events_true, events_false = score_candidates(data, kept)
+    v, events_true, events_false = table.exact(keep)
     log_p = kuiper_log_pvalue(v, events_true, events_false)
     best = int(np.argmin(log_p))
     if log_p[best] >= gate:
         return None
     result = kuiper_pvalue(v[best], int(events_true[best]), int(events_false[best]))
-    return replace(kept[best], p_value=result.p_value, statistic=result.statistic)
+    return replace(candidates[keep[best]], p_value=result.p_value, statistic=result.statistic)
 
 
 def grow_tree(data: SurvivalDataset, config: TreeConfig = TreeConfig()) -> SurvivalTree:

@@ -459,6 +459,21 @@ def reference_hazard_ratio_dict(hr):
     }
 
 
+def reference_survival_labels(ids, times, events, t0, t1):
+    """(id, alive at t1) one row at a time: rows at or before t0 are dropped
+    (a NaN time is neither), rows seen to t1 are alive, deaths before t1 are
+    not, and rows censored before t1 are dropped."""
+    out = []
+    for sid, time, event in zip(ids, times, events):
+        if time <= t0:
+            continue
+        if time >= t1:
+            out.append((sid, True))
+        elif event:
+            out.append((sid, False))
+    return out
+
+
 def reference_classification_dict(rep):
     """JSON form of a classification report, field by field."""
     return {

@@ -265,6 +265,18 @@ class TestEvaluate:
             assert code == 2, split
             assert capsys.readouterr().err == "error: --split must be between 0 and 1\n"
 
+    def test_bad_seed_or_horizons_exit_2_before_reading_data(self, tmp_path, capsys):
+        data, model_path = fitted_model(tmp_path)
+        capsys.readouterr()
+        for flags, message in (
+                (["--seed", "-1"], "--seed must be a non-negative integer"),
+                (["--t0", "5", "--t1", "1"], "need 0 < t0 < t1, got t0=5.0, t1=1.0"),
+                (["--t0", "nan"], "need 0 < t0 < t1, got t0=nan, t1=10.0")):
+            code = run("evaluate", "--model", str(model_path),
+                       "--data", str(data / "subjects.csv"), *flags)
+            assert code == 2, flags
+            assert capsys.readouterr() == ("", f"error: {message}\n")
+
     def test_hazard_ratio_matches_planted_rates(self, tmp_path):
         # rate ratio 1.0 / 0.15 is planted; clusters recover direction and scale
         data, model_path = fitted_model(tmp_path, n=2000)
@@ -675,6 +687,12 @@ class TestBadActivityRows:
         for raw in ("nan", "inf"):
             self.check(tmp_path, capsys, f"error: study end must be finite, got {raw}\n",
                        flags=["--study-end", raw])
+
+    def test_no_records_or_profiles_for_the_default_study_end(self, tmp_path, capsys):
+        self.check(tmp_path, capsys,
+                   "error: no timestamps or join times to default --study-end to\n",
+                   activity="user_id,timestamp,direction,partner_id\n",
+                   profiles="user_id,join_time,age\n")
 
     def test_missing_activity_column(self, tmp_path, capsys):
         self.check(tmp_path, capsys, "activity CSV missing columns: ['partner_id']",

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from oracles import reference_survival_labels
 from survclust import Feature, FeatureSchema, SurvivalDataset
 from survclust.errors import (InvalidHorizonsError, NoEventsError,
                               SingleClassError)
@@ -171,9 +172,24 @@ class TestSurvivalLabels:
                 assert ids <= eligible
             eligible = ids
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from([0.0, 2.0, 5.0, 10.0, float("nan")])
+                              | st.floats(0.0, 20.0), st.booleans()), max_size=30),
+           st.sampled_from([2.0, 5.0, 10.0]) | st.floats(0.5, 20.0),
+           st.sampled_from([2.0, 5.0, 10.0]) | st.floats(0.5, 20.0))
+    def test_matches_row_by_row_oracle(self, rows, a, b):
+        assume(a != b)
+        t0, t1 = sorted((a, b))
+        ds = self.make(rows)
+        labels = survival_labels(ds, t0, t1)
+        assert labels == reference_survival_labels(ds.ids, ds.times.tolist(),
+                                                    ds.events.tolist(), t0, t1)
+        assert all(type(alive) is bool for _, alive in labels)
+
     def test_invalid_horizons(self):
         ds = self.make([(1.0, True)])
-        for t0, t1 in ((0.0, 5.0), (5.0, 5.0), (7.0, 5.0), (-1.0, 5.0)):
+        for t0, t1 in ((0.0, 5.0), (5.0, 5.0), (7.0, 5.0), (-1.0, 5.0),
+                       (float("nan"), 5.0), (1.0, float("nan"))):
             with pytest.raises(InvalidHorizonsError):
                 survival_labels(ds, t0, t1)
 

@@ -10,13 +10,13 @@ from hypothesis import strategies as st
 from oracles import brute_force_split_v, reference_route
 from survclust import Feature, FeatureSchema, Subject, SurvivalDataset
 from survclust.dataio import tree_from_dict, tree_to_dict
-from survclust.errors import NoEventsAtRootError, SchemaMismatchError
+from survclust.errors import (InvalidEventCountError, NoEventsAtRootError,
+                              SchemaMismatchError)
 from survclust.synth import SynthConfig, default_group_specs, generate
 from survclust import tree
 from survclust.tree import (CategoryTest, KuiperBounds, NumericTest, SplitCandidate,
                             SurvivalTree, TreeConfig, TreeNode, assign_leaf, assign_leaves,
-                            best_split, enumerate_splits, grow_tree,
-                            score_candidates)
+                            best_split, enumerate_splits, grow_tree)
 from survclust.twosample import kuiper_log_pvalue, kuiper_pvalue
 
 
@@ -134,6 +134,11 @@ class TestBestSplit:
         data = numeric_dataset([1.0, 2.0, 3.0])
         assert best_split(data, [], SMALL) is None
 
+    def test_node_without_deaths_raises(self):
+        data = numeric_dataset([1.0, 2.0, 3.0], events=np.zeros(3, dtype=bool))
+        with pytest.raises(InvalidEventCountError):
+            best_split(data, [SplitCandidate(0, NumericTest(1.5))], SMALL)
+
     def test_tie_breaks_to_earlier_candidate(self):
         # duplicated feature columns give bit-identical p-values; the lower
         # schema index must win under the deterministic tie-break
@@ -168,8 +173,13 @@ class TestBestSplit:
         assert none_count >= int(0.9 * trials)
 
 
+def score_all(data, candidates):
+    """Kuiper V and child event counts of every candidate, scored exactly."""
+    return KuiperBounds(data, candidates).exact(np.arange(len(candidates)))
+
+
 def assert_matches_oracle(data, candidates):
-    v, events_true, events_false = score_candidates(data, candidates)
+    v, events_true, events_false = score_all(data, candidates)
     assert len(v) == len(candidates)
     for i, c in enumerate(candidates):
         mask = c.test.evaluate(data.columns[c.feature])
@@ -237,7 +247,7 @@ class TestScoreCandidates:
         assert_matches_oracle(data, enumerate_splits(data, data.schema, SMALL))
 
     def test_mixed_candidate_order(self):
-        # the scorer groups candidates by feature; results stay in input order
+        # the table groups candidates by feature; results stay in input order
         rng = np.random.default_rng(23)
         n = 60
         data = mixed_dataset(rng.normal(size=n), rng.integers(0, 3, n),
@@ -252,7 +262,8 @@ def small_nodes(draw):
     """A node of about 2 x min_leaf_subjects subjects whose lifetimes depend on
     a tied numeric feature, with a noise feature and a three-level one; the
     times may tie (so that subjects are censored at death times) and be
-    censored heavily."""
+    censored heavily. The noise feature may be a copy of the first, so that
+    tied candidates survive every bound pass."""
     min_leaf = draw(st.integers(2, 15))
     n = draw(st.integers(2 * min_leaf, 2 * min_leaf + 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -264,10 +275,11 @@ def small_nodes(draw):
         times = np.ceil(4.0 * times)
     events = rng.random(n) >= draw(st.sampled_from([0.0, 0.3, 0.8]))
     assume(events.sum() >= 2)
+    noise = x.copy() if draw(st.booleans()) else rng.normal(size=n)
     schema = FeatureSchema((Feature("x", "numeric"), Feature("noise", "numeric"),
                             Feature("g", "categorical", ("a", "b", "c"))))
     data = SurvivalDataset(schema, [f"s{i}" for i in range(n)],
-                           [x, rng.normal(size=n), levels], times, events)
+                           [x, noise, levels], times, events)
     config = TreeConfig(alpha=draw(st.sampled_from([0.05, 0.5, 1.0])),
                         min_leaf_subjects=min_leaf, min_leaf_events=draw(st.integers(1, 3)),
                         max_numeric_thresholds=draw(st.integers(2, 32)))
@@ -278,7 +290,7 @@ def exhaustive_best_split(data, candidates, config):
     """best_split scoring every candidate in full: the reference for pruning."""
     if not candidates:
         return None
-    v, events_true, events_false = score_candidates(data, candidates)
+    v, events_true, events_false = score_all(data, candidates)
     log_p = kuiper_log_pvalue(v, events_true, events_false)
     best = int(np.argmin(log_p))
     if log_p[best] >= math.log(config.alpha) - math.log(len(candidates)):
@@ -306,23 +318,26 @@ class TestPrunedSearch:
         data, config = node
         candidates = enumerate_splits(data, data.schema, config)
         assume(candidates)
-        v, events_true, events_false = score_candidates(data, candidates)
         bounds = KuiperBounds(data, candidates)
+        v, events_true, events_false = bounds.exact(np.arange(len(candidates)))
         v_lo, v_hi, bound_true, bound_false = bounds(np.arange(len(candidates)), blocks)
         assert np.all(v_lo <= v + 1e-12) and np.all(v <= v_hi + 1e-12)
         assert np.array_equal(bound_true, events_true)
         assert np.array_equal(bound_false, events_false)
-        # a subset of the candidates gets the same bounds
+        # a subset of the candidates gets the same bounds and scores
         keep = np.flatnonzero(np.random.default_rng(seed).random(len(candidates)) < 0.5)
         assume(keep.size)
         for full, kept in zip((v_lo, v_hi, bound_true), bounds(keep, blocks)):
+            assert np.array_equal(kept, full[keep])
+        for full, kept in zip((v, events_true, events_false), bounds.exact(keep)):
             assert np.array_equal(kept, full[keep])
 
     def test_prunes_the_root_of_a_planted_population(self):
         data, _ = generate(SynthConfig(default_group_specs(3, 5), 3000, 4.0, 12.0, 20, 1))
         config = TreeConfig()
         candidates = enumerate_splits(data, data.schema, config)
-        with mock.patch.object(tree, "score_candidates", wraps=score_candidates) as scored:
+        with mock.patch.object(KuiperBounds, "exact", autospec=True,
+                               side_effect=KuiperBounds.exact) as scored:
             chosen = best_split(data, candidates, config)
         assert chosen == exhaustive_best_split(data, candidates, config)
         assert len(scored.call_args.args[1]) < len(candidates) // 10
@@ -335,7 +350,7 @@ class TestUnderflowedPvalues:
         data, _ = generate(SynthConfig(default_group_specs(3, 5), 50_000, 4.0, 12.0, 20, 7))
         config = TreeConfig()
         cands = enumerate_splits(data, data.schema, config)
-        v, events_true, events_false = score_candidates(data, cands)
+        v, events_true, events_false = score_all(data, cands)
         p = np.array([kuiper_pvalue(v[i], int(events_true[i]), int(events_false[i])).p_value
                       for i in range(len(cands))])
         underflowed = np.flatnonzero(p == 0.0)
