@@ -265,7 +265,12 @@ def cmd_evaluate(args) -> int:
         report["logrank"] = {"skipped": "k<2"}
         print("log-rank: skipped (k<2)")
 
-    if model.k == 2:
+    no_events = np.flatnonzero(np.bincount(labels[dataset.events], minlength=model.k) == 0)
+    if model.k == 2 and no_events.size:
+        reason = f"cluster {no_events[0]} has no observed events"
+        report["hazard_ratio"] = {"skipped": reason}
+        print(f"hazard ratio: skipped ({reason})")
+    elif model.k == 2:
         hr = cox_hazard_ratio(zip(dataset.times.tolist(),
                                   dataset.events.tolist(), labels.tolist()))
         report["hazard_ratio"] = hr.to_json_dict()

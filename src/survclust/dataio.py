@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import ClusterModel
 from .core import CATEGORICAL, NUMERIC, Feature, FeatureSchema, Subject, SurvivalDataset
-from .errors import SchemaMismatchError
+from .errors import SchemaMismatchError, SurvClustError
 from .kaplan_meier import SurvivalCurve
 from .tree import (CategoryTest, NumericTest, SplitCandidate, SurvivalTree,
                    TreeConfig, TreeNode)
@@ -63,12 +63,12 @@ def load_json(path):
 
 
 def _load(path, what: str, from_dict: Callable[[dict], T]) -> T:
-    """``from_dict`` of the JSON at ``path``; a file that is not JSON or is
-    malformed raises :class:`SchemaMismatchError` naming it."""
+    """``from_dict`` of the JSON at ``path``; a file that is not JSON or holds a
+    value ``from_dict`` rejects raises :class:`SchemaMismatchError` naming it."""
     try:
         return from_dict(load_json(path))
-    except (json.JSONDecodeError, UnicodeDecodeError, KeyError, TypeError, IndexError,
-            AttributeError, RecursionError) as err:
+    except (ValueError, LookupError, TypeError, AttributeError, RecursionError,
+            SurvClustError) as err:
         raise SchemaMismatchError(
             f"{path}: malformed {what} file ({type(err).__name__}: {err})") from None
 
@@ -325,9 +325,9 @@ def iter_subjects_csv(path, schema: FeatureSchema, strict: bool = True) -> Itera
         yield from chunk.subjects()
 
 
-def load_dataset_csv(path, schema: FeatureSchema, strict: bool = False) -> SurvivalDataset:
-    """Read a subject CSV; lenient mode stores invalid cells for validation."""
-    chunks = list(iter_subject_chunks(path, schema, strict))
+def load_dataset_csv(path, schema: FeatureSchema) -> SurvivalDataset:
+    """Read a subject CSV leniently: invalid cells are stored for validation."""
+    chunks = list(iter_subject_chunks(path, schema, strict=False))
     if not chunks:
         return SurvivalDataset(schema, [], [()] * len(schema), (), ())
     *columns, times, events = (np.concatenate(parts) for parts in

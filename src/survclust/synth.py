@@ -95,6 +95,8 @@ def default_group_specs(n_groups: int, n_signature: int = 5,
     """Equal-weight groups with geometrically decaying hazards, means 3 apart."""
     if n_groups < 1:
         raise InvalidConfigError("need at least one group")
+    if n_signature < 0:
+        raise InvalidConfigError("n_signature must be nonnegative")
     weight = 1.0 / n_groups
     return tuple(
         GroupSpec(weight, rate_base * rate_decay ** g,

@@ -134,43 +134,48 @@ def enumerate_splits(data: SurvivalDataset, schema: FeatureSchema,
                      config: TreeConfig) -> list[SplitCandidate]:
     """All admissible attribute-value tests on this node's population.
 
-    Numeric features test midpoints between consecutive distinct values,
-    thinned to at most ``max_numeric_thresholds`` equally spaced positions
-    along the sorted midpoint sequence; categorical features test each
-    observed level one-vs-rest. Candidates leaving either side short of
-    the leaf minima are dropped. Order is deterministic: schema order,
-    then ascending threshold / category index.
+    Numeric features test midpoints between consecutive distinct non-NaN
+    values, thinned to at most ``max_numeric_thresholds`` equally spaced
+    positions along the sorted midpoint sequence; categorical features test
+    each level one-vs-rest. Sides are counted from the ranks that
+    :class:`KuiperBounds` reads; candidates leaving either side short of the
+    leaf minima are dropped. Order: schema, then ascending threshold / level.
     """
-    n = len(data)
-    if n == 0:
-        return []
-    events = data.events
+    n, events = len(data), data.events
     total_events = int(events.sum())
     out: list[SplitCandidate] = []
     for j, feature in enumerate(schema):
-        col = data.columns[j]
-        if feature.kind == NUMERIC:
-            order = np.argsort(col, kind="stable")
-            sorted_col = col[order]
-            distinct = sorted_col[np.r_[True, sorted_col[1:] != sorted_col[:-1]]]
-            if distinct.size < 2:
-                continue
-            mids = 0.5 * (distinct[:-1] + distinct[1:])
-            if mids.size > config.max_numeric_thresholds:
-                pick = np.round(np.linspace(0, mids.size - 1,
+        col, numeric = data.columns[j], feature.kind == NUMERIC
+        if numeric:
+            distinct = np.unique(col[~np.isnan(col)])
+            cuts = 0.5 * (distinct[:-1] + distinct[1:])
+            if cuts.size > config.max_numeric_thresholds:
+                pick = np.round(np.linspace(0, cuts.size - 1,
                                             config.max_numeric_thresholds)).astype(int)
-                mids = np.unique(mids[pick])
-            tests = [NumericTest(float(theta)) for theta in mids]
-            n_true = np.searchsorted(sorted_col, mids, side="left")
-            e_true = np.r_[0, np.cumsum(events[order])][n_true]
+                cuts = np.unique(cuts[pick])
+            tests = [NumericTest(float(theta)) for theta in cuts]
         else:
             tests = [CategoryTest(level) for level in range(len(feature.categories))]
-            true_side = col == np.arange(len(tests))[:, None]
-            n_true, e_true = true_side.sum(axis=1), (true_side & events).sum(axis=1)
+            cuts = np.arange(len(tests))
+        rank = _ranks(cuts, col, numeric)  # threshold m's true side: rank <= m
+        n_true, e_true = (np.bincount(r, minlength=cuts.size + 1)[:cuts.size]
+                          for r in (rank, rank[events]))
+        if numeric:
+            n_true, e_true = np.cumsum(n_true), np.cumsum(e_true)
         keep = ((np.minimum(n_true, n - n_true) >= config.min_leaf_subjects)
                 & (np.minimum(e_true, total_events - e_true) >= config.min_leaf_events))
         out.extend(SplitCandidate(j, test) for test, ok in zip(tests, keep) if ok)
     return out
+
+
+def _ranks(cuts: np.ndarray, values: np.ndarray, numeric: bool) -> np.ndarray:
+    """Each value's rank among a feature's sorted cuts: the thresholds at or
+    below it (NaN: all), or its level's place (``cuts.size`` if it has none)."""
+    if numeric:
+        return np.searchsorted(cuts, values, side="right")
+    rank = np.minimum(np.searchsorted(cuts, values), cuts.size - 1)
+    rank[cuts[rank] != values] = cuts.size
+    return rank
 
 
 class KuiperBounds:
@@ -201,10 +206,9 @@ class KuiperBounds:
         # the node curve's drop before each death time, as a share of its whole drop
         self._drop = (1.0 - np.r_[1.0, survival][:-1]) / (1.0 - survival[-1:])
         # Per feature: its candidates, their places among the feature's sorted
-        # cuts (thresholds or levels), the number of cuts, and each subject's
-        # rank, so that a candidate's true side is rank <= place for thresholds
-        # (rank: the cuts at or below the value) and rank == place for levels
-        # (rank: the place of the value, or the number of cuts if untested).
+        # cuts (thresholds or levels), the number of cuts and each subject's
+        # rank (_ranks), so that a candidate's true side is rank <= place for
+        # thresholds and rank == place for levels.
         by_feature: dict[int, list[int]] = {}
         for i, c in enumerate(candidates):
             by_feature.setdefault(c.feature, []).append(i)
@@ -215,13 +219,9 @@ class KuiperBounds:
                             else candidates[i].test.category_index for i in idx])
             cuts, col = np.unique(cut), data.columns[feature][order]
             place = np.searchsorted(cuts, cut)
-            if numeric:
-                rank = np.searchsorted(cuts, col, side="right")
-                place[np.isnan(cut)] = -1  # a NaN threshold sends nobody to the true side
-            else:
-                rank = np.minimum(np.searchsorted(cuts, col), cuts.size - 1)
-                rank[cuts[rank] != col] = cuts.size
-            self._features.append((np.array(idx), place, cuts.size, rank, numeric))
+            place[np.isnan(cut)] = -1  # a NaN threshold sends nobody to the true side
+            self._features.append((np.array(idx), place, cuts.size,
+                                   _ranks(cuts, col, numeric), numeric))
         self._n_candidates = len(candidates)
 
     def _kept(self, keep: np.ndarray):

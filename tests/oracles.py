@@ -47,6 +47,43 @@ def brute_force_split_v(times, events, mask):
     return max(max(diff, default=0.0), 0.0) + max(max((-x for x in diff), default=0.0), 0.0)
 
 
+def reference_enumerate_splits(dataset, config):
+    """(feature, cut) of every admissible split, one row at a time. Thresholds
+    are the midpoints of a numeric feature's sorted distinct non-NaN values;
+    past ``max_numeric_thresholds`` of them, only those at the rounded (half
+    to even) positions i * (M - 1) / (cap - 1) of the M midpoints are kept,
+    the last at M - 1 (cap = 1 keeps the first). Levels are 0 .. L - 1. A
+    subject is on a threshold's true side iff value < threshold and on a
+    level's iff code == level, so NaN values and unknown codes never are."""
+    events = [bool(e) for e in dataset.events]
+    total_events = sum(events)
+    out = []
+    for j, feature in enumerate(dataset.schema):
+        values = dataset.columns[j].tolist()
+        if feature.kind == "numeric":
+            distinct = sorted({v for v in values if not math.isnan(v)})
+            cuts = [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
+            cap = config.max_numeric_thresholds
+            if len(cuts) > cap:
+                if cap == 1:
+                    positions = [0]
+                else:
+                    step = (len(cuts) - 1) / (cap - 1)
+                    positions = [round(i * step) for i in range(cap - 1)] + [len(cuts) - 1]
+                cuts = sorted({cuts[p] for p in positions})
+            true_side = [[v < cut for v in values] for cut in cuts]
+        else:
+            cuts = list(range(len(feature.categories)))
+            true_side = [[v == cut for v in values] for cut in cuts]
+        for cut, side in zip(cuts, true_side):
+            n_true = sum(side)
+            e_true = sum(1 for s, e in zip(side, events) if s and e)
+            if (min(n_true, len(values) - n_true) >= config.min_leaf_subjects
+                    and min(e_true, total_events - e_true) >= config.min_leaf_events):
+                out.append((j, cut))
+    return out
+
+
 def union_grid_kuiper_v(curve_a, curve_b):
     """Kuiper V of two fitted curves, one pair at a time: both step functions
     evaluated by bisection at each point of the pair's own union grid."""

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import survclust
 from survclust.cli import main
@@ -60,6 +61,13 @@ class TestSimulate:
         assert run("simulate", "--groups", "2", "--n", "50", "--seed", "-1",
                    "--out", str(out)) == 2
         assert "seed must be a non-negative integer" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_negative_signature_features_exit_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert run("simulate", "--groups", "2", "--n", "50", "--signature-features", "-3",
+                   "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", "error: n_signature must be nonnegative\n")
         assert not out.exists()
 
     def test_zero_groups_exit_2(self, tmp_path, capsys):
@@ -175,7 +183,11 @@ class TestFit:
         profiles.write_text("user_id,join_time\n")
         for text, error in ((b"{}", "KeyError"), (b"[1]", "TypeError"),
                             (b'{"features":[{"name":"x"}]}', "KeyError"),
-                            (b"not json", "JSONDecodeError"), (b"\xff{}", "UnicodeDecodeError")):
+                            (b"not json", "JSONDecodeError"), (b"\xff{}", "UnicodeDecodeError"),
+                            (b'{"features":[{"name":"","kind":"numeric"}]}', "ValueError"),
+                            (b'{"features":[{"name":"x","kind":"ordinal"}]}', "ValueError"),
+                            (b'{"features":[{"name":"x","kind":"numeric"},'
+                             b'{"name":"x","kind":"numeric"}]}', "ValueError")):
             schema.write_bytes(text)
             for source in (["--data", str(data)],
                            ["--activity", str(activity), "--profiles", str(profiles)]):
@@ -276,6 +288,28 @@ class TestEvaluate:
                        "--data", str(data / "subjects.csv"), *flags)
             assert code == 2, flags
             assert capsys.readouterr() == ("", f"error: {message}\n")
+
+    def test_cluster_without_deaths_skips_hazard_ratio(self, tmp_path, capsys):
+        data, model_path = fitted_model(tmp_path)
+        labels = tmp_path / "labels.csv"
+        assert run("predict", "--model", str(model_path),
+                   "--data", str(data / "subjects.csv"), "--out", str(labels)) == 0
+        cluster = dict(csv.reader(labels.read_text().splitlines()[1:]))
+        rows = list(csv.reader((data / "subjects.csv").read_text().splitlines()))
+        for row in rows[1:]:
+            if cluster[row[0]] == "1":
+                row[2] = "0"
+        censored = tmp_path / "censored.csv"
+        censored.write_text("".join(",".join(row) + "\n" for row in rows))
+        report_path = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("evaluate", "--model", str(model_path), "--data", str(censored),
+                   "--t0", "1.0", "--t1", "6.0", "--out", str(report_path)) == 0
+        out = capsys.readouterr().out
+        assert "hazard ratio: skipped (cluster 1 has no observed events)\n" in out
+        report = json.loads(report_path.read_text())
+        assert report["hazard_ratio"] == {"skipped": "cluster 1 has no observed events"}
+        assert "logrank" in report and "classification" in report
 
     def test_hazard_ratio_matches_planted_rates(self, tmp_path):
         # rate ratio 1.0 / 0.15 is planted; clusters recover direction and scale
@@ -414,6 +448,17 @@ class TestHostileModel:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and expected in err
         assert not (tmp_path / "p.csv").exists()
+
+    @pytest.mark.parametrize("edit, error", [
+        (lambda model: model["tree"]["config"].update(alpha=0), "alpha must be in (0, 1]"),
+        (lambda model: model["cluster_curves"][0]["s"].reverse(),
+         "survival values must be non-increasing within [0, 1]")], ids=["alpha", "rising-curve"])
+    def test_value_a_constructor_rejects(self, tmp_path, capsys, edit, error):
+        def edited(model):
+            edit(model)
+            return model
+        self.check(tmp_path, capsys, edited,
+                   f"{tmp_path / 'model.json'}: malformed model file (ValueError: {error})")
 
     def test_missing_cluster_curves(self, tmp_path, capsys):
         def edit(model):

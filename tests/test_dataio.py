@@ -16,9 +16,9 @@ from oracles import (reference_classification_dict, reference_hazard_ratio_dict,
 from survclust import (Feature, FeatureSchema, SurvivalDataset, dataio,
                        validate_dataset)
 from survclust.clustering import cluster_assign_dataset, fit_cluster_model
-from survclust.dataio import (dump_json, iter_subjects_csv, load_dataset_csv,
-                              load_model, model_to_dict, save_dataset_csv,
-                              save_json, save_model, schema_from_dict,
+from survclust.dataio import (dump_json, iter_subject_chunks, iter_subjects_csv,
+                              load_dataset_csv, load_model, model_to_dict,
+                              save_dataset_csv, save_json, save_model, schema_from_dict,
                               schema_to_dict, tree_from_dict, tree_to_dict)
 from survclust.errors import SchemaMismatchError
 from survclust.evaluation import (classify_and_score, cox_hazard_ratio,
@@ -91,7 +91,7 @@ class TestSubjectCsv:
                         "a,1.0,1,30,M\n"
                         "b,2.0,0,40,UNKNOWN\n")
         schema = mixed_schema()
-        ds = load_dataset_csv(path, schema, strict=False)
+        ds = load_dataset_csv(path, schema)
         report = validate_dataset(ds)
         assert any("gender" in v.message and v.subject_id == "b"
                    for v in report.violations)
@@ -138,9 +138,9 @@ class TestSubjectCsv:
         path.write_text("id,time,event,age,gender\n"
                         "a,1.0,1,30,NOPE\nb,2.0,0,forty,F\nc,3.0,1,50\n")
         with pytest.raises(SchemaMismatchError, match="line 2: unknown category 'NOPE'"):
-            load_dataset_csv(path, mixed_schema(), strict=True)
+            list(iter_subjects_csv(path, mixed_schema(), strict=True))
         with pytest.raises(SchemaMismatchError, match="line 3: 'forty'"):
-            load_dataset_csv(path, mixed_schema(), strict=False)
+            list(iter_subject_chunks(path, mixed_schema(), strict=False))
 
     @pytest.mark.parametrize("n", [dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS,
                                    dataio.CHUNK_ROWS + 1])
@@ -171,18 +171,21 @@ def outcome(parse):
 
 def assert_matches_reference(path, schema, strict):
     expected = outcome(lambda: reference_subject_csv(path, schema, strict))
-    got = outcome(lambda: load_dataset_csv(path, schema, strict))
+    got = outcome(lambda: list(iter_subjects_csv(path, schema, strict=True)) if strict
+                  else list(load_dataset_csv(path, schema).subjects()))
     if expected[0] != "ok" or got[0] != "ok":
         assert got == expected
         return
     ids, times, events, columns = expected[1]
-    ds = got[1]
-    assert ds.ids == tuple(ids)
-    assert ds.times.tobytes() == np.array(times, dtype=np.float64).tobytes()
-    assert ds.events.tolist() == events
-    for feature, col, ref in zip(schema, ds.columns, columns):
+    subjects = got[1]
+    assert [s.id for s in subjects] == ids
+    assert (np.array([s.time for s in subjects], dtype=np.float64).tobytes()
+            == np.array(times, dtype=np.float64).tobytes())
+    assert [s.event for s in subjects] == events
+    for j, (feature, ref) in enumerate(zip(schema, columns)):
         dtype = np.float64 if feature.kind == "numeric" else np.int64
-        assert col.tobytes() == np.array(ref, dtype=dtype).tobytes()
+        assert (np.array([s.values[j] for s in subjects], dtype=dtype).tobytes()
+                == np.array(ref, dtype=dtype).tobytes())
 
 
 NUMBERS = st.one_of(st.floats(allow_nan=False, width=64).map(repr),

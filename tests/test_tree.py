@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_force_split_v, reference_route
+from oracles import brute_force_split_v, reference_enumerate_splits, reference_route
 from survclust import Feature, FeatureSchema, Subject, SurvivalDataset
 from survclust.dataio import tree_from_dict, tree_to_dict
 from survclust.errors import (InvalidEventCountError, NoEventsAtRootError,
@@ -45,6 +45,28 @@ def two_group_dataset(rng, n_per_group=500, rates=(1.0, 0.2), extra_noise=0):
 
 SMALL = TreeConfig(alpha=0.05, min_leaf_subjects=1, min_leaf_events=1,
                    max_depth=12, max_numeric_thresholds=32)
+
+
+@st.composite
+def enumeration_nodes(draw):
+    """A node with a numeric column holding ties, NaN and signed zeros and a
+    categorical one holding codes outside its levels, under any leaf minima
+    and threshold cap."""
+    n = draw(st.integers(0, 30))
+    value = st.one_of(st.sampled_from([math.nan, 0.0, -0.0, 1.0, -2.5]),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    n_levels = draw(st.integers(1, 4))
+    schema = FeatureSchema((Feature("x", "numeric"),
+                            Feature("g", "categorical", tuple("abcd"[:n_levels]))))
+    columns = [draw(st.lists(value, min_size=n, max_size=n)),
+               draw(st.lists(st.integers(-1, n_levels + 1), min_size=n, max_size=n))]
+    data = SurvivalDataset(schema, [f"s{i}" for i in range(n)], columns,
+                           np.arange(1.0, n + 1.0),
+                           draw(st.lists(st.booleans(), min_size=n, max_size=n)))
+    config = TreeConfig(min_leaf_subjects=draw(st.integers(1, 4)),
+                        min_leaf_events=draw(st.integers(1, 3)),
+                        max_numeric_thresholds=draw(st.integers(1, 12)))
+    return data, config
 
 
 class TestEnumerateSplits:
@@ -118,6 +140,21 @@ class TestEnumerateSplits:
         cands = enumerate_splits(data, schema, SMALL)
         assert [c.feature for c in cands] == [0, 0, 0, 1, 1, 2, 2, 2]
 
+    def test_nan_values_are_never_cut(self):
+        # each NaN past the first once gave a NaN threshold that passed the minima
+        data = numeric_dataset([1.0, 2.0, 3.0, 4.0, np.nan, np.nan])
+        cands = enumerate_splits(data, data.schema, SMALL)
+        assert [c.test.threshold for c in cands] == [1.5, 2.5, 3.5]
+
+    @settings(max_examples=300, deadline=None)
+    @given(enumeration_nodes())
+    def test_matches_reference(self, node):
+        data, config = node
+        cands = enumerate_splits(data, data.schema, config)
+        got = [(c.feature, c.test.threshold if c.feature == 0 else c.test.category_index)
+               for c in cands]
+        assert got == reference_enumerate_splits(data, config)
+
 
 class TestBestSplit:
     def test_recovers_planted_group(self):
@@ -138,6 +175,12 @@ class TestBestSplit:
         data = numeric_dataset([1.0, 2.0, 3.0], events=np.zeros(3, dtype=bool))
         with pytest.raises(InvalidEventCountError):
             best_split(data, [SplitCandidate(0, NumericTest(1.5))], SMALL)
+
+    def test_nan_threshold_candidate_raises(self):
+        # a NaN threshold sends nobody to the true side, NaN values included
+        data = numeric_dataset([1.0, 2.0, 3.0, np.nan])
+        with pytest.raises(InvalidEventCountError):
+            best_split(data, [SplitCandidate(0, NumericTest(math.nan))], SMALL)
 
     def test_tie_breaks_to_earlier_candidate(self):
         # duplicated feature columns give bit-identical p-values; the lower
@@ -387,6 +430,19 @@ class TestGrowTree:
         assert len(tree.leaf_ids) == 1
         assert tree.root.is_leaf
         assert tree.root.n_subjects == 100
+
+    def test_nan_feature_grows_a_tree(self):
+        # unvalidated data: NaN values fall on the false side of every threshold
+        data, _ = generate(SynthConfig(default_group_specs(3, 5), 2000, 4.0, 12.0, 0, 3))
+        sig0 = data.columns[0].copy()
+        sig0[::10] = np.nan
+        data = SurvivalDataset(data.schema, data.ids, [sig0, *data.columns[1:]],
+                               data.times, data.events)
+        tree = grow_tree(data)
+        assert len(tree.leaves()) > 1
+        assert sum(leaf.n_subjects for leaf in tree.leaves()) == 2000
+        assert not any(math.isnan(getattr(node.split.test, "threshold", 0.0))
+                       for node in tree.nodes() if not node.is_leaf)
 
     def test_nodes_are_immutable(self):
         rng = np.random.default_rng(4)
