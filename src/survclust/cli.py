@@ -248,11 +248,16 @@ def cmd_evaluate(args) -> int:
             raise SurvClustError("dataset schema does not match the model's schema")
     labels = cluster_assign_dataset(model, _validated(dataset))
 
-    report: dict = {"k": model.k,
-                    "cluster_sizes": np.bincount(labels, minlength=model.k).tolist(),
+    sizes = np.bincount(labels, minlength=model.k)
+    report: dict = {"k": model.k, "cluster_sizes": sizes.tolist(),
                     "curves": [c.to_json_dict() for c in model.cluster_curves]}
 
-    if model.k >= 2:
+    empty = np.flatnonzero(sizes == 0)
+    if model.k < 2 or empty.size:
+        reason = "k<2" if model.k < 2 else f"cluster {empty[0]} has no subjects"
+        report["logrank"] = {"skipped": reason}
+        print(f"log-rank: skipped ({reason})")
+    else:
         groups = []
         for c in range(model.k):
             mask = labels == c
@@ -261,9 +266,6 @@ def cmd_evaluate(args) -> int:
         lr = logrank_test(groups)
         report["logrank"] = {"chi2": lr.statistic, "p": lr.p_value}
         print(f"log-rank: chi2 = {lr.statistic:.3f}, p = {lr.p_value:.3e}")
-    else:
-        report["logrank"] = {"skipped": "k<2"}
-        print("log-rank: skipped (k<2)")
 
     no_events = np.flatnonzero(np.bincount(labels[dataset.events], minlength=model.k) == 0)
     if model.k == 2 and no_events.size:

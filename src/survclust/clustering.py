@@ -17,9 +17,9 @@ import numpy as np
 
 from .core import Subject, SurvivalDataset
 from .errors import NonConvergenceError, SchemaMismatchError, UnreachableKError
-from .kaplan_meier import SurvivalCurve, km_eval_many, km_fit_arrays
+from .kaplan_meier import SurvivalCurve, km_fit_arrays
 from .tree import SurvivalTree, assign_leaf, assign_leaves
-from .twosample import kuiper_matrix, kuiper_row
+from .twosample import kuiper_matrix
 
 # Strict-positivity floor applied to W before balancing; far below any
 # decision threshold but enough to guarantee total support.
@@ -174,51 +174,37 @@ def coarsen_to_k(partition: list[list[int]], graph: LeafGraph, tree: SurvivalTre
                  balanced: np.ndarray, expansion: int, inflation: float) -> ClusterModel:
     """Adjust an MCL partition to exactly ``k`` clusters.
 
-    Too many groups: repeatedly merge the pair whose pooled populations
-    have the highest Kuiper p-value (most similar survival), recomputing
-    the merged group's pooled curve and row of p-values after each merge.
-    Too few: rerun MCL on ``balanced`` at ``expansion`` with ``inflation``
-    raised in 0.25 steps (up to 10.0), take the first run reaching at least
-    ``k`` groups, then merge down.
+    Too few groups: rerun MCL on ``balanced`` at ``expansion`` with
+    ``inflation`` raised in 0.25 steps (up to 10.0) until a run reaches at
+    least ``k`` groups. Too many: in each round, score the current clusters'
+    pooled curves with one :func:`kuiper_matrix` pass and merge the pair with
+    the highest Kuiper p-value (most similar survival). A partition of
+    exactly ``k`` groups scores no pairs.
 
     ``samples`` maps leaf ids to their training (times, events) arrays;
     pooled curves cannot be rebuilt from the tree alone.
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    groups = [sorted(block) for block in partition]
-
-    if len(groups) < k:
-        infl = inflation + INFLATION_SWEEP_STEP
-        while infl <= INFLATION_SWEEP_MAX + 1e-9:
-            candidate = mcl(balanced, expansion, infl)
-            if len(candidate) >= k:
-                groups = [sorted(block) for block in candidate]
-                break
-            infl += INFLATION_SWEEP_STEP
-        if len(groups) < k:
+    groups, infl = partition, inflation
+    while len(groups) < k:
+        infl += INFLATION_SWEEP_STEP
+        if infl > INFLATION_SWEEP_MAX + 1e-9:
             raise UnreachableKError(
-                f"cannot produce {k} clusters from {len(groups)} "
+                f"cannot produce {k} clusters from {len(partition)} "
                 f"group(s); inflation sweep exhausted")
+        groups = mcl(balanced, expansion, infl)
 
+    groups = [sorted(block) for block in groups]
     curves = [_pooled_curve(g, samples) for g in groups]
-    _, p = kuiper_matrix(curves)
-    # A merged curve's death times are those of its two parts, so the union of
-    # the curves' death times, kuiper_matrix's grid, stays the same.
-    grid = np.unique(np.concatenate([c.event_times for c in curves]))
-    s = np.stack([km_eval_many(c, grid) for c in curves])
-    n_events = np.array([c.n_events for c in curves])
     while len(groups) > k:
+        _, p = kuiper_matrix(curves)
         # the first pair with the highest p wins
         i, j = max(itertools.combinations(range(len(groups)), 2), key=p.__getitem__)
         groups[i] = sorted(groups[i] + groups[j])
         del groups[j]
         curves[i] = _pooled_curve(groups[i], samples)
         del curves[j]
-        s[i], n_events[i] = km_eval_many(curves[i], grid), curves[i].n_events
-        s, n_events = np.delete(s, j, axis=0), np.delete(n_events, j)
-        p = np.delete(np.delete(p, j, axis=0), j, axis=1)
-        p[i] = p[:, i] = kuiper_row(s, n_events, i)[1]
 
     order = sorted(range(len(groups)), key=lambda g: groups[g][0])
     leaf_to_cluster = [0] * len(graph.weights)

@@ -135,11 +135,12 @@ def enumerate_splits(data: SurvivalDataset, schema: FeatureSchema,
     """All admissible attribute-value tests on this node's population.
 
     Numeric features test midpoints between consecutive distinct non-NaN
-    values, thinned to at most ``max_numeric_thresholds`` equally spaced
-    positions along the sorted midpoint sequence; categorical features test
-    each level one-vs-rest. Sides are counted from the ranks that
-    :class:`KuiperBounds` reads; candidates leaving either side short of the
-    leaf minima are dropped. Order: schema, then ascending threshold / level.
+    values (the upper one where the midpoint rounds onto the lower), thinned
+    to at most ``max_numeric_thresholds`` equally spaced positions along
+    that increasing sequence; categorical features test each level
+    one-vs-rest. Sides are counted from the ranks that :class:`KuiperBounds`
+    reads; candidates leaving either side short of the leaf minima are
+    dropped. Order: schema, then ascending threshold / level.
     """
     n, events = len(data), data.events
     total_events = int(events.sum())
@@ -148,11 +149,12 @@ def enumerate_splits(data: SurvivalDataset, schema: FeatureSchema,
         col, numeric = data.columns[j], feature.kind == NUMERIC
         if numeric:
             distinct = np.unique(col[~np.isnan(col)])
-            cuts = 0.5 * (distinct[:-1] + distinct[1:])
+            mid = 0.5 * (distinct[:-1] + distinct[1:])  # may round onto the lower double
+            cuts = np.where(mid > distinct[:-1], mid, distinct[1:])
             if cuts.size > config.max_numeric_thresholds:
                 pick = np.round(np.linspace(0, cuts.size - 1,
                                             config.max_numeric_thresholds)).astype(int)
-                cuts = np.unique(cuts[pick])
+                cuts = cuts[pick]
             tests = [NumericTest(float(theta)) for theta in cuts]
         else:
             tests = [CategoryTest(level) for level in range(len(feature.categories))]

@@ -53,14 +53,6 @@ def kuiper_matrix(curves) -> tuple[np.ndarray, np.ndarray]:
     return v, _kuiper_q(v, n[:, None], n[None, :])[1]
 
 
-def kuiper_row(s: np.ndarray, n_events: np.ndarray, a: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row ``a`` of :func:`kuiper_matrix`'s V and p-value matrices, from the
-    curves' values ``s`` on the union of their death times (G x T) and their
-    event counts; the same floats, and row ``a`` equals column ``a``."""
-    v = (s[a] - s).max(axis=1, initial=0.0) + (s - s[a]).max(axis=1, initial=0.0)
-    return v, _kuiper_q(v, n_events[a], n_events)[1]
-
-
 def kuiper_statistic(curve_a: SurvivalCurve, curve_b: SurvivalCurve) -> float:
     """Kuiper V between two survival curves: their :func:`kuiper_matrix` entry."""
     return float(kuiper_matrix([curve_a, curve_b])[0][0, 1])

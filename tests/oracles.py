@@ -49,9 +49,10 @@ def brute_force_split_v(times, events, mask):
 
 def reference_enumerate_splits(dataset, config):
     """(feature, cut) of every admissible split, one row at a time. Thresholds
-    are the midpoints of a numeric feature's sorted distinct non-NaN values;
+    are the midpoints of a numeric feature's sorted distinct non-NaN values,
+    or the upper value of a pair whose midpoint rounds onto the lower one;
     past ``max_numeric_thresholds`` of them, only those at the rounded (half
-    to even) positions i * (M - 1) / (cap - 1) of the M midpoints are kept,
+    to even) positions i * (M - 1) / (cap - 1) of the M thresholds are kept,
     the last at M - 1 (cap = 1 keeps the first). Levels are 0 .. L - 1. A
     subject is on a threshold's true side iff value < threshold and on a
     level's iff code == level, so NaN values and unknown codes never are."""
@@ -62,7 +63,8 @@ def reference_enumerate_splits(dataset, config):
         values = dataset.columns[j].tolist()
         if feature.kind == "numeric":
             distinct = sorted({v for v in values if not math.isnan(v)})
-            cuts = [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
+            cuts = [0.5 * (a + b) if 0.5 * (a + b) > a else b
+                    for a, b in zip(distinct, distinct[1:])]
             cap = config.max_numeric_thresholds
             if len(cuts) > cap:
                 if cap == 1:
@@ -70,7 +72,7 @@ def reference_enumerate_splits(dataset, config):
                 else:
                     step = (len(cuts) - 1) / (cap - 1)
                     positions = [round(i * step) for i in range(cap - 1)] + [len(cuts) - 1]
-                cuts = sorted({cuts[p] for p in positions})
+                cuts = [cuts[p] for p in positions]
             true_side = [[v < cut for v in values] for cut in cuts]
         else:
             cuts = list(range(len(feature.categories)))

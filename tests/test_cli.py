@@ -311,6 +311,28 @@ class TestEvaluate:
         assert report["hazard_ratio"] == {"skipped": "cluster 1 has no observed events"}
         assert "logrank" in report and "classification" in report
 
+    def test_empty_cluster_skips_logrank(self, tmp_path, capsys):
+        data, model_path = fitted_model(tmp_path)
+        labels = tmp_path / "labels.csv"
+        assert run("predict", "--model", str(model_path),
+                   "--data", str(data / "subjects.csv"), "--out", str(labels)) == 0
+        cluster = dict(csv.reader(labels.read_text().splitlines()[1:]))
+        lines = (data / "subjects.csv").read_text().splitlines(keepends=True)
+        only_zero = tmp_path / "cluster0.csv"
+        only_zero.write_text(lines[0] + "".join(
+            line for line in lines[1:] if cluster[line.split(",", 1)[0]] == "0"))
+        report_path = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run("evaluate", "--model", str(model_path), "--data", str(only_zero),
+                   "--t0", "1.0", "--t1", "6.0", "--out", str(report_path)) == 0
+        out = capsys.readouterr().out
+        assert "log-rank: skipped (cluster 1 has no subjects)\n" in out
+        report = json.loads(report_path.read_text())
+        assert report["cluster_sizes"][1] == 0
+        assert report["logrank"] == {"skipped": "cluster 1 has no subjects"}
+        assert report["hazard_ratio"] == {"skipped": "cluster 1 has no observed events"}
+        assert "classification" in report
+
     def test_hazard_ratio_matches_planted_rates(self, tmp_path):
         # rate ratio 1.0 / 0.15 is planted; clusters recover direction and scale
         data, model_path = fitted_model(tmp_path, n=2000)

@@ -1,4 +1,5 @@
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -387,6 +388,19 @@ class TestCoarsenToK:
             del groups[j]
         assert sorted(groups) == [[lid for lid in range(n_leaves)
                                    if model.leaf_to_cluster[lid] == c] for c in range(k)]
+
+    def test_scores_the_clusters_once_per_merge_round(self):
+        rng = np.random.default_rng(3)
+        samples = {lid: (rng.exponential(rate, 60), np.ones(60, dtype=bool))
+                   for lid, rate in enumerate([0.5, 1.0, 4.0, 0.6, 3.0])}
+        tree = comb_tree([km_fit_arrays(*samples[lid]) for lid in range(5)])
+        for k in range(1, 6):
+            with mock.patch("survclust.clustering.kuiper_matrix",
+                            wraps=kuiper_matrix) as scored:
+                model = coarsen_to_k([[lid] for lid in range(5)], LeafGraph(np.eye(5)),
+                                     tree, k, samples, np.eye(5), 2, 2.0)
+            assert model.k == k
+            assert scored.call_count == 5 - k
 
     def test_invalid_k(self):
         tree = single_leaf_tree([1.0])

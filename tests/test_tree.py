@@ -146,6 +146,14 @@ class TestEnumerateSplits:
         cands = enumerate_splits(data, data.schema, SMALL)
         assert [c.test.threshold for c in cands] == [1.5, 2.5, 3.5]
 
+    def test_adjacent_doubles_cut_between_each_pair(self):
+        # 0.5 * (a + b) rounds onto a for the upper pair; its cut is b instead
+        values = [1.0000000000000002, 1.0000000000000004, 1.0000000000000007]
+        data = numeric_dataset(values)
+        cands = enumerate_splits(data, data.schema, SMALL)
+        assert [c.test.threshold for c in cands] == values[1:]
+        assert [int(c.test.evaluate(data.columns[0]).sum()) for c in cands] == [1, 2]
+
     @settings(max_examples=300, deadline=None)
     @given(enumeration_nodes())
     def test_matches_reference(self, node):

@@ -11,8 +11,7 @@ from survclust import (km_eval, km_fit_arrays, kuiper_matrix, kuiper_pvalue,
                        kuiper_statistic, logrank_test)
 from survclust.errors import (EmptySampleError, InvalidCountError,
                               InvalidEventCountError, NoEventsError)
-from survclust.kaplan_meier import km_eval_many
-from survclust.twosample import _chi2_sf, kuiper_log_pvalue, kuiper_row
+from survclust.twosample import _chi2_sf, kuiper_log_pvalue
 
 
 def uncensored(times):
@@ -308,18 +307,6 @@ class TestKuiperMatrix:
         assert np.array_equal(v, v.T) and np.array_equal(p, p.T)
         assert np.all(np.diag(v) == 0.0) and np.all(np.diag(p) == 1.0)
         assert np.all((v >= 0) & (v <= 1)) and np.all((p >= 0) & (p <= 1))
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(curve_samples, min_size=1, max_size=6))
-    def test_rows_match_the_matrix(self, samples):
-        curves = [fitted(rows) for rows in samples]
-        grid = np.unique(np.concatenate([c.event_times for c in curves]))
-        s = np.stack([km_eval_many(c, grid) for c in curves])
-        n_events = np.array([c.n_events for c in curves])
-        v, p = kuiper_matrix(curves)
-        for a in range(len(curves)):
-            row_v, row_p = kuiper_row(s, n_events, a)
-            assert np.array_equal(row_v, v[a]) and np.array_equal(row_p, p[a])
 
     def test_one_event_curves(self):
         a = km_fit_arrays(np.array([1.0, 2.0]), np.array([True, False]))
