@@ -22,8 +22,8 @@ from .dataio import (_csv_field, atomic_open, dump_json, iter_subject_chunks,
                      load_dataset_csv, load_model, load_schema, save_dataset_csv,
                      save_json, save_model, schema_to_dict)
 from .errors import SurvClustError, UnreachableKError
-from .evaluation import (check_horizons, classify_and_score, cox_hazard_ratio,
-                         logistic_fit, one_hot, survival_labels)
+from .evaluation import (_horizon_masks, check_horizons, classify_and_score,
+                         cox_hazard_ratio, logistic_fit, one_hot)
 from .ingest import (activity_to_survival, build_activity_log,
                      early_window_features, read_activity_csv,
                      read_profiles_csv)
@@ -209,13 +209,11 @@ def cmd_fit(args) -> int:
     return 0
 
 
-def _classification_block(model, dataset, labels_by_id, args):
-    eligible = survival_labels(dataset, args.t0, args.t1)
-    if not eligible:
+def _classification_block(model, dataset, labels, args):
+    eligible, alive = _horizon_masks(dataset, args.t0, args.t1)
+    if not eligible.any():
         return None, "no subjects eligible for the t0/t1 horizons"
-    index_of = {sid: i for i, sid in enumerate(dataset.ids)}
-    clusters = labels_by_id[[index_of[sid] for sid, _ in eligible]]
-    y = np.array([alive for _, alive in eligible], dtype=bool)
+    clusters, y = labels[eligible], alive[eligible]
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(y))
     n_train = int(round(args.split * len(y)))
@@ -258,12 +256,8 @@ def cmd_evaluate(args) -> int:
         report["logrank"] = {"skipped": reason}
         print(f"log-rank: skipped ({reason})")
     else:
-        groups = []
-        for c in range(model.k):
-            mask = labels == c
-            groups.append(list(zip(dataset.times[mask].tolist(),
-                                   dataset.events[mask].tolist())))
-        lr = logrank_test(groups)
+        samples = np.column_stack([dataset.times, dataset.events])
+        lr = logrank_test([samples[labels == c] for c in range(model.k)])
         report["logrank"] = {"chi2": lr.statistic, "p": lr.p_value}
         print(f"log-rank: chi2 = {lr.statistic:.3f}, p = {lr.p_value:.3e}")
 
@@ -273,8 +267,7 @@ def cmd_evaluate(args) -> int:
         report["hazard_ratio"] = {"skipped": reason}
         print(f"hazard ratio: skipped ({reason})")
     elif model.k == 2:
-        hr = cox_hazard_ratio(zip(dataset.times.tolist(),
-                                  dataset.events.tolist(), labels.tolist()))
+        hr = cox_hazard_ratio(np.column_stack([dataset.times, dataset.events, labels]))
         report["hazard_ratio"] = hr.to_json_dict()
         note = " (diverged)" if hr.diverged else ""
         print(f"hazard ratio: {hr.hazard_ratio:.3f} "

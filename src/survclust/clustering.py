@@ -99,7 +99,8 @@ def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[
     Each vertex joins the attractor (row with positive diagonal mass)
     holding the largest entry of its column, ties to the lowest attractor;
     a column with no attractor mass joins the row holding its largest entry.
-    Returns the blocks ordered by their smallest vertex.
+    Returns the blocks ordered by their smallest vertex. An inflation that
+    underflows a whole column to 0 raises NonConvergenceError.
     """
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -118,7 +119,9 @@ def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[
         prev = m
         m = np.linalg.matrix_power(m, expansion)
         m = m ** inflation
-        m /= m.sum(axis=0)
+        if not (sums := m.sum(axis=0)).all():
+            raise NonConvergenceError(f"MCL inflation {inflation} underflowed a column to 0")
+        m /= sums
         m = np.where(m < MCL_PRUNE_TOL, 0.0, m)
         m /= m.sum(axis=0)
         if np.max(np.abs(m - prev)) < MCL_CONV_TOL:

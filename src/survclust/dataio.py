@@ -39,16 +39,22 @@ def dump_json(obj) -> str:
 
 @contextmanager
 def atomic_open(path):
-    """Text file for writing that replaces ``path`` only if the block succeeds."""
+    """Text file for writing that replaces ``path`` only if the block succeeds.
+    An OSError making or renaming the temp file is raised again naming ``path``."""
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    except OSError as err:
+        raise type(err)(err.errno, err.strerror, path) from None
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as err:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(err, OSError) and err.filename == tmp:
+            raise type(err)(err.errno, err.strerror, path) from None
         raise
 
 

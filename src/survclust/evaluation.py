@@ -41,17 +41,17 @@ class HazardRatioResult:
 
 
 def cox_hazard_ratio(samples) -> HazardRatioResult:
-    """Hazard ratio of group 1 versus group 0 from (time, event, group) triples.
+    """Hazard ratio of group 1 versus group 0 from an (n, 3) array of
+    (time, event, group) rows, or from such triples (an event is any nonzero).
 
     Newton-Raphson on the Breslow partial likelihood, beta starting at 0;
     stops when the step falls below 1e-10 or after 50 iterations. A fit
     wandering past |beta| > 20 is flagged as diverged (separated groups).
     """
-    rows = list(samples)
-    times = np.array([t for t, _, _ in rows], dtype=np.float64)
-    events = np.array([bool(e) for _, e, _ in rows], dtype=bool)
-    group = np.array([int(x) for _, _, x in rows], dtype=np.int64)
-    if not set(np.unique(group)) <= {0, 1}:
+    rows = np.asarray(samples if isinstance(samples, np.ndarray) else list(samples), np.float64)
+    times, events, group = rows.reshape(len(rows), 3).T
+    events = events != 0
+    if not np.isin(group, (0, 1)).all():
         raise ValueError("group labels must be 0 or 1")
     for x in (0, 1):
         if not events[group == x].any():
@@ -98,6 +98,13 @@ def check_horizons(t0: float, t1: float):
         raise InvalidHorizonsError(f"need 0 < t0 < t1, got t0={t0}, t1={t1}")
 
 
+def _horizon_masks(dataset: SurvivalDataset, t0: float, t1: float):
+    """The (eligible, alive_at_t1) masks behind :func:`survival_labels`."""
+    check_horizons(t0, t1)
+    alive = dataset.times >= t1
+    return ~(dataset.times <= t0) & (alive | dataset.events), alive  # a NaN time is not <= t0
+
+
 def survival_labels(dataset: SurvivalDataset, t0: float, t1: float) -> list[tuple[str, bool]]:
     """(id, alive_at_t1), in dataset order, for subjects alive at t0 with a
     determined outcome.
@@ -107,9 +114,7 @@ def survival_labels(dataset: SurvivalDataset, t0: float, t1: float) -> list[tupl
     True; censoring inside (t0, t1) leaves the outcome unknown and drops
     the subject.
     """
-    check_horizons(t0, t1)
-    alive = dataset.times >= t1
-    eligible = ~(dataset.times <= t0) & (alive | dataset.events)  # a NaN time is not <= t0
+    eligible, alive = _horizon_masks(dataset, t0, t1)
     return list(compress(zip(dataset.ids, alive.tolist()), eligible.tolist()))
 
 

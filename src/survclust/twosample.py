@@ -111,7 +111,8 @@ def kuiper_log_pvalue(v, n_a, n_b):
 
 
 def logrank_test(group_samples) -> TestResult:
-    """Multi-group log-rank test on lists of (time, event) samples.
+    """Multi-group log-rank test; each group is an (n, 2) array of
+    (time, event) rows or a list of such pairs (an event is any nonzero).
 
     Observed vs expected deaths per group accumulate under the
     hypergeometric model at each distinct death time; the statistic is the
@@ -120,14 +121,14 @@ def logrank_test(group_samples) -> TestResult:
     variance (every death falling where a single group holds the whole
     risk set) reports statistic 0 and p = 1.
     """
-    groups = [list(g) for g in group_samples]
+    groups = [np.asarray(grp, dtype=np.float64) for grp in group_samples]
     if len(groups) < 2:
         raise InvalidCountError("log-rank test needs at least two groups")
-    if any(len(g) == 0 for g in groups):
+    if any(len(grp) == 0 for grp in groups):
         raise EmptySampleError("log-rank groups must be non-empty")
     g = len(groups)
-    times = np.array([t for grp in groups for t, _ in grp], dtype=np.float64)
-    events = np.array([bool(e) for grp in groups for _, e in grp], dtype=bool)
+    times, events = np.concatenate([grp.reshape(len(grp), 2) for grp in groups]).T
+    events = events != 0
     labels = np.repeat(np.arange(g), [len(grp) for grp in groups])
     total_events = float(events.sum())
     if total_events == 0:

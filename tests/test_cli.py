@@ -221,6 +221,16 @@ class TestFit:
                        "--out", str(tmp_path / "m.json")) == 2
             assert "inflation must be positive and finite" in capsys.readouterr().err
 
+    def test_underflowing_inflation_exits_2_without_a_warning(self, tmp_path, capsys):
+        data = simulate_two_group(tmp_path, n=400)
+        capsys.readouterr()
+        assert run("fit", "--data", str(data / "subjects.csv"),
+                   "--schema", str(data / "schema.json"), "--inflation", "1e308",
+                   "--out", str(tmp_path / "m.json")) == 2
+        assert capsys.readouterr() == (
+            "", "error: MCL inflation 1e+308 underflowed a column to 0\n")
+        assert not (tmp_path / "m.json").exists()
+
 
 def fitted_model(tmp_path, **kw):
     data = simulate_two_group(tmp_path, **kw)
@@ -784,6 +794,31 @@ class TestBadActivityRows:
         self.check(tmp_path, capsys,
                    f"line 2: field larger than field limit ({csv.field_size_limit()})",
                    profiles=self.PROFILES.replace("u1,0.0,30", '"' + "u" * 200_000 + '",0.0,30'))
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("command", ["fit", "predict", "evaluate", "report"])
+    def test_missing_directory_exits_1_naming_the_path(self, tmp_path, capsys, command):
+        data, model_path = fitted_model(tmp_path, n=400)
+        csv, model = ["--data", str(data / "subjects.csv")], ["--model", str(model_path)]
+        args = {"fit": csv + ["--schema", str(data / "schema.json")],
+                "predict": model + csv, "evaluate": model + csv, "report": model}[command]
+        out = tmp_path / "missing" / "x.json"
+        errors = []
+        for _ in range(2):
+            capsys.readouterr()
+            assert run(command, *args, "--out", str(out)) == 1
+            errors.append(capsys.readouterr().err)
+        assert errors[0] == errors[1] == f"error: [Errno 2] No such file or directory: '{out}'\n"
+
+    def test_directory_as_output_exits_1_naming_the_path(self, tmp_path, capsys):
+        _, model_path = fitted_model(tmp_path, n=400)
+        out = tmp_path / "curves"
+        out.mkdir()
+        capsys.readouterr()
+        assert run("report", "--model", str(model_path), "--out", str(out)) == 1
+        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
+        assert not list(tmp_path.glob(".tmp-*"))
 
 
 class TestReport:

@@ -263,6 +263,12 @@ class TestMcl:
         with pytest.raises(ValueError, match="positive and finite"):
             mcl(np.eye(3), inflation=inflation)
 
+    def test_inflation_underflowing_a_column_raises(self):
+        # (1/3) ** 1100 is 0.0 in every column; a division by it would warn,
+        # and warnings are errors in this suite
+        with pytest.raises(NonConvergenceError, match="inflation 1100.0 underflowed a column"):
+            mcl(np.full((3, 3), 1 / 3), 2, 1100.0)
+
 
 def make_leaf_samples(rates, n=120, seed=0):
     rng = np.random.default_rng(seed)

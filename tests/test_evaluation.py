@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oracles import reference_survival_labels
 from survclust import Feature, FeatureSchema, SurvivalDataset
 from survclust.errors import (InvalidHorizonsError, NoEventsError,
-                              SingleClassError)
+                              SingleClassError, SurvClustError)
 from survclust.evaluation import (ClassificationReport, classify_and_score,
                                   cox_hazard_ratio, logistic_fit, one_hot,
                                   predict_proba, survival_labels)
@@ -130,6 +130,48 @@ class TestCoxHazardRatio:
         assert [x.hex() for x in (a.beta, a.hazard_ratio, a.std_err, *a.ci95)] == \
             [x.hex() for x in (b.beta, b.hazard_ratio, b.std_err, *b.ci95)]
         assert (a.iterations, a.diverged) == (b.iterations, b.diverged)
+
+
+def outcome(statistic, samples):
+    """The statistic's result, or the type and message of the error it raised."""
+    try:
+        return statistic(samples)
+    except SurvClustError as err:
+        return type(err), str(err)
+
+
+# 2-4 groups of (time, event) samples with tied times, censoring and
+# empty or event-free groups
+grouped_samples = st.lists(
+    st.lists(st.tuples(st.integers(0, 6).map(float), st.booleans()), max_size=12),
+    min_size=2, max_size=4)
+
+
+class TestOneReadPath:
+    """Tuple lists and the CLI's arrays are read by the same line, so every
+    input shape gives the same result or the same error."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grouped_samples)
+    def test_logrank_tuples_and_group_arrays(self, groups):
+        samples = np.array([s for grp in groups for s in grp], dtype=np.float64).reshape(-1, 2)
+        labels = np.repeat(np.arange(len(groups)), [len(grp) for grp in groups])
+        arrays = [samples[labels == c] for c in range(len(groups))]
+        expected = outcome(logrank_test, groups)
+        assert outcome(logrank_test, arrays) == expected
+        if not any(e for grp in groups for _, e in grp) and all(groups):
+            assert expected[0] is NoEventsError
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(grouped_samples)
+    def test_cox_triples_zip_and_array(self, groups):
+        rows = [(t, e, c % 2) for c, grp in enumerate(groups) for t, e in grp]
+        times, events, group = ([row[i] for row in rows] for i in range(3))
+        expected = outcome(cox_hazard_ratio, rows)
+        assert outcome(cox_hazard_ratio, zip(times, events, group)) == expected
+        assert outcome(cox_hazard_ratio, np.column_stack([times, events, group])) == expected
+        if not any(events):
+            assert expected == (NoEventsError, "group 0 has no observed events")
 
 
 class TestSurvivalLabels:
