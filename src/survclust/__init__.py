@@ -18,21 +18,19 @@ from .evaluation import (ClassificationReport, HazardRatioResult,
                          classify_and_score, cox_hazard_ratio, logistic_fit,
                          one_hot, predict_proba, survival_labels)
 from .ingest import ActivityLog, activity_to_survival, early_window_features
-from .kaplan_meier import SurvivalCurve, km_eval, km_fit_arrays
+from .kaplan_meier import SurvivalCurve, km_fit_arrays
 from .synth import GroupSpec, SynthConfig, default_group_specs, generate
 from .tree import (SplitCandidate, SurvivalTree, TreeConfig, TreeNode,
                    assign_leaf, assign_leaves, best_split, enumerate_splits,
                    grow_tree)
-from .twosample import (TestResult, kuiper_matrix, kuiper_pvalue,
-                        kuiper_statistic, logrank_test)
+from .twosample import TestResult, kuiper_matrix, kuiper_pvalue, logrank_test
 
 __all__ = [
     "errors",
     "CATEGORICAL", "NUMERIC", "Feature", "FeatureSchema", "Subject",
     "SurvivalDataset", "ValidationReport", "Violation", "validate_dataset",
-    "SurvivalCurve", "km_eval", "km_fit_arrays",
-    "TestResult", "kuiper_matrix", "kuiper_pvalue", "kuiper_statistic",
-    "logrank_test",
+    "SurvivalCurve", "km_fit_arrays",
+    "TestResult", "kuiper_matrix", "kuiper_pvalue", "logrank_test",
     "SplitCandidate", "SurvivalTree", "TreeConfig", "TreeNode", "assign_leaf",
     "assign_leaves", "best_split", "enumerate_splits", "grow_tree",
     "ClusterModel", "LeafGraph", "build_leaf_graph", "cluster_assign",

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
 
 import numpy as np
@@ -19,8 +20,8 @@ import numpy as np
 from .clustering import cluster_assign_dataset, fit_cluster_model
 from .core import SurvivalDataset, validate_dataset
 from .dataio import (_csv_field, atomic_open, dump_json, iter_subject_chunks,
-                     load_dataset_csv, load_model, load_schema, save_dataset_csv,
-                     save_json, save_model, schema_to_dict)
+                     load_dataset_csv, load_model, load_schema, model_to_dict,
+                     save_dataset_csv, save_json, schema_to_dict)
 from .errors import SurvClustError, UnreachableKError
 from .evaluation import (_horizon_masks, check_horizons, classify_and_score,
                          cox_hazard_ratio, logistic_fit, one_hot)
@@ -186,16 +187,17 @@ def _validated(dataset: SurvivalDataset) -> SurvivalDataset:
 
 
 def cmd_fit(args) -> int:
-    dataset = _validated(_load_training_dataset(args))
-    config = TreeConfig(alpha=args.alpha,
-                        min_leaf_subjects=args.min_leaf_subjects,
-                        min_leaf_events=args.min_leaf_events,
-                        max_depth=args.max_depth,
-                        max_numeric_thresholds=args.max_thresholds)
-    tree = grow_tree(dataset, config)
-    model = fit_cluster_model(dataset, tree, k=args.k,
-                              expansion=args.expansion, inflation=args.inflation)
-    save_model(model, args.out)
+    with atomic_open(args.out) as out:
+        dataset = _validated(_load_training_dataset(args))
+        config = TreeConfig(alpha=args.alpha,
+                            min_leaf_subjects=args.min_leaf_subjects,
+                            min_leaf_events=args.min_leaf_events,
+                            max_depth=args.max_depth,
+                            max_numeric_thresholds=args.max_thresholds)
+        tree = grow_tree(dataset, config)
+        model = fit_cluster_model(dataset, tree, k=args.k,
+                                  expansion=args.expansion, inflation=args.inflation)
+        out.write(dump_json(model_to_dict(model)) + "\n")
 
     internal = [(i, node) for i, node in enumerate(tree.nodes()) if not node.is_leaf]
     print(f"tree: {len(tree.leaf_ids)} leaves, {len(internal)} splits")
@@ -237,6 +239,17 @@ def cmd_evaluate(args) -> int:
     if args.seed < 0:
         raise SurvClustError("--seed must be a non-negative integer")
     check_horizons(args.t0, args.t1)
+    with atomic_open(args.out) if args.out else nullcontext() as out:
+        report = _evaluation_report(args)
+        if out is not None:
+            out.write(dump_json(report) + "\n")
+    if args.out:
+        print(f"report written to {args.out}")
+    return 0
+
+
+def _evaluation_report(args) -> dict:
+    """The report of ``evaluate``, printing each part as it is computed."""
     model = load_model(args.model)
     if args.data and not args.schema:
         dataset = load_dataset_csv(args.data, model.tree.schema)
@@ -287,11 +300,7 @@ def cmd_evaluate(args) -> int:
         print(f"{f'survclust (k = {model.k})':<24} {block['precision']:>9.3f} "
               f"{block['recall']:>7.3f} {block['f_measure']:>9.3f} "
               f"{block['accuracy']:>8.3f} {block['fpr']:>6.3f}")
-
-    if args.out:
-        save_json(report, args.out)
-        print(f"report written to {args.out}")
-    return 0
+    return report
 
 
 def cmd_predict(args) -> int:

@@ -16,7 +16,7 @@ from contextlib import contextmanager
 from dataclasses import asdict
 from functools import partial
 from itertools import chain, islice, repeat
-from typing import Callable, Iterator, NamedTuple, TypeVar
+from typing import Callable, Iterator, TypeVar
 
 import numpy as np
 
@@ -129,7 +129,8 @@ def save_dataset_csv(dataset: SurvivalDataset, path):
             fh.writelines(",".join(row) + "\n" for row in zip(*columns))
 
 
-def _check_header(header: list[str], schema: FeatureSchema):
+def _check_header(schema: FeatureSchema, header: list[str]) -> list[int]:
+    """Positions of ``id``, ``event``, the schema's features, then ``time``."""
     fields, reserved, declared = set(header), set(RESERVED_COLUMNS), set(schema.names)
     if reserved - fields:
         raise SchemaMismatchError(f"subject CSV missing columns: {sorted(reserved - fields)}")
@@ -140,6 +141,8 @@ def _check_header(header: list[str], schema: FeatureSchema):
         parts.append(f"columns not declared in the schema: {sorted(fields - reserved - declared)}")
     if parts:
         raise SchemaMismatchError("; ".join(parts))
+    column = {name: i for i, name in enumerate(header)}  # last one, if repeated
+    return [column[name] for name in ("id", "event", *schema.names, "time")]
 
 
 def _events(cells: tuple) -> np.ndarray:
@@ -175,36 +178,24 @@ def _categories(cells: tuple, feature: Feature, strict: bool) -> np.ndarray:
     return codes
 
 
-def _chunk_dataset(cells: list, column: dict, schema: FeatureSchema,
-                   strict: bool) -> SurvivalDataset:
-    """Convert a chunk's cells one column at a time, checking ``event``, the
-    features, then ``time``."""
-    events = _events(cells[column["event"]])
-    columns = [_numbers(cells[column[f.name]], f.name, blank_ok=not strict)
-               if f.kind == NUMERIC else _categories(cells[column[f.name]], f, strict)
-               for f in schema]
-    times = _numbers(cells[column["time"]], "time", blank_ok=False)
-    return SurvivalDataset(schema, cells[column["id"]], columns, times, events)
+def _chunk_dataset(schema: FeatureSchema, strict: bool, cells: list) -> SurvivalDataset:
+    """Convert a chunk's cells (id, event, the features, then time) one
+    column at a time, checking them in that order."""
+    ids, events, *features, times = cells
+    events = _events(events)
+    columns = [_numbers(column, f.name, blank_ok=not strict) if f.kind == NUMERIC
+               else _categories(column, f, strict) for f, column in zip(schema, features)]
+    return SurvivalDataset(schema, ids, columns, _numbers(times, "time", blank_ok=False), events)
 
 
-class CsvChunk(NamedTuple):
-    """Consecutive non-blank rows of a CSV as one sequence of cells per field;
-    ``line(i)`` is the 1-based line on which row ``i`` ends."""
+def read_columns(path, pick: Callable[[list[str]], list[int]],
+                 convert: Callable[[list], T]) -> Iterator[T]:
+    """``convert`` of each chunk of a CSV's non-blank rows after the header,
+    given as the columns at the positions ``pick(header)`` returns, each a
+    sequence of cells.
 
-    columns: list
-    line: Callable[[int], int]
-
-
-def open_csv(path):
-    """``path`` opened for :func:`read_csv_chunks`: UTF-8 text, with
-    ``newline=""`` and each byte that is not UTF-8 read as a lone surrogate."""
-    return open(path, newline="", encoding="utf-8", errors="surrogateescape")
-
-
-def read_csv_chunks(fh) -> tuple[list[str], Iterator[CsvChunk]]:
-    """The header of a CSV opened with :func:`open_csv`, and its other
-    non-blank rows read ``CHUNK_ROWS`` lines at a time.
-
+    The file is read as UTF-8 text with ``newline=""``, each byte that is
+    not UTF-8 read as a lone surrogate, ``CHUNK_ROWS`` lines at a time.
     Cells are those ``csv.reader`` yields. A chunk holding no quote, CR,
     NUL or line longer than ``csv.field_size_limit()`` is split on newlines
     and commas; from the first chunk holding one on, ``csv.reader`` reads
@@ -212,12 +203,18 @@ def read_csv_chunks(fh) -> tuple[list[str], Iterator[CsvChunk]]:
     field count differs from the header's, or a field larger than the
     limit, raises :class:`SchemaMismatchError` naming its line, after the
     chunk of the rows before it; a byte that is not UTF-8 raises it naming
-    the file and its line (only a chunk that is not ASCII is checked).
+    the file and its line (only a chunk that is not ASCII is checked). If
+    ``convert`` raises :class:`SchemaMismatchError`, the chunk's rows are
+    converted one at a time and the first one's error is raised with its
+    line, so only a single row's message is ever shown.
     """
-    reader = csv.reader(fh)
-    _, header = next(_numbered_rows(reader, 0), (0, []))
-    _check_utf8(fh.name, "".join(header), lambda at: reader.line_num)
-    return header, _chunks(fh, len(header), reader.line_num)
+    with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
+        reader = csv.reader(fh)
+        _, header = next(_numbered_rows(reader, 0), (0, []))
+        _check_utf8(fh.name, "".join(header), lambda at: reader.line_num)
+        picked = pick(header)
+        for columns, line in _chunks(fh, len(header), reader.line_num):
+            yield _convert(convert, [columns[i] for i in picked], line)
 
 
 def _check_utf8(name, text: str, line: Callable[[int], int]):
@@ -243,7 +240,9 @@ def _numbered_rows(reader, first: int) -> Iterator[tuple[int, list[str]]]:
         raise SchemaMismatchError(f"line {first + reader.line_num}: {err}") from None
 
 
-def _chunks(fh, width: int, line: int) -> Iterator[CsvChunk]:
+def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], int]]]:
+    """Per chunk, one sequence of cells per field and the 1-based line on
+    which each row ends."""
     while lines := list(islice(fh, CHUNK_ROWS)):
         text = "".join(lines)
         _check_utf8(fh.name, text, lambda at: line + 1 + text.count("\n", 0, at))
@@ -267,7 +266,7 @@ def _chunks(fh, width: int, line: int) -> Iterator[CsvChunk]:
                 or cells[width::width + 1].count("\n") != good - 1):
             good = next(i for i, row in enumerate(rows) if row.count(",") != width - 1)
         if good:
-            yield CsvChunk([cells[j:good * (width + 1):width + 1] for j in range(width)], where)
+            yield [cells[j:good * (width + 1):width + 1] for j in range(width)], where
         if good < len(rows):
             raise SchemaMismatchError(f"line {where(good)}: expected {width} fields, "
                                       f"got {rows[good].count(',') + 1}")
@@ -277,7 +276,8 @@ def _nonblank_line(first: int, lines: list[str], i: int) -> int:
     return first + [j for j, text in enumerate(lines) if text != "\n"][i]
 
 
-def _reader_chunks(name, lines: Iterator[str], width: int, line: int) -> Iterator[CsvChunk]:
+def _reader_chunks(name, lines: Iterator[str], width: int, line: int
+                   ) -> Iterator[tuple[list, Callable[[int], int]]]:
     numbered = ((end, row) for end, row in _numbered_rows(csv.reader(lines), line) if row)
     while chunk := list(islice(numbered, CHUNK_ROWS)):
         ends, rows = zip(*chunk)
@@ -286,24 +286,22 @@ def _reader_chunks(name, lines: Iterator[str], width: int, line: int) -> Iterato
                 _check_utf8(name, "".join(row), lambda at: end)
         good = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
         if good:
-            yield CsvChunk(list(zip(*rows[:good])), ends.__getitem__)
+            yield list(zip(*rows[:good])), ends.__getitem__
         if good < len(rows):
             raise SchemaMismatchError(f"line {ends[good]}: expected {width} fields, "
                                       f"got {len(rows[good])}")
 
 
-def convert_chunk(convert: Callable[[list], T], chunk: CsvChunk) -> T:
-    """``convert(chunk.columns)``. If that raises :class:`SchemaMismatchError`,
-    the rows are converted one at a time and the first one's error is raised
-    with its line, so only a single row's message is ever shown."""
+def _convert(convert: Callable[[list], T], cells: list, line: Callable[[int], int]) -> T:
+    """``convert(cells)``, or the first failing row's error with its line."""
     try:
-        return convert(chunk.columns)
+        return convert(cells)
     except SchemaMismatchError:
-        for i in range(len(chunk.columns[0])):
+        for i in range(len(cells[0])):
             try:
-                convert([column[i:i + 1] for column in chunk.columns])
+                convert([column[i:i + 1] for column in cells])
             except SchemaMismatchError as bad:
-                raise SchemaMismatchError(f"line {chunk.line(i)}: {bad}") from None
+                raise SchemaMismatchError(f"line {line(i)}: {bad}") from None
         raise
 
 
@@ -316,13 +314,8 @@ def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[S
     ``event`` other than 0/1 or a non-numeric ``time`` or feature cell
     raises :class:`SchemaMismatchError` naming its 1-based line.
     """
-    with open_csv(path) as fh:
-        header, chunks = read_csv_chunks(fh)
-        _check_header(header, schema)
-        column = {name: i for i, name in enumerate(header)}  # last one, if repeated
-        convert = partial(_chunk_dataset, column=column, schema=schema, strict=strict)
-        for chunk in chunks:
-            yield convert_chunk(convert, chunk)
+    return read_columns(path, partial(_check_header, schema),
+                        partial(_chunk_dataset, schema, strict))
 
 
 def iter_subjects_csv(path, schema: FeatureSchema, strict: bool = True) -> Iterator[Subject]:

@@ -19,7 +19,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .core import NUMERIC, Feature, FeatureSchema, SurvivalDataset
-from .dataio import _categories, _numbers, convert_chunk, open_csv, read_csv_chunks
+from .dataio import _categories, _numbers, read_columns
 from .errors import InvalidCutoffError, SchemaMismatchError
 
 SENT = "sent"
@@ -131,7 +131,7 @@ def _distinct_per_user(owner: np.ndarray, codes: np.ndarray, n_users: int) -> np
     return np.bincount(pairs[first] // radix, minlength=n_users)
 
 
-def _column_indices(header: list[str], required: Sequence[str], what: str) -> list[int]:
+def _column_indices(what: str, required: Sequence[str], header: list[str]) -> list[int]:
     missing = set(required) - set(header)
     if missing:
         raise SchemaMismatchError(f"{what} CSV missing columns: {sorted(missing)}")
@@ -189,12 +189,12 @@ class ActivityTable:
                    map(self.partner_ids.__getitem__, self.partners.tolist()))
 
 
-def _activity_chunk(picked: list[int], codes: tuple[dict, dict], cells: list
-                    ) -> tuple[np.ndarray, ...]:
-    """A chunk's (user codes, timestamps, sent, partner codes), checking the
+def _activity_chunk(codes: tuple[dict, dict], cells: list) -> tuple[np.ndarray, ...]:
+    """A chunk's (user codes, timestamps, sent, partner codes) from its
+    (user_id, timestamp, direction, partner_id) cells, checking the
     timestamps, the directions, then the partners. Ids are coded in order of
     first appearance."""
-    uids, stamps, directions, partners = (cells[i] for i in picked)
+    uids, stamps, directions, partners = cells
     timestamps = _finite(stamps, "timestamp")
     unknown = set(directions) - _DIRECTIONS
     if unknown:
@@ -222,21 +222,19 @@ def read_activity_csv(path) -> ActivityTable:
     :class:`SchemaMismatchError` naming its line.
     """
     codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # user, partner id -> code
-    with open_csv(path) as fh:
-        header, chunks = read_csv_chunks(fh)
-        picked = _column_indices(header, ("user_id", "timestamp", "direction", "partner_id"),
-                                 "activity")
-        convert = partial(_activity_chunk, picked, codes)
-        parts = [convert_chunk(convert, chunk) for chunk in chunks]
+    parts = read_columns(path, partial(_column_indices, "activity",
+                                       ("user_id", "timestamp", "direction", "partner_id")),
+                         partial(_activity_chunk, codes))
     empty = (np.zeros(0, np.int64), np.zeros(0), np.zeros(0, bool), np.zeros(0, np.int64))
     users, timestamps, sent, partners = map(np.concatenate, zip(*parts, empty))
     return ActivityTable(tuple(codes[0]), users, timestamps, sent, tuple(codes[1]), partners)
 
 
-def _profile_chunk(picked: list[int], schema: FeatureSchema, out: dict, cells: list):
-    """Add a chunk's profiles to ``out``, checking for repeated user ids, the
-    features, then the join times."""
-    uids, joins, *raw = (cells[i] for i in picked)
+def _profile_chunk(schema: FeatureSchema, out: dict, cells: list):
+    """Add a chunk's profiles to ``out`` from its (user_id, join_time, the
+    features) cells, checking for repeated user ids, the features, then the
+    join times."""
+    uids, joins, *raw = cells
     if len(set(uids)) < len(uids) or not out.keys().isdisjoint(uids):
         raise SchemaMismatchError(f"duplicate user_id {uids[0]!r}")
     values = [(_numbers(column, f.name, blank_ok=True) if f.kind == NUMERIC
@@ -257,12 +255,10 @@ def read_profiles_csv(path, schema: FeatureSchema) -> dict[str, tuple[float, lis
     :class:`SchemaMismatchError` naming its line.
     """
     out: dict[str, tuple[float, list]] = {}
-    with open_csv(path) as fh:
-        header, chunks = read_csv_chunks(fh)
-        picked = _column_indices(header, ("user_id", "join_time", *schema.names), "profile")
-        convert = partial(_profile_chunk, picked, schema, out)
-        for chunk in chunks:
-            convert_chunk(convert, chunk)
+    for _ in read_columns(path, partial(_column_indices, "profile",
+                                        ("user_id", "join_time", *schema.names)),
+                          partial(_profile_chunk, schema, out)):
+        pass  # each chunk's profiles are added to ``out``
     return out
 
 

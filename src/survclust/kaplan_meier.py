@@ -116,8 +116,3 @@ def km_eval_many(curve: SurvivalCurve, times: np.ndarray) -> np.ndarray:
     """Right-continuous evaluation of the curve at each requested time."""
     idx = np.searchsorted(curve.event_times, np.asarray(times, dtype=np.float64), side="right") - 1
     return np.where(idx < 0, 1.0, curve.survival[np.clip(idx, 0, None)])
-
-
-def km_eval(curve: SurvivalCurve, t: float) -> float:
-    """Survival probability at time ``t`` (1.0 before the first death)."""
-    return float(km_eval_many(curve, np.array([t]))[0])

@@ -241,7 +241,7 @@ class KuiperBounds:
         """Kuiper V and child event counts (true side, false side) of the
         candidates ``keep`` (indices, in order), from each feature's candidates
         x subjects mask. Child curves are evaluated on the node's distinct
-        death times, so V equals :func:`kuiper_statistic` on the fitted curves."""
+        death times, so V equals the :func:`kuiper_matrix` entry of the fitted curves."""
         v = np.zeros(len(keep))
         events_true = np.zeros(len(keep), dtype=np.int64)
         for pos, place, _, rank, numeric in self._kept(keep):

@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (EmptySampleError, InvalidCountError, InvalidEventCountError,
                      NoEventsError)
-from .kaplan_meier import SurvivalCurve, km_eval_many, risk_sets
+from .kaplan_meier import km_eval_many, risk_sets
 
 # Series truncation: below this term magnitude (or past _SERIES_MAX_TERMS)
 # the tail is far below p-value comparison granularity.
@@ -51,11 +51,6 @@ def kuiper_matrix(curves) -> tuple[np.ndarray, np.ndarray]:
     v = d + d.T
     n = np.array([c.n_events for c in curves])
     return v, _kuiper_q(v, n[:, None], n[None, :])[1]
-
-
-def kuiper_statistic(curve_a: SurvivalCurve, curve_b: SurvivalCurve) -> float:
-    """Kuiper V between two survival curves: their :func:`kuiper_matrix` entry."""
-    return float(kuiper_matrix([curve_a, curve_b])[0][0, 1])
 
 
 def _kuiper_q(v, n_a, n_b):

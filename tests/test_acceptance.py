@@ -11,15 +11,16 @@ import pytest
 
 from oracles import best_label_agreement, brute_force_km, kuiper_permutation_pvalue
 from survclust import (TreeConfig, cluster_assign_dataset, fit_cluster_model,
-                       grow_tree, km_eval, km_fit_arrays, logrank_test, mcl,
+                       grow_tree, km_fit_arrays, logrank_test, mcl,
                        sinkhorn_knopp)
 from survclust.cli import main as cli_main
 from survclust.clustering import WEIGHT_FLOOR
 from survclust.core import Feature, FeatureSchema, SurvivalDataset
 from survclust.evaluation import (classify_and_score, cox_hazard_ratio,
                                   logistic_fit, one_hot, survival_labels)
+from survclust.kaplan_meier import km_eval_many
 from survclust.synth import GroupSpec, SynthConfig, generate
-from survclust.twosample import kuiper_pvalue, kuiper_statistic
+from survclust.twosample import kuiper_matrix, kuiper_pvalue
 
 
 @contextmanager
@@ -44,7 +45,7 @@ def test_km_oracle_equivalence():
             grid = np.concatenate([[-1.0, 0.0], times, times + 1e-3, [11.0]])
             for t in grid:
                 empirical = float(np.sum(times > t)) / n
-                assert km_eval(curve, float(t)) == empirical
+                assert km_eval_many(curve, [t])[0] == empirical
         # censored: matches a naive evaluation of the product-limit formula
         for _ in range(200):
             n = int(rng.integers(1, 21))
@@ -54,7 +55,7 @@ def test_km_oracle_equivalence():
                 samples[0] = (samples[0][0], True)
             curve = km_fit_arrays(*zip(*samples))
             for t in np.linspace(0.0, 9.5, 40):
-                assert km_eval(curve, float(t)) == pytest.approx(
+                assert km_eval_many(curve, [t])[0] == pytest.approx(
                     brute_force_km(samples, float(t)), abs=1e-12)
         elapsed = time.monotonic() - start
         assert elapsed < 5.0, f"took {elapsed:.1f}s"
@@ -70,7 +71,7 @@ def test_kuiper_calibration():
         for _ in range(2000):
             ca = km_fit_arrays(rng.exponential(1.0, 100), ones)
             cb = km_fit_arrays(rng.exponential(1.0, 100), ones)
-            v = kuiper_statistic(ca, cb)
+            v = kuiper_matrix([ca, cb])[0][0, 1]
             if kuiper_pvalue(v, 100, 100).p_value < 0.05:
                 rejections += 1
         rate = rejections / 2000
@@ -109,7 +110,7 @@ def test_kuiper_calibration():
                 ys = case_rng.normal(shift, 1, n_b)
             ca = km_fit_arrays(xs, np.ones(n_a, dtype=bool))
             cb = km_fit_arrays(ys, np.ones(n_b, dtype=bool))
-            v = kuiper_statistic(ca, cb)
+            v = kuiper_matrix([ca, cb])[0][0, 1]
             p_asym = kuiper_pvalue(v, n_a, n_b).p_value
             # the 1e-9 slack keeps float noise from splitting the atom at V
             p_perm = kuiper_permutation_pvalue(xs, ys, v - 1e-9, 10_000, seed=1000 + idx)

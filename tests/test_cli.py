@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import survclust
+from survclust import cli
 from survclust.cli import main
 
 
@@ -819,6 +820,30 @@ class TestUnwritableOutput:
         assert run("report", "--model", str(model_path), "--out", str(out)) == 1
         assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
         assert not list(tmp_path.glob(".tmp-*"))
+
+    def check_out_opened_first(self, tmp_path, monkeypatch, capsys, stage, *argv):
+        """``argv`` with an unwritable ``--out`` exits 1 before ``stage`` runs."""
+        def unreachable(*args, **kwargs):
+            raise AssertionError(f"{stage} ran before --out was opened")
+
+        monkeypatch.setattr(cli, stage, unreachable)
+        monkeypatch.chdir(tmp_path)
+        capsys.readouterr()
+        assert run(*argv, "--out", os.path.join("missing", "x.json")) == 1
+        assert os.path.join("missing", "x.json") in capsys.readouterr().err
+        assert not list(tmp_path.rglob(".tmp-*.part"))
+
+    def test_fit_opens_out_before_growing_the_tree(self, tmp_path, monkeypatch, capsys):
+        data = simulate_two_group(tmp_path, n=400)
+        self.check_out_opened_first(tmp_path, monkeypatch, capsys, "grow_tree", "fit",
+                                    "--data", str(data / "subjects.csv"),
+                                    "--schema", str(data / "schema.json"))
+
+    def test_evaluate_opens_out_before_assigning_clusters(self, tmp_path, monkeypatch, capsys):
+        data, model_path = fitted_model(tmp_path, n=400)
+        self.check_out_opened_first(tmp_path, monkeypatch, capsys, "cluster_assign_dataset",
+                                    "evaluate", "--model", str(model_path),
+                                    "--data", str(data / "subjects.csv"))
 
 
 class TestReport:

@@ -248,17 +248,19 @@ class TestColumnarReader:
 
 
 def tokenizer_outcome(path):
-    """Non-blank rows after the header as read by ``read_csv_chunks``, then
-    ``("error", message)`` if it raised."""
-    rows = []
-    with open(path, newline="") as fh:
-        header, chunks = dataio.read_csv_chunks(fh)
-        try:
-            for chunk in chunks:
-                rows += map(list, zip(*chunk.columns))
-                assert [chunk.line(i) for i in range(len(chunk.columns[0]))]
-        except SchemaMismatchError as err:
-            rows.append(("error", str(err)))
+    """Non-blank rows after the header as read by ``read_columns`` picking
+    every column, then ``("error", message)`` if it raised."""
+    header, rows = [], []
+
+    def pick(names):
+        header.extend(names)
+        return range(len(names))
+
+    try:
+        for columns in dataio.read_columns(path, pick, lambda cells: cells):
+            rows += map(list, zip(*columns))
+    except SchemaMismatchError as err:
+        rows.append(("error", str(err)))
     return header, rows
 
 

@@ -319,6 +319,33 @@ class TestMalformedCsvRows:
         assert str(err.value) == message
 
 
+class TestProfileReaderChunks:
+    """Repeated ids are found through the profiles already read, which carry
+    over between chunks and between the one-row retries of a failed chunk;
+    a quoted cell sends the rest of the file through ``csv.reader``."""
+
+    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @pytest.mark.parametrize("rows, message", [
+        (["u1,0.0,30", "u2,0.0,31", "u3,0.0,32", "u4,0.0,33", "u1,1.0,34"],
+         "line 6: duplicate user_id 'u1'"),
+        (["u1,0.0,30", "u2,0.0,31", "u3,0.0,32", "u4,0.0,33", "u4,1.0,34"],
+         "line 6: duplicate user_id 'u4'"),
+        (["u1,0.0,30", '"u,2",0.0,31', "u3,0.0,32", "u4,soon,33"],
+         "line 5: 'soon' is not a number in column 'join_time'"),
+        (["u1,0.0,30", '"u,2",0.0,31', "u3,0.0,32", "u4,0.0,33", '"u,2",1.0,34'],
+         "line 6: duplicate user_id 'u,2'"),
+        (["u1,0.0,30", '"u\n2",0.0,31', "u3,inf,32"],
+         "line 5: 'inf' is not finite in column 'join_time'"),
+    ])
+    def test_error_names_line(self, tmp_path, chunk_rows, rows, message):
+        path = tmp_path / "profiles.csv"
+        path.write_text("user_id,join_time,age\n" + "\n".join(rows) + "\n")
+        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+            with pytest.raises(SchemaMismatchError) as err:
+                read_profiles_csv(path, simple_schema())
+        assert str(err.value) == message
+
+
 PROFILE_SCHEMA = FeatureSchema((Feature("age", "numeric"),
                                 Feature("plan", "categorical", ("a", "b"))))
 

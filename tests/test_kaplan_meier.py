@@ -4,9 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_risk_sets
-from survclust import SurvivalCurve, km_eval, km_fit_arrays
+from survclust import SurvivalCurve, km_fit_arrays
 from survclust.errors import EmptySampleError, NoEventsError
-from survclust.kaplan_meier import risk_sets
+from survclust.kaplan_meier import km_eval_many, risk_sets
 
 
 def brute_force_km(samples, t):
@@ -68,7 +68,7 @@ class TestKmFit:
                 samples[0] = (samples[0][0], True)
             curve = km_fit_arrays(*zip(*samples))
             for t in np.linspace(0, 9, 30):
-                assert km_eval(curve, float(t)) == pytest.approx(
+                assert km_eval_many(curve, [t])[0] == pytest.approx(
                     brute_force_km(samples, float(t)), abs=1e-12)
 
     def test_uncensored_equals_empirical_survival(self):
@@ -78,7 +78,7 @@ class TestKmFit:
             times = rng.uniform(0, 10, size=n)
             curve = km_fit_arrays(times, np.ones(n, dtype=bool))
             for t in np.linspace(0, 11, 25):
-                assert km_eval(curve, float(t)) == empirical_survival(times, t)
+                assert km_eval_many(curve, [t])[0] == empirical_survival(times, t)
 
     def test_monotone_time_transform_invariance(self):
         samples = [(1.0, True), (2.0, False), (4.0, True), (4.0, True), (9.0, False)]
@@ -106,17 +106,17 @@ class TestKmEval:
         self.curve = km_fit_arrays([1.0, 2.0, 3.0], [True, False, True])
 
     def test_before_first_event(self):
-        assert km_eval(self.curve, 0.0) == 1.0
+        assert km_eval_many(self.curve, [0.0])[0] == 1.0
 
     def test_between_event_times(self):
-        assert km_eval(self.curve, 2.5) == pytest.approx(2 / 3)
+        assert km_eval_many(self.curve, [2.5])[0] == pytest.approx(2 / 3)
 
     def test_at_last_death(self):
         curve = km_fit_arrays([1.0, 2.0, 3.0], [True, True, True])
-        assert km_eval(curve, 3.0) == 0.0
+        assert km_eval_many(curve, [3.0])[0] == 0.0
 
     def test_right_continuity_at_step(self):
-        assert km_eval(self.curve, 1.0) == pytest.approx(2 / 3)
+        assert km_eval_many(self.curve, [1.0])[0] == pytest.approx(2 / 3)
 
 
 class TestCurveObject:

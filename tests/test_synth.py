@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import reference_generate
-from survclust import kuiper_statistic, kuiper_pvalue, synth
+from survclust import kuiper_matrix, kuiper_pvalue, synth
 from survclust.errors import InvalidConfigError
 from survclust.kaplan_meier import km_fit_arrays
 from survclust.synth import (GroupSpec, SynthConfig, _stream_states, default_group_specs,
@@ -36,7 +36,7 @@ class TestGenerate:
         data, labels = generate(config)
         curves = [km_fit_arrays(data.times[labels == g], data.events[labels == g])
                   for g in (0, 1)]
-        v = kuiper_statistic(curves[0], curves[1])
+        v = kuiper_matrix(curves)[0][0, 1]
         res = kuiper_pvalue(v, curves[0].n_events, curves[1].n_events)
         assert res.p_value < 1e-6
 

@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 
 from oracles import (kuiper_permutation_pvalue, reference_chi2_sf,
                      two_sample_kuiper_v, union_grid_kuiper_v)
-from survclust import (km_eval, km_fit_arrays, kuiper_matrix, kuiper_pvalue,
-                       kuiper_statistic, logrank_test)
+from survclust import km_fit_arrays, kuiper_matrix, kuiper_pvalue, logrank_test
 from survclust.errors import (EmptySampleError, InvalidCountError,
                               InvalidEventCountError, NoEventsError)
+from survclust.kaplan_meier import km_eval_many
 from survclust.twosample import _chi2_sf, kuiper_log_pvalue
 
 
@@ -25,22 +25,22 @@ def uncensored_curve(times):
 class TestKuiperStatistic:
     def test_identical_curves(self):
         curve = uncensored_curve([1.0, 2.0, 5.0])
-        assert kuiper_statistic(curve, curve) == 0.0
+        assert kuiper_matrix([curve, curve])[0][0, 1] == 0.0
 
     def test_single_death_hand_case(self):
         a = km_fit_arrays([1.0], [True])
         b = km_fit_arrays([2.0], [True])
-        assert kuiper_statistic(a, b) == pytest.approx(1.0)
+        assert kuiper_matrix([a, b])[0][0, 1] == pytest.approx(1.0)
 
     def test_crossing_curves_exceed_one_sided_distances(self):
         # a falls first then flattens; b starts above and crosses below
         a = uncensored_curve([1.0, 1.5, 8.0, 9.0, 10.0, 11.0])
         b = uncensored_curve([3.0, 3.5, 4.0, 4.5, 5.0, 6.0])
         grid = np.union1d(a.event_times, b.event_times)
-        diff = np.array([km_eval(a, t) - km_eval(b, t) for t in grid])
+        diff = km_eval_many(a, grid) - km_eval_many(b, grid)
         d_plus, d_minus = diff.max(), (-diff).max()
         assert d_plus > 0 and d_minus > 0
-        v = kuiper_statistic(a, b)
+        v = kuiper_matrix([a, b])[0][0, 1]
         assert v == pytest.approx(d_plus + d_minus)
         assert v > d_plus and v > d_minus
 
@@ -48,20 +48,20 @@ class TestKuiperStatistic:
         rng = np.random.default_rng(3)
         a = uncensored_curve(rng.exponential(1.0, 30))
         b = uncensored_curve(rng.exponential(2.0, 20))
-        assert kuiper_statistic(a, b) == kuiper_statistic(b, a)
+        assert kuiper_matrix([a, b])[0][0, 1] == kuiper_matrix([b, a])[0][0, 1]
 
     def test_matches_classic_statistic_on_uncensored_data(self):
         rng = np.random.default_rng(5)
         for _ in range(20):
             xs = rng.uniform(0, 1, 25)
             ys = rng.uniform(0, 1, 35)
-            lib = kuiper_statistic(uncensored_curve(xs), uncensored_curve(ys))
+            lib = kuiper_matrix([uncensored_curve(xs), uncensored_curve(ys)])[0][0, 1]
             assert lib == pytest.approx(two_sample_kuiper_v(xs, ys), abs=1e-12)
 
     def test_range(self):
         a = uncensored_curve([1.0, 2.0])
         b = uncensored_curve([10.0, 20.0])
-        v = kuiper_statistic(a, b)
+        v = kuiper_matrix([a, b])[0][0, 1]
         assert 0.0 <= v <= 2.0
 
 
@@ -312,12 +312,12 @@ class TestKuiperMatrix:
         a = km_fit_arrays(np.array([1.0, 2.0]), np.array([True, False]))
         b = km_fit_arrays(np.array([3.0]), np.array([True]))
         v, p = kuiper_matrix([a, b])
-        assert v[0, 1] == kuiper_statistic(a, b) == 1.0
+        assert v[0, 1] == 1.0
         assert p[0, 1] == kuiper_pvalue(1.0, 1, 1).p_value
 
     def test_statistic_is_the_two_curve_matrix(self):
         rng = np.random.default_rng(44)
         a = km_fit_arrays(rng.exponential(1.0, 60), rng.random(60) < 0.7)
         b = km_fit_arrays(rng.exponential(1.5, 40), rng.random(40) < 0.7)
-        assert kuiper_statistic(a, b) == kuiper_matrix([a, b])[0][0, 1]
-        assert kuiper_statistic(a, b) == union_grid_kuiper_v(a, b)
+        assert kuiper_matrix([a, b])[0][0, 1] == kuiper_matrix([b, a])[0][1, 0]
+        assert kuiper_matrix([a, b])[0][0, 1] == union_grid_kuiper_v(a, b)
