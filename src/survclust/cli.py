@@ -17,7 +17,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .clustering import cluster_assign_dataset, fit_cluster_model
+from .clustering import check_mcl_params, cluster_assign_dataset, fit_cluster_model
 from .core import SurvivalDataset, validate_dataset
 from .dataio import (_csv_field, atomic_open, dump_json, iter_subject_chunks,
                      load_dataset_csv, load_model, load_schema, model_to_dict,
@@ -187,13 +187,16 @@ def _validated(dataset: SurvivalDataset) -> SurvivalDataset:
 
 
 def cmd_fit(args) -> int:
+    config = TreeConfig(alpha=args.alpha,
+                        min_leaf_subjects=args.min_leaf_subjects,
+                        min_leaf_events=args.min_leaf_events,
+                        max_depth=args.max_depth,
+                        max_numeric_thresholds=args.max_thresholds)
+    if args.k is not None and args.k < 1:
+        raise SurvClustError("--k must be at least 1")
+    check_mcl_params(args.expansion, args.inflation)
     with atomic_open(args.out) as out:
         dataset = _validated(_load_training_dataset(args))
-        config = TreeConfig(alpha=args.alpha,
-                            min_leaf_subjects=args.min_leaf_subjects,
-                            min_leaf_events=args.min_leaf_events,
-                            max_depth=args.max_depth,
-                            max_numeric_thresholds=args.max_thresholds)
         tree = grow_tree(dataset, config)
         model = fit_cluster_model(dataset, tree, k=args.k,
                                   expansion=args.expansion, inflation=args.inflation)

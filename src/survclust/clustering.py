@@ -91,6 +91,15 @@ def sinkhorn_knopp(w: np.ndarray, tol: float = 1e-8, max_iter: int = 10000) -> n
         f"worst row/col deviation {worst:.3e}")
 
 
+def check_mcl_params(expansion: int, inflation: float):
+    """Raise ValueError unless expansion is a positive integer and inflation
+    is positive and finite (so a NaN fails)."""
+    if expansion < 1 or int(expansion) != expansion:
+        raise ValueError("expansion must be a positive integer")
+    if not 0 < inflation < np.inf:
+        raise ValueError("inflation must be positive and finite")
+
+
 def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[int]]:
     """Markov clustering of a column-stochastic matrix.
 
@@ -105,10 +114,7 @@ def mcl(m: np.ndarray, expansion: int = 2, inflation: float = 2.0) -> list[list[
     m = np.asarray(m, dtype=np.float64)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("matrix must be square")
-    if expansion < 1 or int(expansion) != expansion:
-        raise ValueError("expansion must be a positive integer")
-    if not 0 < inflation < np.inf:
-        raise ValueError("inflation must be positive and finite")
+    check_mcl_params(expansion, inflation)
     col_sums = m.sum(axis=0)
     if np.any(np.abs(col_sums - 1.0) > 1e-6):
         raise ValueError("columns must sum to 1")

@@ -8,6 +8,7 @@ Files are written atomically (temp file + rename).
 from __future__ import annotations
 
 import csv
+import errno
 import json
 import math
 import os
@@ -40,7 +41,11 @@ def dump_json(obj) -> str:
 @contextmanager
 def atomic_open(path):
     """Text file for writing that replaces ``path`` only if the block succeeds.
-    An OSError making or renaming the temp file is raised again naming ``path``."""
+    A ``path`` that is a directory (not a symlink to one) raises
+    IsADirectoryError before the block runs; an OSError making or renaming
+    the temp file is raised again naming ``path``."""
+    if os.path.isdir(path) and not os.path.islink(path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -196,17 +201,17 @@ def read_columns(path, pick: Callable[[list[str]], list[int]],
 
     The file is read as UTF-8 text with ``newline=""``, each byte that is
     not UTF-8 read as a lone surrogate, ``CHUNK_ROWS`` lines at a time.
-    Cells are those ``csv.reader`` yields. A chunk holding no quote, CR,
-    NUL or line longer than ``csv.field_size_limit()`` is split on newlines
-    and commas; from the first chunk holding one on, ``csv.reader`` reads
-    the rest of the file, so a quoted field may span chunks. A row whose
-    field count differs from the header's, or a field larger than the
-    limit, raises :class:`SchemaMismatchError` naming its line, after the
-    chunk of the rows before it; a byte that is not UTF-8 raises it naming
-    the file and its line (only a chunk that is not ASCII is checked). If
-    ``convert`` raises :class:`SchemaMismatchError`, the chunk's rows are
-    converted one at a time and the first one's error is raised with its
-    line, so only a single row's message is ever shown.
+    Cells are those ``csv.reader`` yields. A chunk of plain rows is split
+    on newlines and commas; from the first chunk holding a quote, CR, NUL,
+    blank line or line longer than ``csv.field_size_limit()`` on,
+    ``csv.reader`` reads the rest of the file, so a quoted field may span
+    chunks. A row whose field count differs from the header's, or a field
+    larger than the limit, raises :class:`SchemaMismatchError` naming its
+    line, after the chunk of the rows before it; a byte that is not UTF-8
+    raises it naming the file and its line (only a chunk that is not ASCII
+    is checked). If ``convert`` raises :class:`SchemaMismatchError`, the
+    chunk's rows are converted one at a time and the first one's error is
+    raised with its line, so only a single row's message is ever shown.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -247,33 +252,24 @@ def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], i
         text = "".join(lines)
         _check_utf8(fh.name, text, lambda at: line + 1 + text.count("\n", 0, at))
         if ('"' in text or "\r" in text or "\0" in text
+                or text.startswith("\n") or "\n\n" in text  # a blank line
                 or max(map(len, lines)) > csv.field_size_limit()):
             yield from _reader_chunks(fh.name, chain(lines, fh), width, line)
             return
-        where = partial(_nonblank_line, line + 1, lines)
+        where = (line + 1).__add__
         line += len(lines)
-        rows = lines
-        if text.startswith("\n") or "\n\n" in text:  # blank lines
-            rows = [row for row in lines if row != "\n"]
-            text = "".join(rows)
-            if not rows:
-                continue
         # Each line break becomes a "\n" cell, so the rows all have ``width``
         # fields if and only if every ``width + 1``-th cell is one of them.
         cells = text.removesuffix("\n").replace("\n", ",\n,").split(",")
-        good = len(rows)
+        good = len(lines)
         if (len(cells) != good * (width + 1) - 1
                 or cells[width::width + 1].count("\n") != good - 1):
-            good = next(i for i, row in enumerate(rows) if row.count(",") != width - 1)
+            good = next(i for i, row in enumerate(lines) if row.count(",") != width - 1)
         if good:
             yield [cells[j:good * (width + 1):width + 1] for j in range(width)], where
-        if good < len(rows):
+        if good < len(lines):
             raise SchemaMismatchError(f"line {where(good)}: expected {width} fields, "
-                                      f"got {rows[good].count(',') + 1}")
-
-
-def _nonblank_line(first: int, lines: list[str], i: int) -> int:
-    return first + [j for j, text in enumerate(lines) if text != "\n"][i]
+                                      f"got {lines[good].count(',') + 1}")
 
 
 def _reader_chunks(name, lines: Iterator[str], width: int, line: int

@@ -349,11 +349,6 @@ def grow_tree(data: SurvivalDataset, config: TreeConfig = TreeConfig()) -> Survi
     """Recursively grow the significance-gated tree on a validated dataset."""
     if len(data) == 0 or not data.events.any():
         raise NoEventsAtRootError("tree growth requires at least one observed event")
-    # in time order, so that the children subset_mask cuts are too and sort fast
-    order = np.argsort(data.times, kind="stable")
-    data = SurvivalDataset(data.schema, tuple(map(data.ids.__getitem__, order.tolist())),
-                           [col[order] for col in data.columns], data.times[order],
-                           data.events[order])
 
     def make_node(node_data: SurvivalDataset, depth: int) -> TreeNode:
         n = len(node_data)

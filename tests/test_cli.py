@@ -222,6 +222,32 @@ class TestFit:
                        "--out", str(tmp_path / "m.json")) == 2
             assert "inflation must be positive and finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag, value, error", [
+        pytest.param("--alpha", "0", "alpha must be in (0, 1]", id="alpha"),
+        pytest.param("--min-leaf-subjects", "0", "min_leaf_subjects must be positive",
+                     id="min-leaf-subjects"),
+        pytest.param("--min-leaf-events", "0", "min_leaf_events must be positive",
+                     id="min-leaf-events"),
+        pytest.param("--max-depth", "0", "max_depth must be positive", id="max-depth"),
+        pytest.param("--max-thresholds", "0", "max_numeric_thresholds must be positive",
+                     id="max-thresholds"),
+        pytest.param("--k", "0", "--k must be at least 1", id="k"),
+        pytest.param("--expansion", "0", "expansion must be a positive integer",
+                     id="expansion"),
+        pytest.param("--inflation", "nan", "inflation must be positive and finite",
+                     id="inflation"),
+    ])
+    def test_bad_flag_exits_2_before_reading_data(self, tmp_path, monkeypatch, capsys,
+                                                  flag, value, error):
+        for reader in ("load_schema", "load_dataset_csv", "iter_subject_chunks",
+                       "read_activity_csv", "read_profiles_csv"):
+            monkeypatch.setattr(cli, reader, unreachable)
+        out = tmp_path / "m.json"
+        assert run("fit", "--data", "subjects.csv", "--schema", "schema.json",
+                   flag, value, "--out", str(out)) == 2
+        assert capsys.readouterr() == ("", f"error: {error}\n")
+        assert not list(tmp_path.iterdir())
+
     def test_underflowing_inflation_exits_2_without_a_warning(self, tmp_path, capsys):
         data = simulate_two_group(tmp_path, n=400)
         capsys.readouterr()
@@ -231,6 +257,10 @@ class TestFit:
         assert capsys.readouterr() == (
             "", "error: MCL inflation 1e+308 underflowed a column to 0\n")
         assert not (tmp_path / "m.json").exists()
+
+
+def unreachable(*args, **kwargs):
+    raise AssertionError("ran before the flags and --out were checked")
 
 
 def fitted_model(tmp_path, **kw):
@@ -812,20 +842,34 @@ class TestUnwritableOutput:
             errors.append(capsys.readouterr().err)
         assert errors[0] == errors[1] == f"error: [Errno 2] No such file or directory: '{out}'\n"
 
-    def test_directory_as_output_exits_1_naming_the_path(self, tmp_path, capsys):
-        _, model_path = fitted_model(tmp_path, n=400)
-        out = tmp_path / "curves"
+    @pytest.mark.parametrize("command", ["fit", "predict", "evaluate", "report"])
+    def test_directory_as_output_exits_1_naming_the_path(self, tmp_path, monkeypatch, capsys,
+                                                         command):
+        """A directory ``--out`` fails before any data is read."""
+        data, model_path = fitted_model(tmp_path, n=400)
+        csv, model = ["--data", str(data / "subjects.csv")], ["--model", str(model_path)]
+        args = {"fit": csv + ["--schema", str(data / "schema.json")],
+                "predict": model + csv, "evaluate": model + csv, "report": model}[command]
+        out = tmp_path / "out"
         out.mkdir()
+        for reader in ("load_dataset_csv", "iter_subject_chunks"):
+            monkeypatch.setattr(cli, reader, unreachable)
         capsys.readouterr()
-        assert run("report", "--model", str(model_path), "--out", str(out)) == 1
-        assert capsys.readouterr().err == f"error: [Errno 21] Is a directory: '{out}'\n"
-        assert not list(tmp_path.glob(".tmp-*"))
+        assert run(command, *args, "--out", str(out)) == 1
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: '{out}'\n")
+        assert not list(tmp_path.glob(".tmp-*.part")) and not list(out.iterdir())
+
+    def test_symlink_to_a_directory_as_output_is_replaced(self, tmp_path):
+        _, model_path = fitted_model(tmp_path, n=400)
+        target, out = tmp_path / "target", tmp_path / "link"
+        target.mkdir()
+        out.symlink_to(target)
+        assert run("report", "--model", str(model_path), "--out", str(out)) == 0
+        assert not out.is_symlink() and json.loads(out.read_text())["k"] == 2
+        assert target.is_dir() and not list(target.iterdir())
 
     def check_out_opened_first(self, tmp_path, monkeypatch, capsys, stage, *argv):
         """``argv`` with an unwritable ``--out`` exits 1 before ``stage`` runs."""
-        def unreachable(*args, **kwargs):
-            raise AssertionError(f"{stage} ran before --out was opened")
-
         monkeypatch.setattr(cli, stage, unreachable)
         monkeypatch.chdir(tmp_path)
         capsys.readouterr()

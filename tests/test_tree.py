@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from oracles import brute_force_split_v, reference_enumerate_splits, reference_route
 from survclust import Feature, FeatureSchema, Subject, SurvivalDataset
-from survclust.dataio import tree_from_dict, tree_to_dict
+from survclust.clustering import fit_cluster_model
+from survclust.dataio import dump_json, model_to_dict, tree_from_dict, tree_to_dict
 from survclust.errors import (InvalidEventCountError, NoEventsAtRootError,
                               SchemaMismatchError)
 from survclust.synth import SynthConfig, default_group_specs, generate
@@ -518,8 +519,12 @@ class TestGrowTree:
                 assert a.split == b.split
 
     def test_subject_order_invariance(self):
+        """Row order changes no byte of the tree, its leaf curves or the
+        clustered model, with tied and censored times."""
         rng = np.random.default_rng(9)
         data, _ = three_group_dataset(rng)
+        data = SurvivalDataset(data.schema, data.ids, data.columns, np.round(data.times, 2),
+                               rng.random(len(data)) < 0.7)
         config = TreeConfig(min_leaf_subjects=30, min_leaf_events=5)
         perm = rng.permutation(len(data))
         shuffled = SurvivalDataset(data.schema, [data.ids[i] for i in perm],
@@ -530,6 +535,13 @@ class TestGrowTree:
         by_id_base = dict(zip(data.ids, assign_leaves(base, data)))
         by_id_alt = dict(zip(shuffled.ids, assign_leaves(alt, shuffled)))
         assert by_id_base == by_id_alt
+        assert len(base.leaves()) > 2
+        assert dump_json(tree_to_dict(base)) == dump_json(tree_to_dict(alt))
+        for a, b in zip(base.leaves(), alt.leaves(), strict=True):
+            assert a.curve.event_times.tobytes() == b.curve.event_times.tobytes()
+            assert a.curve.survival.tobytes() == b.curve.survival.tobytes()
+        assert (dump_json(model_to_dict(fit_cluster_model(data, base)))
+                == dump_json(model_to_dict(fit_cluster_model(shuffled, alt))))
 
     def test_no_events_at_root(self):
         data = numeric_dataset([1.0, 2.0], events=np.zeros(2, dtype=bool))
