@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import errno
+import io
 import json
 import math
 import os
@@ -30,8 +31,10 @@ from .tree import (CategoryTest, NumericTest, SplitCandidate, SurvivalTree,
 
 T = TypeVar("T")
 RESERVED_COLUMNS = ("id", "time", "event")
-# Rows per chunk read or written: bounds the memory of cells held as Python objects.
-CHUNK_ROWS = 1024
+# Characters per block read: a chunk is the whole lines of one block, which
+# bounds the memory of cells held as Python objects. Chunks read by
+# ``csv.reader``, and chunks written, are sized to about as many characters.
+CHUNK_CHARS = 1 << 16
 
 
 def dump_json(obj) -> str:
@@ -118,20 +121,25 @@ def _csv_field(text: str) -> str:
 
 
 def save_dataset_csv(dataset: SurvivalDataset, path):
-    """Write the subject CSV ``CHUNK_ROWS`` rows at a time, each chunk one
-    column of cells at a time; an out-of-range category code is written as
-    an empty cell."""
+    """Write the subject CSV one chunk of about ``CHUNK_CHARS`` characters at
+    a time (its row count set from the chunk before), each chunk one column
+    of cells at a time; an out-of-range category code is written as an
+    empty cell."""
     levels = [dict(enumerate(f.categories)) for f in dataset.schema]
     with atomic_open(path) as fh:
         fh.write(",".join(RESERVED_COLUMNS + dataset.schema.names) + "\n")
-        for start in range(0, len(dataset), CHUNK_ROWS):
-            rows = slice(start, start + CHUNK_ROWS)
+        start, size = 0, 1
+        while start < len(dataset):
+            rows = slice(start, start + size)
             columns = [map(_csv_field, dataset.ids[rows]), map(repr, dataset.times[rows].tolist()),
                        map(("0", "1").__getitem__, dataset.events[rows].tolist())]
             columns += [map(repr, col[rows].tolist()) if f.kind == NUMERIC
                         else map(level.get, col[rows].tolist(), repeat(""))
                         for f, level, col in zip(dataset.schema, levels, dataset.columns)]
-            fh.writelines(",".join(row) + "\n" for row in zip(*columns))
+            text = "".join([",".join(row) + "\n" for row in zip(*columns)])
+            fh.write(text)
+            start += size
+            size = size * CHUNK_CHARS // len(text) + 1
 
 
 def _check_header(schema: FeatureSchema, header: list[str]) -> list[int]:
@@ -200,18 +208,21 @@ def read_columns(path, pick: Callable[[list[str]], list[int]],
     sequence of cells.
 
     The file is read as UTF-8 text with ``newline=""``, each byte that is
-    not UTF-8 read as a lone surrogate, ``CHUNK_ROWS`` lines at a time.
-    Cells are those ``csv.reader`` yields. A chunk of plain rows is split
-    on newlines and commas; from the first chunk holding a quote, CR, NUL,
-    blank line or line longer than ``csv.field_size_limit()`` on,
-    ``csv.reader`` reads the rest of the file, so a quoted field may span
-    chunks. A row whose field count differs from the header's, or a field
-    larger than the limit, raises :class:`SchemaMismatchError` naming its
-    line, after the chunk of the rows before it; a byte that is not UTF-8
-    raises it naming the file and its line (only a chunk that is not ASCII
-    is checked). If ``convert`` raises :class:`SchemaMismatchError`, the
-    chunk's rows are converted one at a time and the first one's error is
-    raised with its line, so only a single row's message is ever shown.
+    not UTF-8 read as a lone surrogate, in blocks of ``CHUNK_CHARS``
+    characters. A chunk is the whole lines within one block; the line a
+    block cuts is carried into the next. Cells are those ``csv.reader``
+    yields. A chunk of plain rows is split on newlines and commas; from the
+    first block holding a quote, CR, NUL, blank line or line longer than
+    ``csv.field_size_limit()`` on, ``csv.reader`` reads the rest of the
+    file, so a quoted field may span chunks; its chunks hold about one
+    block's characters. A row whose field count differs from the
+    header's, or a field larger than the limit, raises
+    :class:`SchemaMismatchError` naming its line, after the chunk of the
+    rows before it; a byte that is not UTF-8 raises it naming the file and
+    its line (only a block that is not ASCII is checked). If ``convert``
+    raises :class:`SchemaMismatchError`, the chunk's rows are converted
+    one at a time and the first one's error is raised with its line, so
+    only a single row's message is ever shown.
     """
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
@@ -248,26 +259,35 @@ def _numbered_rows(reader, first: int) -> Iterator[tuple[int, list[str]]]:
 def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], int]]]:
     """Per chunk, one sequence of cells per field and the 1-based line on
     which each row ends."""
-    while lines := list(islice(fh, CHUNK_ROWS)):
-        text = "".join(lines)
+    carry = ""  # the line the last block cut
+    while text := carry + (block := fh.read(CHUNK_CHARS)):
         _check_utf8(fh.name, text, lambda at: line + 1 + text.count("\n", 0, at))
+        limit = csv.field_size_limit()
         if ('"' in text or "\r" in text or "\0" in text
                 or text.startswith("\n") or "\n\n" in text  # a blank line
-                or max(map(len, lines)) > csv.field_size_limit()):
+                or len(text) > limit and max(map(len, text.split("\n"))) > limit):
+            # the cut line completed, so that csv.reader sees it whole
+            lines = io.StringIO(text + fh.readline(), newline="")
             yield from _reader_chunks(fh.name, chain(lines, fh), width, line)
             return
+        cut = text.rfind("\n") + 1 if block else len(text)  # the last line may lack "\n"
+        text, carry = text[:cut], text[cut:]
+        if not text:
+            continue
+        rows = text.count("\n") + (not text.endswith("\n"))
         where = (line + 1).__add__
-        line += len(lines)
+        line += rows
         # Each line break becomes a "\n" cell, so the rows all have ``width``
         # fields if and only if every ``width + 1``-th cell is one of them.
         cells = text.removesuffix("\n").replace("\n", ",\n,").split(",")
-        good = len(lines)
-        if (len(cells) != good * (width + 1) - 1
-                or cells[width::width + 1].count("\n") != good - 1):
+        good = rows
+        if (len(cells) != rows * (width + 1) - 1
+                or cells[width::width + 1].count("\n") != rows - 1):
+            lines = text.split("\n")
             good = next(i for i, row in enumerate(lines) if row.count(",") != width - 1)
         if good:
             yield [cells[j:good * (width + 1):width + 1] for j in range(width)], where
-        if good < len(lines):
+        if good < rows:
             raise SchemaMismatchError(f"line {where(good)}: expected {width} fields, "
                                       f"got {lines[good].count(',') + 1}")
 
@@ -275,9 +295,14 @@ def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], i
 def _reader_chunks(name, lines: Iterator[str], width: int, line: int
                    ) -> Iterator[tuple[list, Callable[[int], int]]]:
     numbered = ((end, row) for end, row in _numbered_rows(csv.reader(lines), line) if row)
-    while chunk := list(islice(numbered, CHUNK_ROWS)):
+    size = 1  # rows per chunk
+    while chunk := list(islice(numbered, size)):
         ends, rows = zip(*chunk)
-        if not "".join(map("".join, rows)).isascii():
+        text = "".join(map("".join, rows))
+        # the next chunk: as many rows as one block holds at this chunk's
+        # characters per row, its cells plus a comma or line break each
+        size = len(rows) * CHUNK_CHARS // (len(text) + len(rows) * width or 1) + 1
+        if not text.isascii():
             for end, row in chunk:
                 _check_utf8(name, "".join(row), lambda at: end)
         good = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
@@ -302,7 +327,8 @@ def _convert(convert: Callable[[list], T], cells: list, line: Callable[[int], in
 
 
 def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[SurvivalDataset]:
-    """Read a subject CSV as consecutive datasets of at most ``CHUNK_ROWS`` rows.
+    """Read a subject CSV as consecutive datasets, one per chunk: the whole
+    lines within one block of ``CHUNK_CHARS`` characters (see :func:`read_columns`).
 
     Strict mode rejects blank numeric cells and unknown categories; lenient
     mode stores them as NaN and -1 for :func:`validate_dataset` to report.

@@ -11,6 +11,7 @@ are discarded, as are dead users with zero lifetime.
 from __future__ import annotations
 
 import math
+from collections import defaultdict
 from dataclasses import dataclass
 from functools import partial
 from itertools import compress, repeat
@@ -24,7 +25,7 @@ from .errors import InvalidCutoffError, SchemaMismatchError
 
 SENT = "sent"
 RECEIVED = "received"
-_DIRECTIONS = {SENT, RECEIVED}
+_DIRECTIONS = {SENT: True, RECEIVED: False}  # direction -> sent
 _DIRECTION_ERROR = f"direction must be {SENT!r} or {RECEIVED!r}, got {{!r}}"
 
 ACTIVITY_FEATURE_NAMES = ("comments_sent", "comments_received",
@@ -189,28 +190,27 @@ class ActivityTable:
                    map(self.partner_ids.__getitem__, self.partners.tolist()))
 
 
-def _activity_chunk(codes: tuple[dict, dict], cells: list) -> tuple[np.ndarray, ...]:
+def _activity_chunk(codes: tuple[defaultdict, defaultdict], cells: list) -> tuple[np.ndarray, ...]:
     """A chunk's (user codes, timestamps, sent, partner codes) from its
     (user_id, timestamp, direction, partner_id) cells, checking the
     timestamps, the directions, then the partners. Ids are coded in order of
     first appearance."""
     uids, stamps, directions, partners = cells
     timestamps = _finite(stamps, "timestamp")
-    unknown = set(directions) - _DIRECTIONS
-    if unknown:
-        raise SchemaMismatchError(_DIRECTION_ERROR.format(min(unknown)))
+    try:
+        sent = np.fromiter(map(_DIRECTIONS.__getitem__, directions), bool, count=len(uids))
+    except KeyError:
+        unknown = set(directions) - _DIRECTIONS.keys()
+        raise SchemaMismatchError(_DIRECTION_ERROR.format(min(unknown))) from None
     if "" in partners or any(map(str.isspace, partners)):
         raise SchemaMismatchError("missing value in column 'partner_id'")
-    return (_dense_codes(codes[0], uids), timestamps,
-            np.fromiter(map(SENT.__eq__, directions), bool, count=len(uids)),
-            _dense_codes(codes[1], partners))
+    return _dense_codes(codes[0], uids), timestamps, sent, _dense_codes(codes[1], partners)
 
 
-def _dense_codes(code: dict[str, int], ids: Sequence[str]) -> np.ndarray:
-    """Each id's code in ``code``; a new id is stored with the count of ids before it."""
-    # map pulls len(code) just before setdefault stores the id it pairs with
-    return np.fromiter(map(code.setdefault, ids, map(len, repeat(code))), np.int64,
-                       count=len(ids))
+def _dense_codes(code: defaultdict[str, int], ids: Sequence[str]) -> np.ndarray:
+    """Each id's code in ``code``, whose ``default_factory`` is its own
+    ``__len__``: a new id is stored with the count of ids before it."""
+    return np.fromiter(map(code.__getitem__, ids), np.int64, count=len(ids))
 
 
 def read_activity_csv(path) -> ActivityTable:
@@ -221,7 +221,9 @@ def read_activity_csv(path) -> ActivityTable:
     ``sent``/``received`` or a blank partner_id raises
     :class:`SchemaMismatchError` naming its line.
     """
-    codes: tuple[dict[str, int], dict[str, int]] = ({}, {})  # user, partner id -> code
+    codes = (defaultdict(), defaultdict())  # user, partner id -> code
+    for code in codes:
+        code.default_factory = code.__len__
     parts = read_columns(path, partial(_column_indices, "activity",
                                        ("user_id", "timestamp", "direction", "partner_id")),
                          partial(_activity_chunk, codes))

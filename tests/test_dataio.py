@@ -27,6 +27,10 @@ from survclust.synth import GroupSpec, SynthConfig, generate
 from survclust.tree import TreeConfig, assign_leaves, grow_tree
 
 
+# Block sizes in characters the chunked readers and writer are tested at.
+BUDGETS = [1, 2, 3, 13, dataio.CHUNK_CHARS]
+
+
 def mixed_schema():
     return FeatureSchema((Feature("age", "numeric"),
                           Feature("gender", "categorical", ("M", "F"))))
@@ -142,23 +146,35 @@ class TestSubjectCsv:
         with pytest.raises(SchemaMismatchError, match="line 3: 'forty'"):
             list(iter_subject_chunks(path, mixed_schema(), strict=False))
 
-    @pytest.mark.parametrize("n", [dataio.CHUNK_ROWS - 1, dataio.CHUNK_ROWS,
-                                   dataio.CHUNK_ROWS + 1])
-    def test_chunk_boundaries_match_reference(self, tmp_path, n):
-        rng = np.random.default_rng(n)
-        ds = SurvivalDataset(mixed_schema(), [f"s{i}" for i in range(n)],
-                             [rng.normal(size=n), rng.integers(0, 2, n)],
-                             rng.exponential(size=n), rng.random(n) < 0.5)
+    @pytest.mark.parametrize("budget", BUDGETS)
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_boundaries_match_reference(self, tmp_path, budget, offset):
+        # A row ends ``offset`` characters after a block edge: the first id is
+        # padded so that it does.
+        edge = budget * -(-200 // budget)  # the first edge at least 200 characters in
+        n = edge // 20 + 10
+        rng = np.random.default_rng(budget + offset)
+        ids = [f"s{i}" for i in range(n)]
+        rest = ([rng.normal(size=n), rng.integers(0, 2, n)], rng.exponential(size=n),
+                rng.random(n) < 0.5)
         path = tmp_path / "subjects.csv"
-        save_dataset_csv(ds, path)
-        assert_matches_reference(path, mixed_schema(), strict=True)
+        save_dataset_csv(SurvivalDataset(mixed_schema(), ids, *rest), path)
+        data = path.read_text().split("\n", 1)[1]
+        ends = np.cumsum([len(row) + 1 for row in data.split("\n")[:-1]])
+        ids[0] += "0" * int(edge + offset - ends[ends <= edge + offset].max())
+        save_dataset_csv(SurvivalDataset(mixed_schema(), ids, *rest), path)
+        data = path.read_text().split("\n", 1)[1]
+        assert data[edge + offset - 1] == "\n"
+        with mock.patch.object(dataio, "CHUNK_CHARS", budget):
+            assert_matches_reference(path, mixed_schema(), strict=True)
 
     def test_iter_subjects_matches_dataset_rows(self, tmp_path):
         ds = mixed_dataset()
         path = tmp_path / "subjects.csv"
         save_dataset_csv(ds, path)
-        with mock.patch.object(dataio, "CHUNK_ROWS", 2):
-            assert list(iter_subjects_csv(path, ds.schema)) == list(ds.subjects())
+        for budget in BUDGETS:
+            with mock.patch.object(dataio, "CHUNK_CHARS", budget):
+                assert list(iter_subjects_csv(path, ds.schema)) == list(ds.subjects())
 
 
 def outcome(parse):
@@ -235,15 +251,15 @@ def subject_csvs(draw):
 
 class TestColumnarReader:
     @settings(max_examples=300, deadline=None)
-    @given(subject_csvs(), st.booleans(), st.sampled_from([1, 2, 3, 1024]))
-    def test_matches_row_by_row_reference(self, tmp_path_factory, case, strict, chunk_rows):
+    @given(subject_csvs(), st.booleans(), st.sampled_from(BUDGETS))
+    def test_matches_row_by_row_reference(self, tmp_path_factory, case, strict, budget):
         schema, header, rows, lineterminator = case
         path = tmp_path_factory.mktemp("csv") / "subjects.csv"
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator=lineterminator)
             writer.writerow(header)
             writer.writerows(rows)
-        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(dataio, "CHUNK_CHARS", budget):
             assert_matches_reference(path, schema, strict)
 
 
@@ -302,30 +318,91 @@ def csv_texts(draw):
 
 class TestCsvTokenizer:
     @settings(max_examples=500, deadline=None)
-    @given(csv_texts(), st.sampled_from([1, 2, 3, 1024]))
-    def test_matches_csv_reader(self, tmp_path_factory, text, chunk_rows):
+    @given(csv_texts(), st.sampled_from(BUDGETS))
+    def test_matches_csv_reader(self, tmp_path_factory, text, budget):
         path = tmp_path_factory.mktemp("csv") / "text.csv"
         path.write_bytes(text.encode())
-        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(dataio, "CHUNK_CHARS", budget):
             assert tokenizer_outcome(path) == reader_outcome(path)
 
     def test_examples(self, tmp_path):
         path = tmp_path / "text.csv"
         path.write_bytes(b'h,k\n\na,b\n"c\nd",e\r\n\n"f,g",""')
         assert reader_outcome(path) == (["h", "k"], [["a", "b"], ["c\nd", "e"], ["f,g", ""]])
-        for chunk_rows in (1, 2, 1024):
-            with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+        for budget in BUDGETS:
+            with mock.patch.object(dataio, "CHUNK_CHARS", budget):
                 assert tokenizer_outcome(path) == reader_outcome(path)
         path.write_bytes(b"h,k\na,b\n\nc\nd,e\n")
-        with mock.patch.object(dataio, "CHUNK_ROWS", 2):
-            assert tokenizer_outcome(path) == (["h", "k"], [["a", "b"], (
-                "error", "line 4: expected 2 fields, got 1")])
+        for budget in BUDGETS:
+            with mock.patch.object(dataio, "CHUNK_CHARS", budget):
+                assert tokenizer_outcome(path) == (["h", "k"], [["a", "b"], (
+                    "error", "line 4: expected 2 fields, got 1")])
         limit = csv.field_size_limit()
         path.write_text("h,k\n" + "x" * (limit + 1) + ",1\n")
         assert tokenizer_outcome(path) == (["h", "k"], [
             ("error", f"line 2: field larger than field limit ({limit})")])
         with pytest.raises(csv.Error, match="field larger than field limit"):
             reader_outcome(path)
+
+    @staticmethod
+    def assert_matches_at_every_edge(path, data):
+        """``read_columns`` reads ``path``, whose text after the header is
+        ``data``, as ``csv.reader`` does with a block edge at every character."""
+        for budget in range(1, len(data) + 2):
+            with mock.patch.object(dataio, "CHUNK_CHARS", budget):
+                assert tokenizer_outcome(path) == reader_outcome(path), budget
+
+    def test_crlf_pair_split_by_a_block_edge(self, tmp_path):
+        data = "a,b\ncc,d\r\ne,f\ng\n"  # a block of 9 ends between the CR and the LF
+        path = tmp_path / "text.csv"
+        path.write_bytes(("h,k\n" + data).encode())
+        assert reader_outcome(path) == (["h", "k"], [
+            ["a", "b"], ["cc", "d"], ["e", "f"], ("error", "line 5: expected 2 fields, got 1")])
+        self.assert_matches_at_every_edge(path, data)
+
+    def test_quote_first_seen_in_a_later_block_with_a_line_carried(self, tmp_path):
+        # csv.reader must get the line a block cuts whole, or it reads two rows
+        data = 'a,b\ncc,d\n"e",f\ngg,hh\ni,j\nk\n'
+        path = tmp_path / "text.csv"
+        path.write_bytes(("h,k\n" + data).encode())
+        assert reader_outcome(path) == (["h", "k"], [
+            ["a", "b"], ["cc", "d"], ["e", "f"], ["gg", "hh"], ["i", "j"],
+            ("error", "line 7: expected 2 fields, got 1")])
+        self.assert_matches_at_every_edge(path, data)
+
+    @pytest.mark.parametrize("last", ["e,f", "e", '"e",f', '"e\nf",g', "e,f,g"])
+    def test_no_final_newline(self, tmp_path, last):
+        data = "a,b\ncc,d\n" + last
+        path = tmp_path / "text.csv"
+        path.write_bytes(("h,k\n" + data).encode())
+        self.assert_matches_at_every_edge(path, data)
+
+    def test_over_long_line_without_newline_stops_reading(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_text("h,k\n" + "x" * 5000)
+        sizes = []
+
+        def counting_open(*args, **kwargs):
+            fh = open(*args, **kwargs)
+            read = fh.read
+            fh.read = lambda size: sizes.append(size) or read(size)
+            return fh
+
+        limit = csv.field_size_limit(100)
+        try:
+            with mock.patch.object(dataio, "open", counting_open, create=True), \
+                    mock.patch.object(dataio, "CHUNK_CHARS", 7):
+                assert tokenizer_outcome(path) == (["h", "k"], [
+                    ("error", "line 2: field larger than field limit (100)")])
+            with open(path, newline="") as fh:
+                reader = csv.reader(fh)
+                next(reader)
+                with pytest.raises(csv.Error, match=r"field larger than field limit \(100\)"):
+                    next(reader)
+                assert reader.line_num == 2
+        finally:
+            csv.field_size_limit(limit)
+        assert sizes and len(sizes) <= 100 // 7 + 2  # not one read per block of the line
 
     @pytest.mark.parametrize("at", [1, 2, 3])
     def test_quoted_multi_line_id_across_chunks(self, tmp_path, at):
@@ -335,13 +412,15 @@ class TestCsvTokenizer:
                              np.arange(1.0, 7.0), np.arange(6) % 3 == 0)
         path = tmp_path / "subjects.csv"
         save_dataset_csv(ds, path)
-        with mock.patch.object(dataio, "CHUNK_ROWS", 2):
-            small = load_dataset_csv(path, ds.schema)
         whole = load_dataset_csv(path, ds.schema)
-        assert small.ids == whole.ids == ds.ids
-        for a, b in zip((*small.columns, small.times, small.events),
-                        (*whole.columns, whole.times, whole.events)):
-            assert a.tobytes() == b.tobytes()
+        assert whole.ids == ds.ids
+        for budget in BUDGETS:
+            with mock.patch.object(dataio, "CHUNK_CHARS", budget):
+                small = load_dataset_csv(path, ds.schema)
+            assert small.ids == whole.ids
+            for a, b in zip((*small.columns, small.times, small.events),
+                            (*whole.columns, whole.times, whole.events)):
+                assert a.tobytes() == b.tobytes()
 
 
 CELL_FLOATS = st.one_of(
@@ -379,10 +458,10 @@ HOSTILE_IDS = st.text(alphabet='ab,"\r\n \t', max_size=6)
 
 class TestSubjectCsvWriter:
     @settings(max_examples=200, deadline=None)
-    @given(datasets(PLAIN_IDS, codes_valid=False), st.sampled_from([1, 2, 3, 1024]))
-    def test_matches_per_cell_reference(self, tmp_path_factory, ds, chunk_rows):
+    @given(datasets(PLAIN_IDS, codes_valid=False), st.sampled_from(BUDGETS))
+    def test_matches_per_cell_reference(self, tmp_path_factory, ds, budget):
         folder = tmp_path_factory.mktemp("csv")
-        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(dataio, "CHUNK_CHARS", budget):
             save_dataset_csv(ds, folder / "got.csv")
         reference_save_dataset_csv(ds, folder / "want.csv")
         assert (folder / "got.csv").read_bytes() == (folder / "want.csv").read_bytes()

@@ -324,7 +324,7 @@ class TestProfileReaderChunks:
     over between chunks and between the one-row retries of a failed chunk;
     a quoted cell sends the rest of the file through ``csv.reader``."""
 
-    @pytest.mark.parametrize("chunk_rows", [1, 2, 3])
+    @pytest.mark.parametrize("budget", [1, 2, 3, 13, dataio.CHUNK_CHARS])
     @pytest.mark.parametrize("rows, message", [
         (["u1,0.0,30", "u2,0.0,31", "u3,0.0,32", "u4,0.0,33", "u1,1.0,34"],
          "line 6: duplicate user_id 'u1'"),
@@ -337,10 +337,10 @@ class TestProfileReaderChunks:
         (["u1,0.0,30", '"u\n2",0.0,31', "u3,inf,32"],
          "line 5: 'inf' is not finite in column 'join_time'"),
     ])
-    def test_error_names_line(self, tmp_path, chunk_rows, rows, message):
+    def test_error_names_line(self, tmp_path, budget, rows, message):
         path = tmp_path / "profiles.csv"
         path.write_text("user_id,join_time,age\n" + "\n".join(rows) + "\n")
-        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(dataio, "CHUNK_CHARS", budget):
             with pytest.raises(SchemaMismatchError) as err:
                 read_profiles_csv(path, simple_schema())
         assert str(err.value) == message
@@ -478,8 +478,8 @@ def activity_csvs(draw):
 
 class TestActivityReader:
     @settings(max_examples=400, deadline=None)
-    @given(activity_csvs(), st.sampled_from([1, 2, 3, 1024]))
-    def test_matches_row_by_row_reference(self, tmp_path_factory, case, chunk_rows):
+    @given(activity_csvs(), st.sampled_from([1, 2, 3, 13, dataio.CHUNK_CHARS]))
+    def test_matches_row_by_row_reference(self, tmp_path_factory, case, budget):
         header, lines, ending, final_newline = case
         path = tmp_path_factory.mktemp("activity") / "activity.csv"
         with open(path, "w", newline="") as fh:
@@ -489,6 +489,6 @@ class TestActivityReader:
                 fh.write(ending) if row is None else writer.writerow(row)
         if not final_newline:
             path.write_bytes(path.read_bytes().removesuffix(ending.encode()))
-        with mock.patch.object(dataio, "CHUNK_ROWS", chunk_rows):
+        with mock.patch.object(dataio, "CHUNK_CHARS", budget):
             got = outcome(lambda: list(read_activity_csv(path)))
         assert got == outcome(reference_read_activity_csv, path)
