@@ -261,7 +261,6 @@ def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], i
     which each row ends."""
     carry = ""  # the line the last block cut
     while text := carry + (block := fh.read(CHUNK_CHARS)):
-        _check_utf8(fh.name, text, lambda at: line + 1 + text.count("\n", 0, at))
         limit = csv.field_size_limit()
         if ('"' in text or "\r" in text or "\0" in text
                 or text.startswith("\n") or "\n\n" in text  # a blank line
@@ -270,6 +269,7 @@ def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], i
             lines = io.StringIO(text + fh.readline(), newline="")
             yield from _reader_chunks(fh.name, chain(lines, fh), width, line)
             return
+        _check_utf8(fh.name, text, lambda at: line + 1 + text.count("\n", 0, at))
         cut = text.rfind("\n") + 1 if block else len(text)  # the last line may lack "\n"
         text, carry = text[:cut], text[cut:]
         if not text:
@@ -347,14 +347,21 @@ def iter_subjects_csv(path, schema: FeatureSchema, strict: bool = True) -> Itera
 
 
 def load_dataset_csv(path, schema: FeatureSchema) -> SurvivalDataset:
-    """Read a subject CSV leniently: invalid cells are stored for validation."""
-    chunks = list(iter_subject_chunks(path, schema, strict=False))
-    if not chunks:
+    """Read a subject CSV leniently: invalid cells are stored for validation.
+    Each chunk is dropped once its ids and columns are taken, and each
+    column's parts once they are joined."""
+    ids, parts = [], [[] for _ in range(len(schema) + 2)]
+    for chunk in iter_subject_chunks(path, schema, strict=False):
+        ids += chunk.ids
+        for column, part in zip(parts, (*chunk.columns, chunk.times, chunk.events)):
+            column.append(part)
+    if not ids:
         return SurvivalDataset(schema, [], [()] * len(schema), (), ())
-    *columns, times, events = (np.concatenate(parts) for parts in
-                               zip(*((*c.columns, c.times, c.events) for c in chunks)))
-    return SurvivalDataset(schema, [sid for c in chunks for sid in c.ids],
-                           columns, times, events)
+    joined = []
+    while parts:
+        joined.append(np.concatenate(parts.pop(0)))
+    *columns, times, events = joined
+    return SurvivalDataset(schema, ids, columns, times, events)
 
 
 # ------------------------------------------------------------------ tree

@@ -19,7 +19,7 @@ import numpy as np
 from .core import CATEGORICAL, NUMERIC, Feature, FeatureSchema, Subject, SurvivalDataset
 from .errors import NoEventsAtRootError, SchemaMismatchError
 from .kaplan_meier import SurvivalCurve, km_fit_arrays, risk_sets, survival_on_grid
-from .twosample import kuiper_log_pvalue, kuiper_pvalue
+from .twosample import TestResult, kuiper_log_pvalue, kuiper_pvalue
 
 # best_split bounds candidates in passes on BOUND_BLOCKS blocks of the node's
 # death times, then on twice as many for the candidates left, and so on. Costs
@@ -132,42 +132,104 @@ class SurvivalTree:
 
 def enumerate_splits(data: SurvivalDataset, schema: FeatureSchema,
                      config: TreeConfig) -> list[SplitCandidate]:
-    """All admissible attribute-value tests on this node's population.
+    """All admissible attribute-value tests on a whole dataset, as
+    :func:`grow_tree` enumerates them at a node, one :class:`SplitCandidate`
+    each.
 
     Numeric features test midpoints between consecutive distinct non-NaN
     values (the upper one where the midpoint rounds onto the lower), thinned
     to at most ``max_numeric_thresholds`` equally spaced positions along
     that increasing sequence; categorical features test each level
-    one-vs-rest. Sides are counted from the ranks that :class:`KuiperBounds`
-    reads; candidates leaving either side short of the leaf minima are
-    dropped. Order: schema, then ascending threshold / level.
+    one-vs-rest. Candidates leaving either side short of the leaf minima
+    are dropped. Order: schema, then ascending threshold / level.
     """
-    n, events = len(data), data.events
-    total_events = int(events.sum())
-    out: list[SplitCandidate] = []
-    for j, feature in enumerate(schema):
-        col, numeric = data.columns[j], feature.kind == NUMERIC
+    feature, place, features = _enumerate(_Coded(data, schema), np.arange(len(data)), config)
+    return [SplitCandidate(j, _test(features[j], m))
+            for j, m in zip(feature.tolist(), place.tolist())]
+
+
+class _Coded:
+    """A dataset coded once for the split search. Its subjects are taken in
+    time order (a stable sort): ``times``, ``events`` and row j of the int32
+    ``codes`` (feature j's codes) are in that order. A numeric feature's code
+    is its value's place among its ``sizes[j]`` sorted distinct non-NaN
+    values, NaN coded one past the last, and ``holder[j, c]`` is the row of
+    ``columns`` of a subject whose value has code c; a categorical feature's
+    code is its level, a value outside its ``sizes[j]`` levels coded one
+    past the last. No column is copied."""
+
+    def __init__(self, data: SurvivalDataset, schema: FeatureSchema):
+        order = np.argsort(data.times, kind="stable")
+        self.times, self.events, self.columns = data.times[order], data.events[order], data.columns
+        self.numeric = [feature.kind == NUMERIC for feature in schema]
+        # one block, freed whole once the tree is grown
+        self.codes, self.holder = np.empty((2, len(schema), order.size), dtype=np.int32)
+        self.sizes = []
+        for j, (feature, col) in enumerate(zip(schema, data.columns)):
+            if feature.kind == NUMERIC:
+                # all NaN values share one code, the last
+                values, self.codes[j] = np.unique(col[order], return_inverse=True)
+                self.holder[j, self.codes[j]] = order  # a subject of each code
+                size = int(np.count_nonzero(~np.isnan(values)))
+            else:
+                size = len(feature.categories)
+                self.codes[j] = np.where((col >= 0) & (col < size), col, size)[order]
+            self.sizes.append(size)
+
+
+def _enumerate(coded: _Coded, rows: np.ndarray, config: TreeConfig):
+    """The admissible candidates of the node ``rows`` (ascending positions in
+    ``coded``'s time order), as :func:`enumerate_splits` describes them: their
+    features and their places among those features' cuts, in that order,
+    and per feature with candidates its cuts, each subject's rank among
+    them (as :func:`_ranks` defines it) and its kind.
+
+    A numeric feature's distinct values in the node come from a ``bincount``
+    of its codes, and each subject's rank from a lookup by code: the
+    thresholds kept by thinning below its value. Ranks are the narrowest
+    unsigned integers that hold the number of cuts.
+    """
+    dead = np.flatnonzero(coded.events[rows])
+    n, total_events = rows.size, dead.size
+    features, feature, place = {}, [], []
+    for j, (codes, size, numeric) in enumerate(zip(coded.codes, coded.sizes, coded.numeric)):
+        code = codes[rows]
         if numeric:
-            distinct = np.unique(col[~np.isnan(col)])
-            mid = 0.5 * (distinct[:-1] + distinct[1:])  # may round onto the lower double
-            cuts = np.where(mid > distinct[:-1], mid, distinct[1:])
-            if cuts.size > config.max_numeric_thresholds:
-                pick = np.round(np.linspace(0, cuts.size - 1,
+            present = np.flatnonzero(np.bincount(code, minlength=size + 1)[:-1] > 0)
+            pick = np.arange(max(present.size - 1, 0))  # cut i: between distinct values i, i + 1
+            if pick.size > config.max_numeric_thresholds:
+                pick = np.round(np.linspace(0, pick.size - 1,
                                             config.max_numeric_thresholds)).astype(int)
-                cuts = cuts[pick]
-            tests = [NumericTest(float(theta)) for theta in cuts]
+            col, holder = coded.columns[j], coded.holder[j]
+            lower, upper = col[holder[present[pick]]], col[holder[present[pick + 1]]]
+            mid = 0.5 * (lower + upper)  # may round onto the lower double
+            cuts = np.where(mid > lower, mid, upper)
+            # a code's rank: the kept cuts below its value, one more from each
+            # kept cut's upper value on
+            lookup = np.repeat(np.arange(cuts.size + 1, dtype=np.min_scalar_type(cuts.size)),
+                               np.diff(present[pick + 1], prepend=0, append=size + 1))
         else:
-            tests = [CategoryTest(level) for level in range(len(feature.categories))]
-            cuts = np.arange(len(tests))
-        rank = _ranks(cuts, col, numeric)  # threshold m's true side: rank <= m
+            cuts = np.arange(size)
+            lookup = np.arange(size + 1, dtype=np.min_scalar_type(size))
+        rank = lookup[code]  # threshold m's true side: rank <= m; level m's: rank == m
         n_true, e_true = (np.bincount(r, minlength=cuts.size + 1)[:cuts.size]
-                          for r in (rank, rank[events]))
+                          for r in (rank, rank[dead]))
         if numeric:
             n_true, e_true = np.cumsum(n_true), np.cumsum(e_true)
-        keep = ((np.minimum(n_true, n - n_true) >= config.min_leaf_subjects)
-                & (np.minimum(e_true, total_events - e_true) >= config.min_leaf_events))
-        out.extend(SplitCandidate(j, test) for test, ok in zip(tests, keep) if ok)
-    return out
+        ok = np.flatnonzero((np.minimum(n_true, n - n_true) >= config.min_leaf_subjects)
+                            & (np.minimum(e_true, total_events - e_true)
+                               >= config.min_leaf_events))
+        if ok.size:
+            features[j] = cuts, rank, numeric
+            feature += [j] * ok.size
+            place += ok.tolist()
+    return np.array(feature, dtype=np.int64), np.array(place, dtype=np.int64), features
+
+
+def _test(entry: tuple, place: int) -> Union[NumericTest, CategoryTest]:
+    """The test at ``place`` among a feature's cuts, from its (cuts, ranks, kind)."""
+    cuts, _, numeric = entry
+    return NumericTest(float(cuts[place])) if numeric else CategoryTest(int(cuts[place]))
 
 
 def _ranks(cuts: np.ndarray, values: np.ndarray, numeric: bool) -> np.ndarray:
@@ -181,10 +243,15 @@ def _ranks(cuts: np.ndarray, values: np.ndarray, numeric: bool) -> np.ndarray:
 
 
 class KuiperBounds:
-    """A node's split-search table: the node in time order, its risk sets and
-    each subject's rank among each feature's cuts. It gives each candidate
-    bounds V_lo <= V <= V_hi on its Kuiper V from counts on a grid of blocks
-    of the node's distinct death times, and V itself (:meth:`exact`).
+    """A node's split-search table: the node in time order, its risk sets,
+    its candidates as arrays (``feature``, and ``place`` among the feature's
+    cuts, -1 for a NaN threshold) and, per feature with candidates
+    (``features``), its sorted cuts (thresholds or levels), each subject's
+    rank among them and its kind, so that a candidate's true side is
+    rank <= place for thresholds and rank == place for levels. Enumeration,
+    the bounds and exact scoring all read these ranks. It gives each
+    candidate bounds V_lo <= V <= V_hi on its Kuiper V from counts on a grid
+    of blocks of the node's distinct death times, and V itself (:meth:`exact`).
 
     A block with D deaths, N subjects at risk at its first death time and s
     still at risk after its last one has Kaplan-Meier factors whose product
@@ -197,45 +264,51 @@ class KuiperBounds:
     block.
     """
 
-    def __init__(self, data: SurvivalDataset, candidates: list[SplitCandidate]):
-        order = np.argsort(data.times, kind="stable")
-        self._times, self._events = data.times[order], data.events[order]
+    def __init__(self, times: np.ndarray, events: np.ndarray, feature: np.ndarray,
+                 place: np.ndarray, features: dict):
+        self.times, self.events = times, events
+        self.feature, self.place, self.features = feature, place, features
         death_times, self._at_risk, self._deaths = risk_sets(
-            self._times, self._events, np.ones((1, order.size), dtype=bool))
+            times, events, np.ones((1, times.size), dtype=bool))
         survival = survival_on_grid(self._at_risk, self._deaths)[0]
         # 1 + j for subjects with t_j <= time < t_j+1, 0 before the first death time
-        self._segment = np.searchsorted(death_times, self._times, side="right")
+        self._segment = np.searchsorted(death_times, times, side="right")
         # the node curve's drop before each death time, as a share of its whole drop
         self._drop = (1.0 - np.r_[1.0, survival][:-1]) / (1.0 - survival[-1:])
-        # Per feature: its candidates, their places among the feature's sorted
-        # cuts (thresholds or levels), the number of cuts and each subject's
-        # rank (_ranks), so that a candidate's true side is rank <= place for
-        # thresholds and rank == place for levels.
-        by_feature: dict[int, list[int]] = {}
-        for i, c in enumerate(candidates):
-            by_feature.setdefault(c.feature, []).append(i)
-        self._features = []
-        for feature, idx in by_feature.items():
+
+    @classmethod
+    def of(cls, data: SurvivalDataset, candidates: list[SplitCandidate]) -> "KuiperBounds":
+        """The table of arbitrary ``candidates`` on the whole of ``data``: a
+        feature's cuts are its candidates' distinct thresholds or levels."""
+        order = np.argsort(data.times, kind="stable")
+        feature = np.array([c.feature for c in candidates], dtype=np.int64)
+        place = np.zeros(len(candidates), dtype=np.int64)
+        features = {}
+        for j in dict.fromkeys(feature.tolist()):
+            idx = np.flatnonzero(feature == j)
             numeric = isinstance(candidates[idx[0]].test, NumericTest)
             cut = np.array([candidates[i].test.threshold if numeric
                             else candidates[i].test.category_index for i in idx])
-            cuts, col = np.unique(cut), data.columns[feature][order]
-            place = np.searchsorted(cuts, cut)
-            place[np.isnan(cut)] = -1  # a NaN threshold sends nobody to the true side
-            self._features.append((np.array(idx), place, cuts.size,
-                                   _ranks(cuts, col, numeric), numeric))
-        self._n_candidates = len(candidates)
+            cuts = np.unique(cut)
+            place[idx] = np.searchsorted(cuts, cut)
+            place[idx[np.isnan(cut)]] = -1  # a NaN threshold sends nobody to the true side
+            features[j] = cuts, _ranks(cuts, data.columns[j][order], numeric), numeric
+        return cls(data.times[order], data.events[order], feature, place, features)
+
+    def split(self, i: int) -> tuple[Union[NumericTest, CategoryTest], np.ndarray]:
+        """Candidate ``i``'s test and its true side, in the table's time order."""
+        _, rank, numeric = entry = self.features[int(self.feature[i])]
+        place = self.place[i]
+        return _test(entry, place), rank <= place if numeric else rank == place
 
     def _kept(self, keep: np.ndarray):
         """Per feature with candidates in ``keep``: their positions in ``keep``
         and places, the feature's number of cuts, ranks and kind."""
-        at = np.full(self._n_candidates, -1)
-        at[keep] = np.arange(len(keep))
-        for idx, place, n_cuts, rank, numeric in self._features:
-            pos = at[idx]
-            chosen = pos >= 0
-            if chosen.any():
-                yield pos[chosen], place[chosen], n_cuts, rank, numeric
+        feature = self.feature[keep]
+        for j, (cuts, rank, numeric) in self.features.items():
+            pos = np.flatnonzero(feature == j)
+            if pos.size:
+                yield pos, self.place[keep[pos]], cuts.size, rank, numeric
 
     def exact(self, keep: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Kuiper V and child event counts (true side, false side) of the
@@ -246,7 +319,7 @@ class KuiperBounds:
         events_true = np.zeros(len(keep), dtype=np.int64)
         for pos, place, _, rank, numeric in self._kept(keep):
             mask = rank <= place[:, None] if numeric else rank == place[:, None]
-            _, at_risk, deaths = risk_sets(self._times, self._events, mask)
+            _, at_risk, deaths = risk_sets(self.times, self.events, mask)
             diff = survival_on_grid(at_risk, deaths)
             diff -= survival_on_grid(self._at_risk - at_risk, self._deaths - deaths)
             v[pos] = diff.max(axis=1, initial=0.0) - diff.min(axis=1, initial=0.0)
@@ -265,22 +338,22 @@ class KuiperBounds:
         # last death time (k = 0), its deaths (k = 1) and the rest (k = 2).
         width = 3 * (blocks + 1)
         column = (block[self._segment]
-                  + (blocks + 1) * np.where(self._events, 1, 2 * last[self._segment]))
+                  + (blocks + 1) * np.where(self.events, 1, 2 * last[self._segment]))
 
         # a kept candidate's true side is rows base + 1 .. row of the histogram
         row, base = np.zeros((2, len(keep)), dtype=np.int64)
         hist, offset = [], 0
         for pos, place, n_cuts, rank, numeric in self._kept(keep):
-            cuts = np.unique(place[place >= 0])
-            if numeric:  # row 1 + m: values with m kept thresholds at or below them
-                rows = 1 + np.searchsorted(cuts, np.arange(n_cuts + 1))
-            else:  # row 1 + m: the m-th kept level; row 0: any other value
-                rows = np.zeros(n_cuts + 1, dtype=np.int64)
-                rows[cuts] = 1 + np.arange(cuts.size)
+            # the row of each rank: for thresholds, 1 + the kept thresholds at or below
+            # the value; for levels, the kept level's number from 1, or 0 for any other
+            kept = np.zeros(n_cuts + 1, dtype=np.int64)
+            kept[place[place >= 0]] = 1
+            count = np.cumsum(kept)
+            rows = 1 + count - kept if numeric else count * kept
             row[pos] = offset + np.where(place >= 0, rows[place], 0)
             base[pos] = offset if numeric else row[pos] - 1
             n_rows = rows.max() + 1
-            hist.append(np.bincount(rows[rank] * width + column, minlength=n_rows * width))
+            hist.append(np.bincount((rows * width)[rank] + column, minlength=n_rows * width))
             offset += n_rows
         cum = np.cumsum(_block_risk(np.concatenate(hist), blocks), axis=0)
         true = cum[row] - cum[base]
@@ -306,7 +379,10 @@ def _block_risk(counts: np.ndarray, blocks: int) -> np.ndarray:
 
 def best_split(data: SurvivalDataset, candidates: list[SplitCandidate],
                config: TreeConfig) -> Optional[SplitCandidate]:
-    """Lowest-p candidate iff it clears the Bonferroni-corrected level.
+    """Lowest-p candidate iff it clears the Bonferroni-corrected level, on a
+    whole dataset taken as one node of :func:`grow_tree`: the candidates,
+    which may be any tests, are ranked on :meth:`KuiperBounds.of` and
+    searched by the loop :func:`grow_tree` runs at every node.
 
     Ranks by log p-value (ordered even where p underflows to 0) and gates on
     log p < log(alpha) - log(m), m counting every candidate. Ties go to the
@@ -319,13 +395,22 @@ def best_split(data: SurvivalDataset, candidates: list[SplitCandidate],
     """
     if not candidates:
         return None
-    gate = math.log(config.alpha) - math.log(len(candidates))
-    n_events = data.n_events  # at least the number of death times
-    table = KuiperBounds(data, candidates)
-    keep, blocks = np.arange(len(candidates)), BOUND_BLOCKS
+    found = _search(KuiperBounds.of(data, candidates), config)
+    if found is None:
+        return None
+    best, result = found
+    return replace(candidates[best], p_value=result.p_value, statistic=result.statistic)
+
+
+def _search(table: KuiperBounds, config: TreeConfig) -> Optional[tuple[int, TestResult]]:
+    """The index of :func:`best_split`'s choice among the table's candidates
+    and its test result, or None if it fails the gate."""
+    gate = math.log(config.alpha) - math.log(table.feature.size)
+    n, n_events = table.times.size, int(table.events.sum())  # at least the death times
+    keep, blocks = np.arange(table.feature.size), BOUND_BLOCKS
     while (keep.size > 1 and blocks < n_events
            and 4 * (PASS_COST_PER_BLOCK * keep.size * (blocks + 1) + PASS_COST_FIXED)
-           <= keep.size * (len(data) + n_events)):
+           <= keep.size * (n + n_events)):
         v_lo, v_hi, events_true, events_false = table(keep, blocks)
         v = np.stack([v_hi + BOUND_SLACK, np.maximum(v_lo - BOUND_SLACK, 0.0)])
         log_p_lo, log_p_hi = kuiper_log_pvalue(v, events_true, events_false)
@@ -341,32 +426,50 @@ def best_split(data: SurvivalDataset, candidates: list[SplitCandidate],
     best = int(np.argmin(log_p))
     if log_p[best] >= gate:
         return None
-    result = kuiper_pvalue(v[best], int(events_true[best]), int(events_false[best]))
-    return replace(candidates[keep[best]], p_value=result.p_value, statistic=result.statistic)
+    return int(keep[best]), kuiper_pvalue(v[best], int(events_true[best]),
+                                          int(events_false[best]))
 
 
 def grow_tree(data: SurvivalDataset, config: TreeConfig = TreeConfig()) -> SurvivalTree:
-    """Recursively grow the significance-gated tree on a validated dataset."""
+    """Recursively grow the significance-gated tree on a validated dataset.
+
+    The dataset is coded once (:class:`_Coded`): its subjects in time order
+    and each feature's int32 codes. A node is an ascending array of positions
+    in that order, so its times and events are gathers already sorted. Each
+    node enumerates its candidates (:func:`_enumerate`), ranking every
+    feature once; its :class:`KuiperBounds` reads those ranks and keeps the
+    candidates as arrays, and only the winner becomes a
+    :class:`SplitCandidate`. The table is dropped before the children are
+    grown. Growing node by node through :func:`enumerate_splits` and
+    :func:`best_split` on ``subset_mask`` datasets gives the same tree.
+    """
     if len(data) == 0 or not data.events.any():
         raise NoEventsAtRootError("tree growth requires at least one observed event")
+    return SurvivalTree(data.schema, _grow(_Coded(data, data.schema), np.arange(len(data)),
+                                           0, config), config)
 
-    def make_node(node_data: SurvivalDataset, depth: int) -> TreeNode:
-        n = len(node_data)
-        n_events = node_data.n_events
-        chosen, candidates = None, []
-        if (depth < config.max_depth and n >= 2 * config.min_leaf_subjects
-                and n_events >= 2 * config.min_leaf_events):
-            candidates = enumerate_splits(node_data, node_data.schema, config)
-            chosen = best_split(node_data, candidates, config)
-        if chosen is None:
-            curve = km_fit_arrays(node_data.times, node_data.events)
-            return TreeNode(n_subjects=n, n_events=n_events, curve=curve)
-        mask = chosen.test.evaluate(node_data.columns[chosen.feature])
-        left = make_node(node_data.subset_mask(mask), depth + 1)
-        right = make_node(node_data.subset_mask(~mask), depth + 1)
-        return TreeNode(split=chosen, n_candidates=len(candidates), left=left, right=right)
 
-    return SurvivalTree(data.schema, make_node(data, 0), config)
+def _grow(coded: _Coded, rows: np.ndarray, depth: int, config: TreeConfig) -> TreeNode:
+    """The subtree of :func:`grow_tree` on the node ``rows`` at ``depth``."""
+    times, events = coded.times[rows], coded.events[rows]
+    n, n_events = rows.size, int(events.sum())
+    chosen, m = None, 0
+    if (depth < config.max_depth and n >= 2 * config.min_leaf_subjects
+            and n_events >= 2 * config.min_leaf_events):
+        table = KuiperBounds(times, events, *_enumerate(coded, rows, config))
+        m = table.feature.size
+        found = _search(table, config) if m else None
+        if found is not None:
+            best, result = found
+            test, mask = table.split(best)
+            chosen = SplitCandidate(int(table.feature[best]), test,
+                                    result.p_value, result.statistic)
+        del table  # before the children's tables are made
+    if chosen is None:
+        return TreeNode(n_subjects=n, n_events=n_events, curve=km_fit_arrays(times, events))
+    return TreeNode(split=chosen, n_candidates=m,
+                    left=_grow(coded, rows[mask], depth + 1, config),
+                    right=_grow(coded, rows[~mask], depth + 1, config))
 
 
 def _check_schema(tree: SurvivalTree, subject: Subject):

@@ -45,7 +45,9 @@ def kuiper_matrix(curves) -> tuple[np.ndarray, np.ndarray]:
     diagonal, and both matrices are symmetric bit for bit.
     """
     grid = np.unique(np.concatenate([c.event_times for c in curves]))
-    s = np.stack([km_eval_many(c, grid) for c in curves])
+    s = np.empty((len(curves), grid.size))
+    for row, c in zip(s, curves):
+        row[:] = km_eval_many(c, grid)
     # d[a, b] = max(0, max_t S_a(t) - S_b(t)); V = D+ + D- = d + d.T
     d = np.stack([(row - s).max(axis=1, initial=0.0) for row in s])
     v = d + d.T

@@ -344,6 +344,17 @@ class TestCsvTokenizer:
         with pytest.raises(csv.Error, match="field larger than field limit"):
             reader_outcome(path)
 
+    @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
+    def test_byte_not_utf8_on_cr_only_lines_names_the_reader_line(self, tmp_path, ending):
+        # CR-only lines are read by csv.reader, which counts them as lines
+        path = tmp_path / "text.csv"
+        text = ending.join(["h,k", "a,b", "c\udcff,d", "e,f"]) + ending
+        path.write_bytes(text.encode("utf-8", "surrogateescape"))
+        for budget in BUDGETS:
+            with mock.patch.object(dataio, "CHUNK_CHARS", budget):
+                assert tokenizer_outcome(path)[1][-1] == (
+                    "error", f"{path}: line 3: byte 0xff is not UTF-8"), budget
+
     @staticmethod
     def assert_matches_at_every_edge(path, data):
         """``read_columns`` reads ``path``, whose text after the header is

@@ -13,6 +13,7 @@ from survclust.clustering import fit_cluster_model
 from survclust.dataio import dump_json, model_to_dict, tree_from_dict, tree_to_dict
 from survclust.errors import (InvalidEventCountError, NoEventsAtRootError,
                               SchemaMismatchError)
+from survclust.kaplan_meier import km_fit_arrays
 from survclust.synth import SynthConfig, default_group_specs, generate
 from survclust import tree
 from survclust.tree import (CategoryTest, KuiperBounds, NumericTest, SplitCandidate,
@@ -227,7 +228,7 @@ class TestBestSplit:
 
 def score_all(data, candidates):
     """Kuiper V and child event counts of every candidate, scored exactly."""
-    return KuiperBounds(data, candidates).exact(np.arange(len(candidates)))
+    return KuiperBounds.of(data, candidates).exact(np.arange(len(candidates)))
 
 
 def assert_matches_oracle(data, candidates):
@@ -370,7 +371,7 @@ class TestPrunedSearch:
         data, config = node
         candidates = enumerate_splits(data, data.schema, config)
         assume(candidates)
-        bounds = KuiperBounds(data, candidates)
+        bounds = KuiperBounds.of(data, candidates)
         v, events_true, events_false = bounds.exact(np.arange(len(candidates)))
         v_lo, v_hi, bound_true, bound_false = bounds(np.arange(len(candidates)), blocks)
         assert np.all(v_lo <= v + 1e-12) and np.all(v <= v_hi + 1e-12)
@@ -562,6 +563,85 @@ class TestGrowTree:
         d_tight = depth(grow_tree(data, TreeConfig(min_leaf_subjects=150,
                                                    min_leaf_events=5)).root)
         assert d_tight <= d_loose
+
+
+@st.composite
+def small_populations(draw):
+    """Up to 200 subjects whose lifetimes depend on a numeric feature of
+    tied values, signed zeros and NaN, on a numeric one, tied or not, with
+    or without NaN, and on a five-level feature of which only some levels
+    are observed; censoring may be heavy and the threshold cap small enough
+    to thin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 200))
+    x = rng.choice(np.array([-1.5, -0.0, 0.0, 0.5, 2.0, 3.0, np.nan]), n)
+    z = rng.normal(size=n) if draw(st.booleans()) else rng.integers(-6, 6, n) + 0.0
+    z[rng.random(n) < draw(st.sampled_from([0.0, 0.1]))] = np.nan
+    levels = rng.choice(draw(st.lists(st.integers(0, 4), min_size=1, max_size=4)), n)
+    rate = np.exp(draw(st.sampled_from([2.0, 4.0])) * (x > 0.2)
+                  + draw(st.sampled_from([0.0, 3.0])) * (z > 0)
+                  + draw(st.floats(0.0, 3.0)) * (levels == levels[0]))
+    times = rng.exponential(1.0 / rate)
+    if draw(st.booleans()):
+        times = np.ceil(3.0 * times)
+    events = rng.random(n) >= draw(st.sampled_from([0.0, 0.5, 0.8]))
+    assume(events.any())
+    schema = FeatureSchema((Feature("x", "numeric"), Feature("z", "numeric"),
+                            Feature("g", "categorical", tuple("abcde"))))
+    data = SurvivalDataset(schema, [f"s{i}" for i in range(n)], [x, z, levels], times, events)
+    config = TreeConfig(alpha=draw(st.sampled_from([0.05, 0.5, 1.0])),
+                        min_leaf_subjects=draw(st.integers(1, 6)),
+                        min_leaf_events=draw(st.integers(1, 3)),
+                        max_depth=draw(st.integers(1, 5)),
+                        max_numeric_thresholds=draw(st.integers(1, 6)))
+    return data, config
+
+
+def node_bits(split, m, leaf):
+    """A node as comparable values: the split with its test, p-value and
+    statistic as float bits and m, or the leaf's counts and curve bytes."""
+    if split is not None:
+        test = split.test
+        return (split.feature, test.threshold.hex() if isinstance(test, NumericTest)
+                else test.category_index, split.p_value.hex(), split.statistic.hex(), m)
+    n, n_events, curve = leaf
+    return (n, n_events, curve.event_times.tobytes(), curve.survival.tobytes(),
+            curve.n_events, curve.n_subjects)
+
+
+def replayed_nodes(data, config):
+    """The tree grown node by node through ``enumerate_splits``/``best_split``
+    on ``subset_mask`` datasets under ``grow_tree``'s stop rule, as
+    :func:`node_bits` in preorder, left subtree first."""
+    out = []
+
+    def node(d, depth):
+        chosen, candidates = None, []
+        if (depth < config.max_depth and len(d) >= 2 * config.min_leaf_subjects
+                and d.n_events >= 2 * config.min_leaf_events):
+            candidates = enumerate_splits(d, d.schema, config)
+            chosen = best_split(d, candidates, config)
+        out.append(node_bits(chosen, len(candidates),
+                             (len(d), d.n_events, km_fit_arrays(d.times, d.events))
+                             if chosen is None else None))
+        if chosen is not None:
+            mask = chosen.test.evaluate(d.columns[chosen.feature])
+            node(d.subset_mask(mask), depth + 1)
+            node(d.subset_mask(~mask), depth + 1)
+
+    node(data, 0)
+    return out
+
+
+class TestGrowMatchesReplay:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(small_populations())
+    def test_grow_tree_is_the_node_by_node_replay(self, population):
+        data, config = population
+        grown = grow_tree(data, config)
+        assert [node_bits(node.split, node.n_candidates,
+                          (node.n_subjects, node.n_events, node.curve) if node.is_leaf else None)
+                for node in grown.nodes()] == replayed_nodes(data, config)
 
 
 class TestAssignLeaf:
