@@ -182,6 +182,18 @@ def _numbers(cells: tuple, name: str, blank_ok: bool) -> np.ndarray:
         return np.array([_number(raw, name, blank_ok) for raw in cells], dtype=np.float64)
 
 
+def _parses(cells, blank_ok: bool) -> bool:
+    """Whether ``float()`` accepts every cell, a blank (whitespace only) one
+    only if ``blank_ok``. Its grammar tells no ASCII digit from another, so it
+    runs once per distinct cell with the digits 1-9 read as 0."""
+    patterns = ",".join(cells).translate(str.maketrans("123456789", "0" * 9)).split(",")
+    try:
+        [float(p) for p in set(patterns) if p.strip() or not blank_ok]
+    except ValueError:
+        return not cells  # joining no cells gives one blank pattern
+    return len(patterns) == len(cells) or not cells  # a cell may hold a comma
+
+
 def _categories(cells: tuple, feature: Feature, strict: bool) -> np.ndarray:
     index = {level: i for i, level in enumerate(feature.categories)}
     codes = np.fromiter(map(index.get, cells, repeat(-1)), dtype=np.int64, count=len(cells))
@@ -201,6 +213,25 @@ def _chunk_dataset(schema: FeatureSchema, strict: bool, cells: list) -> Survival
     return SurvivalDataset(schema, ids, columns, _numbers(times, "time", blank_ok=False), events)
 
 
+def _tested_chunk(schema: FeatureSchema, strict: bool, tested: set, cells: list) -> tuple:
+    """``(ids, columns)`` of a chunk as :func:`_chunk_dataset` gives them, but a
+    numeric feature not in ``tested`` is None, it and ``time`` only checked by
+    :func:`_parses`. If a check fails, :func:`_chunk_dataset` raises its error."""
+    ids, events, *features, times = cells
+    skipped = [column for i, (f, column) in enumerate(zip(schema, features))
+               if f.kind == NUMERIC and i not in tested]
+    if _parses([*chain(*skipped)], blank_ok=not strict) and _parses(times, blank_ok=False):
+        try:
+            _events(events)
+            return ids, [_categories(column, f, strict) if f.kind == CATEGORICAL
+                         else _numbers(column, f.name, blank_ok=not strict) if i in tested
+                         else None for i, (f, column) in enumerate(zip(schema, features))]
+        except SchemaMismatchError:
+            pass
+    data = _chunk_dataset(schema, strict, cells)
+    return data.ids, data.columns
+
+
 def read_columns(path, pick: Callable[[list[str]], list[int]],
                  convert: Callable[[list], T]) -> Iterator[T]:
     """``convert`` of each chunk of a CSV's non-blank rows after the header,
@@ -211,8 +242,8 @@ def read_columns(path, pick: Callable[[list[str]], list[int]],
     not UTF-8 read as a lone surrogate, in blocks of ``CHUNK_CHARS``
     characters. A chunk is the whole lines within one block; the line a
     block cuts is carried into the next. Cells are those ``csv.reader``
-    yields. A chunk of plain rows is split on newlines and commas; from the
-    first block holding a quote, CR, NUL, blank line or line longer than
+    yields. A chunk of plain LF or CRLF rows is split on line ends and commas;
+    from the first block holding a quote, lone CR, NUL, blank line or line longer than
     ``csv.field_size_limit()`` on, ``csv.reader`` reads the rest of the
     file, so a quoted field may span chunks; its chunks hold about one
     block's characters. A row whose field count differs from the
@@ -261,6 +292,11 @@ def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], i
     which each row ends."""
     carry = ""  # the line the last block cut
     while text := carry + (block := fh.read(CHUNK_CHARS)):
+        if block.endswith("\r"):  # read a CRLF the block cuts whole
+            text += fh.read(1)
+        if "\r" in text and '"' not in text:  # CRLF lines are split as LF ones
+            lf = text.replace("\r", "")
+            text = lf if len(text) - len(lf) == text.count("\r\n") else text
         limit = csv.field_size_limit()
         if ('"' in text or "\r" in text or "\0" in text
                 or text.startswith("\n") or "\n\n" in text  # a blank line
@@ -338,6 +374,13 @@ def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[S
     """
     return read_columns(path, partial(_check_header, schema),
                         partial(_chunk_dataset, schema, strict))
+
+
+def iter_tested_columns(path, schema: FeatureSchema, strict: bool, tested: set) -> Iterator:
+    """:func:`_tested_chunk` of each chunk of a subject CSV, which is read and
+    checked as :func:`iter_subject_chunks` reads and checks it."""
+    return read_columns(path, partial(_check_header, schema),
+                        partial(_tested_chunk, schema, strict, tested))
 
 
 def iter_subjects_csv(path, schema: FeatureSchema, strict: bool = True) -> Iterator[Subject]:

@@ -4,13 +4,16 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 
 import survclust
-from survclust import cli
+from survclust import cli, dataio
 from survclust.cli import main
+from survclust.clustering import cluster_assign_dataset
+from survclust.dataio import load_dataset_csv, load_model
 
 
 def run(*argv):
@@ -239,7 +242,7 @@ class TestFit:
     ])
     def test_bad_flag_exits_2_before_reading_data(self, tmp_path, monkeypatch, capsys,
                                                   flag, value, error):
-        for reader in ("load_schema", "load_dataset_csv", "iter_subject_chunks",
+        for reader in ("load_schema", "load_dataset_csv", "iter_tested_columns",
                        "read_activity_csv", "read_profiles_csv"):
             monkeypatch.setattr(cli, reader, unreachable)
         out = tmp_path / "m.json"
@@ -689,6 +692,88 @@ class TestBadSubjectRows:
         assert labels[2].startswith("s\u00e9,")
 
 
+class TestPredictUntestedColumns:
+    """predict converts only the columns its tree tests, yet rejects a bad
+    cell in any other column with the message full conversion gives."""
+
+    @pytest.fixture
+    def fitted(self, tmp_path):
+        data = simulate_two_group(tmp_path, n=400)
+        lines = (data / "subjects.csv").read_text().splitlines()
+        lines = [lines[0] + ",color"] + [f"{line},{'rg'[i % 2]}"
+                                         for i, line in enumerate(lines[1:])]
+        (data / "subjects.csv").write_text("\n".join(lines) + "\n")
+        schema = json.loads((data / "schema.json").read_text())
+        schema["features"].append({"name": "color", "kind": "categorical",
+                                   "categories": ["r", "g"]})
+        (data / "schema.json").write_text(json.dumps(schema))
+        model = tmp_path / "model.json"
+        assert run("fit", "--data", str(data / "subjects.csv"), "--schema",
+                   str(data / "schema.json"), "--k", "2", "--max-depth", "1",
+                   "--min-leaf-subjects", "40", "--out", str(model)) == 0
+        tested = json.loads(model.read_text())["tree"]["root"]["feature"]
+        header = lines[0].split(",")
+        untested = next(name for name in header[3:] if name not in (tested, "color"))
+        return lines, model, untested
+
+    @staticmethod
+    def predict(tmp_path, model, lines, *flags):
+        scored, out = tmp_path / "scored.csv", tmp_path / "labels.csv"
+        scored.write_text("\n".join(lines) + "\n")
+        return run("predict", "--model", str(model), "--data", str(scored),
+                   "--out", str(out), *flags), out
+
+    @staticmethod
+    def edited(lines, row, column, value):
+        lines = list(lines)
+        cells = lines[row].split(",")
+        cells[lines[0].split(",").index(column)] = value
+        lines[row] = ",".join(cells)
+        return lines
+
+    @pytest.mark.parametrize("column, value, message", [
+        (None, "", "missing value in column {untested!r}"),
+        (None, "n/a", "'n/a' is not a number in column {untested!r}"),
+        (None, " ", "missing value in column {untested!r}"),
+        ("color", "b", "unknown category 'b' in column 'color'"),
+        ("time", "soon", "'soon' is not a number in column 'time'"),
+        ("event", "2", "event must be 0 or 1, got '2'"),
+    ])
+    def test_bad_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, fitted,
+                                                     column, value, message):
+        lines, model, untested = fitted
+        lines = self.edited(lines, 3, column or untested, value)
+        capsys.readouterr()
+        code, out = self.predict(tmp_path, model, lines)
+        assert code == 2
+        assert capsys.readouterr().err == f"error: line 4: {message.format(untested=untested)}\n"
+        assert not out.exists()
+
+    def test_majority_flag_accepts_a_blank_untested_cell(self, tmp_path, fitted):
+        lines, model, untested = fitted
+        code, out = self.predict(tmp_path, model, lines)
+        assert code == 0
+        clean = out.read_bytes()
+        code, out = self.predict(tmp_path, model, self.edited(lines, 3, untested, ""),
+                                 "--unknown-as-majority-child")
+        assert code == 0 and out.read_bytes() == clean
+
+    def test_switch_to_csv_reader_midway_labels_as_full_conversion(self, tmp_path, fitted):
+        lines, model, _ = fitted
+        lines = list(lines)
+        lines[300] = '"a,b"' + lines[300][lines[300].index(","):]
+        with mock.patch.object(dataio, "CHUNK_CHARS", 4096):
+            code, out = self.predict(tmp_path, model, lines)
+        assert code == 0
+        loaded = load_model(model)
+        expected = cluster_assign_dataset(
+            loaded, load_dataset_csv(tmp_path / "scored.csv", loaded.tree.schema))
+        with open(out, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert rows[299][0] == "a,b"
+        assert [int(label) for _, label in rows] == expected.tolist()
+
+
 class TestEvaluateValidatesData:
     """evaluate rejects a dataset that fit would reject, with fit's messages."""
 
@@ -852,7 +937,7 @@ class TestUnwritableOutput:
                 "predict": model + csv, "evaluate": model + csv, "report": model}[command]
         out = tmp_path / "out"
         out.mkdir()
-        for reader in ("load_dataset_csv", "iter_subject_chunks"):
+        for reader in ("load_dataset_csv", "iter_tested_columns"):
             monkeypatch.setattr(cli, reader, unreachable)
         capsys.readouterr()
         assert run(command, *args, "--out", str(out)) == 1

@@ -316,6 +316,29 @@ def csv_texts(draw):
     return text if draw(st.booleans()) else text.removesuffix(ending)
 
 
+# Pieces of float() syntax: digits, signs, exponent, separators, blanks,
+# inf/nan letters, a non-ASCII digit and a comma.
+FLOAT_PIECES = ["0", "1", "5", "9", "-", "+", ".", "e", "E", "_", " ", "\t", "\n",
+                "inf", "nan", "infinity", "i", "n", "a", "\u0661", ","]
+
+
+class TestParses:
+    @settings(max_examples=1000, deadline=None, derandomize=True)
+    @given(st.lists(st.lists(st.sampled_from(FLOAT_PIECES), max_size=6).map("".join),
+                    max_size=8), st.booleans())
+    def test_matches_float_cell_by_cell(self, cells, blank_ok):
+        def accepted(cell):
+            if not cell.strip():
+                return blank_ok
+            try:
+                float(cell)
+            except ValueError:
+                return False
+            return True
+
+        assert dataio._parses(cells, blank_ok) == all(map(accepted, cells))
+
+
 class TestCsvTokenizer:
     @settings(max_examples=500, deadline=None)
     @given(csv_texts(), st.sampled_from(BUDGETS))
@@ -370,6 +393,13 @@ class TestCsvTokenizer:
         assert reader_outcome(path) == (["h", "k"], [
             ["a", "b"], ["cc", "d"], ["e", "f"], ("error", "line 5: expected 2 fields, got 1")])
         self.assert_matches_at_every_edge(path, data)
+
+    def test_crlf_lines_are_split_without_csv_reader(self, tmp_path):
+        data = "a,b\r\ncc,d\r\ne,f\r\ng,h"
+        path = tmp_path / "text.csv"
+        path.write_bytes(("h,k\r\n" + data).encode())
+        with mock.patch.object(dataio, "_reader_chunks", side_effect=AssertionError):
+            self.assert_matches_at_every_edge(path, data)
 
     def test_quote_first_seen_in_a_later_block_with_a_line_carried(self, tmp_path):
         # csv.reader must get the line a block cuts whole, or it reads two rows
