@@ -17,7 +17,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from .clustering import check_mcl_params, cluster_assign_dataset, fit_cluster_model
+from .clustering import (check_mcl_params, cluster_assign_columns, cluster_assign_dataset,
+                         fit_cluster_model)
 from .core import SurvivalDataset, validate_dataset
 from .dataio import (_csv_field, atomic_open, dump_json, iter_tested_columns,
                      load_dataset_csv, load_model, load_schema, model_to_dict,
@@ -29,7 +30,7 @@ from .ingest import (activity_to_survival, build_activity_log,
                      early_window_features, read_activity_csv,
                      read_profiles_csv)
 from .synth import SynthConfig, default_group_specs, generate
-from .tree import TreeConfig, _route, grow_tree
+from .tree import TreeConfig, grow_tree
 from .twosample import logrank_test
 
 
@@ -308,13 +309,12 @@ def _evaluation_report(args) -> dict:
 
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    tree, clusters = model.tree, np.array(model.leaf_to_cluster)
-    tested = {node.split.feature for node in tree.nodes() if not node.is_leaf}
+    tested = {node.split.feature for node in model.tree.nodes() if not node.is_leaf}
     unknown = "majority" if args.unknown_as_majority_child else None
     with atomic_open(args.out) as out:
         out.write("id,cluster\n")
-        for ids, columns in iter_tested_columns(args.data, tree.schema, unknown is None, tested):
-            labels = clusters[_route(tree, columns, len(ids), unknown)]
+        for ids, cols in iter_tested_columns(args.data, model.tree.schema, unknown is None, tested):
+            labels = cluster_assign_columns(model, cols, len(ids), unknown)
             out.writelines(f"{_csv_field(sid)},{label}\n"
                            for sid, label in zip(ids, labels.tolist()))
     return 0

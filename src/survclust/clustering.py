@@ -18,7 +18,7 @@ import numpy as np
 from .core import Subject, SurvivalDataset
 from .errors import NonConvergenceError, SchemaMismatchError, UnreachableKError
 from .kaplan_meier import SurvivalCurve, km_fit_arrays
-from .tree import SurvivalTree, assign_leaf, assign_leaves
+from .tree import SurvivalTree, assign_leaf, assign_leaves, route_columns
 from .twosample import kuiper_matrix
 
 # Strict-positivity floor applied to W before balancing; far below any
@@ -232,6 +232,11 @@ def cluster_assign_dataset(model: ClusterModel, data: SurvivalDataset,
                            unknown: str | None = None) -> np.ndarray:
     """Vectorized cluster labels for a whole dataset (``unknown`` as in assign_leaves)."""
     return np.array(model.leaf_to_cluster)[assign_leaves(model.tree, data, unknown)]
+
+
+def cluster_assign_columns(model: ClusterModel, columns, n: int, unknown=None) -> np.ndarray:
+    """Cluster labels of ``n`` rows held as columns, as :func:`route_columns` takes them."""
+    return np.array(model.leaf_to_cluster)[route_columns(model.tree, columns, n, unknown)]
 
 
 def fit_cluster_model(data: SurvivalDataset, tree: SurvivalTree, k: int | None = None,

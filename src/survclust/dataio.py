@@ -221,13 +221,10 @@ def _tested_chunk(schema: FeatureSchema, strict: bool, tested: set, cells: list)
     skipped = [column for i, (f, column) in enumerate(zip(schema, features))
                if f.kind == NUMERIC and i not in tested]
     if _parses([*chain(*skipped)], blank_ok=not strict) and _parses(times, blank_ok=False):
-        try:
-            _events(events)
-            return ids, [_categories(column, f, strict) if f.kind == CATEGORICAL
-                         else _numbers(column, f.name, blank_ok=not strict) if i in tested
-                         else None for i, (f, column) in enumerate(zip(schema, features))]
-        except SchemaMismatchError:
-            pass
+        _events(events)  # then the features in order, as _chunk_dataset checks them
+        return ids, [_categories(column, f, strict) if f.kind == CATEGORICAL
+                     else _numbers(column, f.name, blank_ok=not strict) if i in tested
+                     else None for i, (f, column) in enumerate(zip(schema, features))]
     data = _chunk_dataset(schema, strict, cells)
     return data.ids, data.columns
 
@@ -242,8 +239,8 @@ def read_columns(path, pick: Callable[[list[str]], list[int]],
     not UTF-8 read as a lone surrogate, in blocks of ``CHUNK_CHARS``
     characters. A chunk is the whole lines within one block; the line a
     block cuts is carried into the next. Cells are those ``csv.reader``
-    yields. A chunk of plain LF or CRLF rows is split on line ends and commas;
-    from the first block holding a quote, lone CR, NUL, blank line or line longer than
+    yields. A chunk of plain rows is split on newlines and commas; from the
+    first block holding a quote, CR, NUL, blank line or line longer than
     ``csv.field_size_limit()`` on, ``csv.reader`` reads the rest of the
     file, so a quoted field may span chunks; its chunks hold about one
     block's characters. A row whose field count differs from the
@@ -292,11 +289,6 @@ def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], i
     which each row ends."""
     carry = ""  # the line the last block cut
     while text := carry + (block := fh.read(CHUNK_CHARS)):
-        if block.endswith("\r"):  # read a CRLF the block cuts whole
-            text += fh.read(1)
-        if "\r" in text and '"' not in text:  # CRLF lines are split as LF ones
-            lf = text.replace("\r", "")
-            text = lf if len(text) - len(lf) == text.count("\r\n") else text
         limit = csv.field_size_limit()
         if ('"' in text or "\r" in text or "\0" in text
                 or text.startswith("\n") or "\n\n" in text  # a blank line

@@ -488,7 +488,7 @@ def assign_leaf(tree: SurvivalTree, subject: Subject) -> int:
     _check_schema(tree, subject)
     row = np.array([value if feature.kind == NUMERIC else int(value)
                     for value, feature in zip(subject.values, tree.schema)], dtype=np.float64)
-    return int(_route(tree, row[:, None], 1, None)[0])
+    return int(route_columns(tree, row[:, None], 1, None)[0])
 
 
 def assign_leaves(tree: SurvivalTree, data: SurvivalDataset,
@@ -501,7 +501,7 @@ def assign_leaves(tree: SurvivalTree, data: SurvivalDataset,
     """
     if data.schema != tree.schema:
         raise SchemaMismatchError("dataset schema does not match the tree's schema")
-    return _route(tree, data.columns, len(data), unknown)
+    return route_columns(tree, data.columns, len(data), unknown)
 
 
 def _training_subjects(node: TreeNode) -> int:
@@ -509,7 +509,9 @@ def _training_subjects(node: TreeNode) -> int:
             else _training_subjects(node.left) + _training_subjects(node.right))
 
 
-def _route(tree: SurvivalTree, columns, n: int, unknown: Optional[str]) -> np.ndarray:
+def route_columns(tree: SurvivalTree, columns, n: int, unknown: Optional[str] = None) -> np.ndarray:
+    """Leaf index of ``n`` rows held as one column per feature in schema order; a
+    column the tree does not test may be None (``unknown`` as in assign_leaves)."""
     if unknown not in (None, "majority"):
         raise ValueError(f"unknown routing policy {unknown!r}")
     labels = np.full(n, -1, dtype=np.int64)

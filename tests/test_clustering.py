@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 from oracles import reference_mcl_blocks
 from survclust import Feature, FeatureSchema, SurvivalDataset
 from survclust.clustering import (WEIGHT_FLOOR, ClusterModel, LeafGraph, build_leaf_graph,
-                                  cluster_assign, cluster_assign_dataset,
+                                  cluster_assign, cluster_assign_columns,
+                                  cluster_assign_dataset,
                                   coarsen_to_k, fit_cluster_model,
                                   leaf_samples, mcl, sinkhorn_knopp)
 from survclust.errors import NonConvergenceError, SchemaMismatchError, UnreachableKError
@@ -453,6 +454,14 @@ class TestPipeline:
             mask = labels == c
             groups.append(list(zip(self.data.times[mask], self.data.events[mask])))
         assert logrank_test(groups).p_value < 0.05
+
+    def test_columns_the_tree_does_not_test_may_be_none(self):
+        model = fit_cluster_model(self.data, self.tree, k=2)
+        tested = {node.split.feature for node in self.tree.nodes() if not node.is_leaf}
+        columns = [c if i in tested else None for i, c in enumerate(self.data.columns)]
+        assert any(c is None for c in columns)
+        assert np.array_equal(cluster_assign_columns(model, columns, len(self.data)),
+                              cluster_assign_dataset(model, self.data))
 
     def test_k1_constant_map(self):
         model = fit_cluster_model(self.data, self.tree, k=1)

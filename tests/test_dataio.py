@@ -394,13 +394,6 @@ class TestCsvTokenizer:
             ["a", "b"], ["cc", "d"], ["e", "f"], ("error", "line 5: expected 2 fields, got 1")])
         self.assert_matches_at_every_edge(path, data)
 
-    def test_crlf_lines_are_split_without_csv_reader(self, tmp_path):
-        data = "a,b\r\ncc,d\r\ne,f\r\ng,h"
-        path = tmp_path / "text.csv"
-        path.write_bytes(("h,k\r\n" + data).encode())
-        with mock.patch.object(dataio, "_reader_chunks", side_effect=AssertionError):
-            self.assert_matches_at_every_edge(path, data)
-
     def test_quote_first_seen_in_a_later_block_with_a_line_carried(self, tmp_path):
         # csv.reader must get the line a block cuts whole, or it reads two rows
         data = 'a,b\ncc,d\n"e",f\ngg,hh\ni,j\nk\n'
