@@ -17,12 +17,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .clustering import (check_mcl_params, cluster_assign_columns, cluster_assign_dataset,
-                         fit_cluster_model)
+from .clustering import check_mcl_params, cluster_assign_columns, fit_cluster_model
 from .core import SurvivalDataset, validate_dataset
 from .dataio import (_csv_field, atomic_open, dump_json, iter_tested_columns,
-                     load_dataset_csv, load_model, load_schema, model_to_dict,
-                     save_dataset_csv, save_json, schema_to_dict)
+                     load_dataset_csv, load_model, load_schema, load_tested_dataset,
+                     model_to_dict, save_dataset_csv, save_json, schema_to_dict)
 from .errors import SurvClustError, UnreachableKError
 from .evaluation import (_horizon_masks, check_horizons, classify_and_score,
                          cox_hazard_ratio, logistic_fit, one_hot)
@@ -122,6 +121,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_data_flags(args):
+    if args.data and (args.activity or args.profiles):
+        raise SurvClustError("--data cannot be combined with --activity or --profiles")
+
+
 def _load_training_dataset(args) -> SurvivalDataset:
     if args.activity or args.profiles:
         if not (args.activity and args.profiles and args.schema):
@@ -193,6 +197,7 @@ def cmd_fit(args) -> int:
                         min_leaf_events=args.min_leaf_events,
                         max_depth=args.max_depth,
                         max_numeric_thresholds=args.max_thresholds)
+    _check_data_flags(args)
     if args.k is not None and args.k < 1:
         raise SurvClustError("--k must be at least 1")
     check_mcl_params(args.expansion, args.inflation)
@@ -243,6 +248,7 @@ def cmd_evaluate(args) -> int:
     if args.seed < 0:
         raise SurvClustError("--seed must be a non-negative integer")
     check_horizons(args.t0, args.t1)
+    _check_data_flags(args)
     with atomic_open(args.out) if args.out else nullcontext() as out:
         report = _evaluation_report(args)
         if out is not None:
@@ -255,13 +261,21 @@ def cmd_evaluate(args) -> int:
 def _evaluation_report(args) -> dict:
     """The report of ``evaluate``, printing each part as it is computed."""
     model = load_model(args.model)
-    if args.data and not args.schema:
-        dataset = load_dataset_csv(args.data, model.tree.schema)
+    schema = model.tree.schema
+    if args.data:
+        if args.schema and load_schema(args.schema) != schema:
+            raise SurvClustError("dataset schema does not match the model's schema")
+        dataset = load_tested_dataset(args.data, schema, _tested(model))
+        if dataset is None:  # a column the tree does not test has a cell that is not finite
+            dataset = load_dataset_csv(args.data, schema)
     else:
         dataset = _load_training_dataset(args)
-        if dataset.schema != model.tree.schema:
+        if dataset.schema != schema:
             raise SurvClustError("dataset schema does not match the model's schema")
-    labels = cluster_assign_dataset(model, _validated(dataset))
+    # a numeric feature the tree does not test may be left out: it routes as None
+    columns = dict(zip(dataset.schema.names, _validated(dataset).columns))
+    labels = cluster_assign_columns(model, [columns.get(name) for name in schema.names],
+                                    len(dataset))
 
     sizes = np.bincount(labels, minlength=model.k)
     report: dict = {"k": model.k, "cluster_sizes": sizes.tolist(),
@@ -307,13 +321,18 @@ def _evaluation_report(args) -> dict:
     return report
 
 
+def _tested(model) -> set:
+    """Positions of the features the model's tree splits on."""
+    return {node.split.feature for node in model.tree.nodes() if not node.is_leaf}
+
+
 def cmd_predict(args) -> int:
     model = load_model(args.model)
-    tested = {node.split.feature for node in model.tree.nodes() if not node.is_leaf}
     unknown = "majority" if args.unknown_as_majority_child else None
     with atomic_open(args.out) as out:
         out.write("id,cluster\n")
-        for ids, cols in iter_tested_columns(args.data, model.tree.schema, unknown is None, tested):
+        for ids, _, cols, _ in iter_tested_columns(args.data, model.tree.schema,
+                                                   unknown is None, _tested(model)):
             labels = cluster_assign_columns(model, cols, len(ids), unknown)
             out.writelines(f"{_csv_field(sid)},{label}\n"
                            for sid, label in zip(ids, labels.tolist()))

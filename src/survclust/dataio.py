@@ -182,16 +182,41 @@ def _numbers(cells: tuple, name: str, blank_ok: bool) -> np.ndarray:
         return np.array([_number(raw, name, blank_ok) for raw in cells], dtype=np.float64)
 
 
-def _parses(cells, blank_ok: bool) -> bool:
-    """Whether ``float()`` accepts every cell, a blank (whitespace only) one
-    only if ``blank_ok``. Its grammar tells no ASCII digit from another, so it
-    runs once per distinct cell with the digits 1-9 read as 0."""
-    patterns = ",".join(cells).translate(str.maketrans("123456789", "0" * 9)).split(",")
+_ZEROS = str.maketrans("123456789", "0" * 9)
+
+
+def _finite(cells) -> bool:
+    """Whether ``float()`` reads every cell as a finite number. Its grammar
+    tells no ASCII digit from another, so it reads each distinct cell once
+    with the digits 1-9 read as 0. Such a pattern cannot overflow, so a cell
+    with an exponent, or of 300 or more characters, is then read as it is."""
+    text = ",".join(cells)
+    patterns = text.translate(_ZEROS).split(",")
+    if len(patterns) != len(cells):  # a cell holds a comma, or there are no cells
+        return not cells
+    distinct = set(patterns)
+    risky = [*_cells_holding(text, "e"), *_cells_holding(text, "E")]
+    if max(map(len, distinct)) >= 300:
+        risky += [cell for cell in cells if len(cell) >= 300]
+    return all(map(_reads_finite, chain(distinct, risky)))
+
+
+def _reads_finite(cell: str) -> bool:
     try:
-        [float(p) for p in set(patterns) if p.strip() or not blank_ok]
+        return math.isfinite(float(cell))
     except ValueError:
-        return not cells  # joining no cells gives one blank pattern
-    return len(patterns) == len(cells) or not cells  # a cell may hold a comma
+        return False
+
+
+def _cells_holding(text: str, mark: str) -> Iterator[str]:
+    """Each cell of the comma-joined ``text`` that holds ``mark``."""
+    at = text.find(mark)
+    while at >= 0:
+        end = text.find(",", at)
+        if end < 0:  # the last cell
+            end = len(text)
+        yield text[text.rfind(",", 0, at) + 1:end]
+        at = text.find(mark, end)
 
 
 def _categories(cells: tuple, feature: Feature, strict: bool) -> np.ndarray:
@@ -214,19 +239,23 @@ def _chunk_dataset(schema: FeatureSchema, strict: bool, cells: list) -> Survival
 
 
 def _tested_chunk(schema: FeatureSchema, strict: bool, tested: set, cells: list) -> tuple:
-    """``(ids, columns)`` of a chunk as :func:`_chunk_dataset` gives them, but a
-    numeric feature not in ``tested`` is None, it and ``time`` only checked by
-    :func:`_parses`. If a check fails, :func:`_chunk_dataset` raises its error."""
-    ids, events, *features, times = cells
-    skipped = [column for i, (f, column) in enumerate(zip(schema, features))
-               if f.kind == NUMERIC and i not in tested]
-    if _parses([*chain(*skipped)], blank_ok=not strict) and _parses(times, blank_ok=False):
-        _events(events)  # then the features in order, as _chunk_dataset checks them
-        return ids, [_categories(column, f, strict) if f.kind == CATEGORICAL
+    """``(ids, events, columns, times)`` of a chunk as :func:`_chunk_dataset`
+    gives them, but a numeric feature whose position is not in ``tested`` is
+    None, and so is ``time`` unless ``len(schema)`` is in it; those columns are
+    only checked by :func:`_finite`. If that check fails, the chunk is
+    converted whole by :func:`_chunk_dataset`, which raises its error if any."""
+    ids, events, *columns = cells  # the features, then time
+    kinds = [f.kind for f in schema] + [NUMERIC]
+    if _finite([*chain(*[column for i, (kind, column) in enumerate(zip(kinds, columns))
+                         if kind == NUMERIC and i not in tested])]):
+        events = _events(events)  # then the features in order, as _chunk_dataset checks them
+        converted = [_categories(column, f, strict) if f.kind == CATEGORICAL
                      else _numbers(column, f.name, blank_ok=not strict) if i in tested
-                     else None for i, (f, column) in enumerate(zip(schema, features))]
+                     else None for i, (f, column) in enumerate(zip(schema, columns))]
+        times = _numbers(columns[-1], "time", blank_ok=False) if len(schema) in tested else None
+        return ids, events, converted, times
     data = _chunk_dataset(schema, strict, cells)
-    return data.ids, data.columns
+    return data.ids, data.events, data.columns, data.times
 
 
 def read_columns(path, pick: Callable[[list[str]], list[int]],
@@ -368,7 +397,7 @@ def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[S
                         partial(_chunk_dataset, schema, strict))
 
 
-def iter_tested_columns(path, schema: FeatureSchema, strict: bool, tested: set) -> Iterator:
+def iter_tested_columns(path, schema: FeatureSchema, strict: bool, tested: set) -> Iterator[tuple]:
     """:func:`_tested_chunk` of each chunk of a subject CSV, which is read and
     checked as :func:`iter_subject_chunks` reads and checks it."""
     return read_columns(path, partial(_check_header, schema),
@@ -382,14 +411,27 @@ def iter_subjects_csv(path, schema: FeatureSchema, strict: bool = True) -> Itera
 
 
 def load_dataset_csv(path, schema: FeatureSchema) -> SurvivalDataset:
-    """Read a subject CSV leniently: invalid cells are stored for validation.
-    Each chunk is dropped once its ids and columns are taken, and each
-    column's parts once they are joined."""
-    ids, parts = [], [[] for _ in range(len(schema) + 2)]
-    for chunk in iter_subject_chunks(path, schema, strict=False):
-        ids += chunk.ids
-        for column, part in zip(parts, (*chunk.columns, chunk.times, chunk.events)):
+    """Read a subject CSV leniently: invalid cells are stored for validation."""
+    return load_tested_dataset(path, schema, set(range(len(schema))))
+
+
+def load_tested_dataset(path, schema: FeatureSchema, tested: set) -> SurvivalDataset | None:
+    """Read a subject CSV as :func:`load_dataset_csv` does, converting only
+    ``time``, the categorical features and the numeric ones at the positions
+    in ``tested``: a dataset of those features alone, or None once a chunk's
+    other cells are not all finite numbers. So validating it reports what
+    validating every column would. Each chunk is dropped once its ids and
+    columns are taken, and each column's parts once they are joined."""
+    kept = [i for i, f in enumerate(schema) if f.kind == CATEGORICAL or i in tested]
+    ids, parts = [], [[] for _ in range(len(kept) + 2)]
+    for chunk_ids, events, columns, times in iter_tested_columns(
+            path, schema, False, {*tested, len(schema)}):
+        if sum(column is not None for column in columns) > len(kept):  # converted whole
+            return None
+        ids += chunk_ids
+        for column, part in zip(parts, (*[columns[i] for i in kept], times, events)):
             column.append(part)
+    schema = FeatureSchema(tuple(schema[i] for i in kept))
     if not ids:
         return SurvivalDataset(schema, [], [()] * len(schema), (), ())
     joined = []

@@ -389,6 +389,33 @@ class TestEvaluate:
         ratio = max(hr, 1.0 / hr)
         assert ratio > 3.0
 
+    def test_schema_mismatch_exits_2_before_reading_data(self, tmp_path, monkeypatch, capsys):
+        data, model_path = fitted_model(tmp_path, n=400)
+        schema = json.loads((data / "schema.json").read_text())
+        schema["features"].pop()
+        (tmp_path / "other.json").write_text(json.dumps(schema))
+        for reader in ("load_dataset_csv", "load_tested_dataset", "iter_tested_columns"):
+            monkeypatch.setattr(cli, reader, unreachable)
+        monkeypatch.setattr(dataio, "read_columns", unreachable)
+        capsys.readouterr()
+        assert run("evaluate", "--model", str(model_path), "--data", str(data / "subjects.csv"),
+                   "--schema", str(tmp_path / "other.json"),
+                   "--out", str(tmp_path / "r.json")) == 2
+        assert capsys.readouterr() == (
+            "", "error: dataset schema does not match the model's schema\n")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_matching_schema_gives_the_same_report(self, tmp_path, capsys):
+        data, model_path = fitted_model(tmp_path, n=400)
+        reports = []
+        for flags in ([], ["--schema", str(data / "schema.json")]):
+            out = tmp_path / f"r{len(reports)}.json"
+            assert run("evaluate", "--model", str(model_path), "--data",
+                       str(data / "subjects.csv"), "--t0", "1", "--t1", "5", *flags,
+                       "--out", str(out)) == 0
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
+
 
 class TestPredict:
     def test_training_data_self_consistent(self, tmp_path):
@@ -692,29 +719,41 @@ class TestBadSubjectRows:
         assert labels[2].startswith("s\u00e9,")
 
 
+@pytest.fixture
+def color_model(tmp_path):
+    """Subject lines with a categorical ``color`` column, a depth-1 model fitted
+    on them and the name of a numeric column its tree does not test."""
+    data = simulate_two_group(tmp_path, n=400)
+    lines = (data / "subjects.csv").read_text().splitlines()
+    lines = [lines[0] + ",color"] + [f"{line},{'rg'[i % 2]}"
+                                     for i, line in enumerate(lines[1:])]
+    (data / "subjects.csv").write_text("\n".join(lines) + "\n")
+    schema = json.loads((data / "schema.json").read_text())
+    schema["features"].append({"name": "color", "kind": "categorical",
+                               "categories": ["r", "g"]})
+    (data / "schema.json").write_text(json.dumps(schema))
+    model = tmp_path / "model.json"
+    assert run("fit", "--data", str(data / "subjects.csv"), "--schema",
+               str(data / "schema.json"), "--k", "2", "--max-depth", "1",
+               "--min-leaf-subjects", "40", "--out", str(model)) == 0
+    tested = json.loads(model.read_text())["tree"]["root"]["feature"]
+    header = lines[0].split(",")
+    untested = next(name for name in header[3:] if name not in (tested, "color"))
+    return lines, model, untested
+
+
+def edited(lines, row, column, value):
+    """``lines`` with the cell of ``column`` on ``row`` set to ``value``."""
+    lines = list(lines)
+    cells = lines[row].split(",")
+    cells[lines[0].split(",").index(column)] = value
+    lines[row] = ",".join(cells)
+    return lines
+
+
 class TestPredictUntestedColumns:
     """predict converts only the columns its tree tests, yet rejects a bad
     cell in any other column with the message full conversion gives."""
-
-    @pytest.fixture
-    def fitted(self, tmp_path):
-        data = simulate_two_group(tmp_path, n=400)
-        lines = (data / "subjects.csv").read_text().splitlines()
-        lines = [lines[0] + ",color"] + [f"{line},{'rg'[i % 2]}"
-                                         for i, line in enumerate(lines[1:])]
-        (data / "subjects.csv").write_text("\n".join(lines) + "\n")
-        schema = json.loads((data / "schema.json").read_text())
-        schema["features"].append({"name": "color", "kind": "categorical",
-                                   "categories": ["r", "g"]})
-        (data / "schema.json").write_text(json.dumps(schema))
-        model = tmp_path / "model.json"
-        assert run("fit", "--data", str(data / "subjects.csv"), "--schema",
-                   str(data / "schema.json"), "--k", "2", "--max-depth", "1",
-                   "--min-leaf-subjects", "40", "--out", str(model)) == 0
-        tested = json.loads(model.read_text())["tree"]["root"]["feature"]
-        header = lines[0].split(",")
-        untested = next(name for name in header[3:] if name not in (tested, "color"))
-        return lines, model, untested
 
     @staticmethod
     def predict(tmp_path, model, lines, *flags):
@@ -722,14 +761,6 @@ class TestPredictUntestedColumns:
         scored.write_text("\n".join(lines) + "\n")
         return run("predict", "--model", str(model), "--data", str(scored),
                    "--out", str(out), *flags), out
-
-    @staticmethod
-    def edited(lines, row, column, value):
-        lines = list(lines)
-        cells = lines[row].split(",")
-        cells[lines[0].split(",").index(column)] = value
-        lines[row] = ",".join(cells)
-        return lines
 
     @pytest.mark.parametrize("column, value, message", [
         (None, "", "missing value in column {untested!r}"),
@@ -739,27 +770,35 @@ class TestPredictUntestedColumns:
         ("time", "soon", "'soon' is not a number in column 'time'"),
         ("event", "2", "event must be 0 or 1, got '2'"),
     ])
-    def test_bad_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, fitted,
+    def test_bad_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, color_model,
                                                      column, value, message):
-        lines, model, untested = fitted
-        lines = self.edited(lines, 3, column or untested, value)
+        lines, model, untested = color_model
+        lines = edited(lines, 3, column or untested, value)
         capsys.readouterr()
         code, out = self.predict(tmp_path, model, lines)
         assert code == 2
         assert capsys.readouterr().err == f"error: line 4: {message.format(untested=untested)}\n"
         assert not out.exists()
 
-    def test_majority_flag_accepts_a_blank_untested_cell(self, tmp_path, fitted):
-        lines, model, untested = fitted
+    def test_majority_flag_accepts_a_blank_untested_cell(self, tmp_path, color_model):
+        lines, model, untested = color_model
         code, out = self.predict(tmp_path, model, lines)
         assert code == 0
         clean = out.read_bytes()
-        code, out = self.predict(tmp_path, model, self.edited(lines, 3, untested, ""),
+        code, out = self.predict(tmp_path, model, edited(lines, 3, untested, ""),
                                  "--unknown-as-majority-child")
         assert code == 0 and out.read_bytes() == clean
 
-    def test_switch_to_csv_reader_midway_labels_as_full_conversion(self, tmp_path, fitted):
-        lines, model, _ = fitted
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999", "9" * 400])
+    def test_non_finite_untested_cell_labels_as_before(self, tmp_path, color_model, value):
+        lines, model, untested = color_model
+        code, out = self.predict(tmp_path, model, lines)
+        clean = out.read_bytes()
+        code, out = self.predict(tmp_path, model, edited(lines, 3, untested, value))
+        assert code == 0 and out.read_bytes() == clean
+
+    def test_switch_to_csv_reader_midway_labels_as_full_conversion(self, tmp_path, color_model):
+        lines, model, _ = color_model
         lines = list(lines)
         lines[300] = '"a,b"' + lines[300][lines[300].index(","):]
         with mock.patch.object(dataio, "CHUNK_CHARS", 4096):
@@ -772,6 +811,93 @@ class TestPredictUntestedColumns:
             rows = list(csv.reader(fh))[1:]
         assert rows[299][0] == "a,b"
         assert [int(label) for _, label in rows] == expected.tolist()
+
+
+class TestEvaluateUntestedColumns:
+    """evaluate converts only ``time`` and the columns its tree tests, yet
+    reports a bad cell in any other column as full conversion does."""
+
+    @staticmethod
+    def evaluate(tmp_path, model, lines):
+        scored, out = tmp_path / "scored.csv", tmp_path / "report.json"
+        scored.write_text("\n".join(lines) + "\n")
+        return run("evaluate", "--model", str(model), "--data", str(scored),
+                   "--t0", "1", "--t1", "5", "--out", str(out)), out
+
+    @pytest.mark.parametrize("column, value, message", [
+        (None, "", "missing or non-finite value for feature {untested!r}"),
+        (None, " ", "missing or non-finite value for feature {untested!r}"),
+        (None, "nan", "missing or non-finite value for feature {untested!r}"),
+        (None, "inf", "missing or non-finite value for feature {untested!r}"),
+        (None, "-inf", "missing or non-finite value for feature {untested!r}"),
+        (None, "1e999", "missing or non-finite value for feature {untested!r}"),
+        (None, "9" * 400, "missing or non-finite value for feature {untested!r}"),
+        ("color", "b", "unknown category for feature 'color'"),
+        ("time", "-1.5", "negative time"),
+    ])
+    def test_invalid_cell_is_reported_for_its_id(self, tmp_path, capsys, color_model,
+                                                 column, value, message):
+        lines, model, untested = color_model
+        capsys.readouterr()
+        code, out = self.evaluate(tmp_path, model, edited(lines, 3, column or untested, value))
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"invalid data: {lines[3].split(',')[0]}: {message.format(untested=untested)}\n"
+                "error: 1 validation violation(s)\n")
+        assert not out.exists()
+
+    def test_repeated_id_is_reported(self, tmp_path, capsys, color_model):
+        lines, model, _ = color_model
+        first = lines[2].split(",")[0]
+        capsys.readouterr()
+        code, _ = self.evaluate(tmp_path, model, edited(lines, 3, "id", first))
+        assert code == 2
+        assert capsys.readouterr().err == (f"invalid data: {first}: duplicate id\n"
+                                           "error: 1 validation violation(s)\n")
+
+    @pytest.mark.parametrize("column, value, message", [
+        (None, "n/a", "'n/a' is not a number in column {untested!r}"),
+        ("time", "soon", "'soon' is not a number in column 'time'"),
+        ("event", "2", "event must be 0 or 1, got '2'"),
+    ])
+    def test_unreadable_cell_exits_2_naming_line_and_column(self, tmp_path, capsys, color_model,
+                                                            column, value, message):
+        lines, model, untested = color_model
+        capsys.readouterr()
+        code, out = self.evaluate(tmp_path, model, edited(lines, 3, column or untested, value))
+        assert code == 2
+        assert capsys.readouterr() == (
+            "", f"error: line 4: {message.format(untested=untested)}\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value, error", [
+        ("inf", "invalid data: {id}: missing or non-finite value for feature {untested!r}\n"
+                "error: 1 validation violation(s)\n"),
+        ("n/a", "error: line 301: 'n/a' is not a number in column {untested!r}\n"),
+    ])
+    def test_bad_cell_after_good_chunks(self, tmp_path, capsys, color_model, value, error):
+        lines, model, untested = color_model
+        capsys.readouterr()
+        with mock.patch.object(dataio, "CHUNK_CHARS", 4096):
+            code, _ = self.evaluate(tmp_path, model, edited(lines, 300, untested, value))
+        assert code == 2
+        assert capsys.readouterr().err == error.format(id=lines[300].split(",")[0],
+                                                       untested=untested)
+
+    def test_report_equals_full_conversion(self, tmp_path, monkeypatch, capsys, color_model):
+        lines, model, untested = color_model
+        for row in range(5, len(lines), 7):
+            lines = edited(lines, row, untested, "1e-05")
+        monkeypatch.setattr(cli, "load_dataset_csv", unreachable)  # no cell is converted twice
+        capsys.readouterr()
+        code, out = self.evaluate(tmp_path, model, lines)
+        assert code == 0
+        tested = out.read_bytes(), capsys.readouterr()
+        monkeypatch.undo()
+        monkeypatch.setattr(cli, "load_tested_dataset", lambda *args: None)
+        code, out = self.evaluate(tmp_path, model, lines)
+        assert code == 0
+        assert (out.read_bytes(), capsys.readouterr()) == tested
 
 
 class TestEvaluateValidatesData:
@@ -808,6 +934,29 @@ class TestEvaluateValidatesData:
 
     def test_duplicate_id(self, tmp_path, capsys):
         self.check(tmp_path, capsys, lambda a, b: [a[0], *b[1:]], "duplicate id")
+
+
+class TestDataWithActivityFlags:
+    """--data with --activity or --profiles names two inputs: fit and
+    evaluate exit 2 before they open --out or read any file."""
+
+    @pytest.mark.parametrize("command", ["fit", "evaluate"])
+    @pytest.mark.parametrize("flags", [
+        ["--activity", "a.csv"],
+        ["--profiles", "p.csv"],
+        ["--activity", "a.csv", "--profiles", "p.csv", "--schema", "s.json"],
+    ])
+    def test_exits_2_before_reading(self, tmp_path, monkeypatch, capsys, command, flags):
+        for reader in ("load_model", "load_schema", "load_dataset_csv", "load_tested_dataset",
+                       "read_activity_csv", "read_profiles_csv"):
+            monkeypatch.setattr(cli, reader, unreachable)
+        monkeypatch.setattr(dataio, "read_columns", unreachable)
+        monkeypatch.chdir(tmp_path)
+        model = ["--model", "model.json"] if command == "evaluate" else []
+        assert run(command, *model, "--data", "subjects.csv", *flags, "--out", "out.json") == 2
+        assert capsys.readouterr() == (
+            "", "error: --data cannot be combined with --activity or --profiles\n")
+        assert not list(tmp_path.iterdir())
 
 
 class TestBadActivityRows:
@@ -970,7 +1119,7 @@ class TestUnwritableOutput:
 
     def test_evaluate_opens_out_before_assigning_clusters(self, tmp_path, monkeypatch, capsys):
         data, model_path = fitted_model(tmp_path, n=400)
-        self.check_out_opened_first(tmp_path, monkeypatch, capsys, "cluster_assign_dataset",
+        self.check_out_opened_first(tmp_path, monkeypatch, capsys, "cluster_assign_columns",
                                     "evaluate", "--model", str(model_path),
                                     "--data", str(data / "subjects.csv"))
 
