@@ -19,8 +19,9 @@ import numpy as np
 
 from .clustering import check_mcl_params, cluster_assign_columns, fit_cluster_model
 from .core import SurvivalDataset, validate_dataset
-from .dataio import (_csv_field, atomic_open, dump_json, iter_tested_columns,
-                     load_dataset_csv, load_model, load_schema, load_tested_dataset,
+from .dataio import (_csv_field, atomic_open, dump_json, dump_json_spliced,
+                     iter_tested_columns, load_dataset_csv, load_model,
+                     load_model_with_curves, load_schema, load_tested_dataset,
                      model_to_dict, save_dataset_csv, save_json, schema_to_dict)
 from .errors import SurvClustError, UnreachableKError
 from .evaluation import (_horizon_masks, check_horizons, classify_and_score,
@@ -121,15 +122,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_data_flags(args):
+def _check_data_flags(args, schema_needed: bool):
+    """Reject data flags that name two inputs or too few, before any file is
+    opened; ``schema_needed`` says whether ``--data`` needs ``--schema``."""
     if args.data and (args.activity or args.profiles):
         raise SurvClustError("--data cannot be combined with --activity or --profiles")
-
-
-def _load_training_dataset(args) -> SurvivalDataset:
     if args.activity or args.profiles:
         if not (args.activity and args.profiles and args.schema):
             raise SurvClustError("activity ingestion needs --activity, --profiles and --schema")
+    elif not (args.data and (args.schema or not schema_needed)):
+        raise SurvClustError("need --data and --schema (or the activity trio)" if schema_needed
+                             else "need --data (or the activity trio)")
+
+
+def _load_training_dataset(args) -> SurvivalDataset:
+    """The dataset the data flags, checked by :func:`_check_data_flags`, name."""
+    if args.activity:
         profile_schema = load_schema(args.schema)
         table = read_activity_csv(args.activity)
         profiles = read_profiles_csv(args.profiles, profile_schema)
@@ -147,8 +155,6 @@ def _load_training_dataset(args) -> SurvivalDataset:
         print(f"ingested {len(dataset)} subjects "
               f"({int(dataset.events.sum())} events), discarded {len(discards)}")
         return dataset
-    if not (args.data and args.schema):
-        raise SurvClustError("need --data and --schema (or the activity trio)")
     schema = load_schema(args.schema)
     return load_dataset_csv(args.data, schema)
 
@@ -197,7 +203,7 @@ def cmd_fit(args) -> int:
                         min_leaf_events=args.min_leaf_events,
                         max_depth=args.max_depth,
                         max_numeric_thresholds=args.max_thresholds)
-    _check_data_flags(args)
+    _check_data_flags(args, schema_needed=True)
     if args.k is not None and args.k < 1:
         raise SurvClustError("--k must be at least 1")
     check_mcl_params(args.expansion, args.inflation)
@@ -248,19 +254,20 @@ def cmd_evaluate(args) -> int:
     if args.seed < 0:
         raise SurvClustError("--seed must be a non-negative integer")
     check_horizons(args.t0, args.t1)
-    _check_data_flags(args)
+    _check_data_flags(args, schema_needed=False)
     with atomic_open(args.out) if args.out else nullcontext() as out:
-        report = _evaluation_report(args)
+        model, curves = load_model_with_curves(args.model)
+        report = _evaluation_report(args, model)
         if out is not None:
-            out.write(dump_json(report) + "\n")
+            out.write(dump_json_spliced(report, curves=curves) + "\n")
     if args.out:
         print(f"report written to {args.out}")
     return 0
 
 
-def _evaluation_report(args) -> dict:
-    """The report of ``evaluate``, printing each part as it is computed."""
-    model = load_model(args.model)
+def _evaluation_report(args, model) -> dict:
+    """The report of ``evaluate`` but its curves, printing each part as it is
+    computed."""
     schema = model.tree.schema
     if args.data:
         if args.schema and load_schema(args.schema) != schema:
@@ -278,8 +285,7 @@ def _evaluation_report(args) -> dict:
                                     len(dataset))
 
     sizes = np.bincount(labels, minlength=model.k)
-    report: dict = {"k": model.k, "cluster_sizes": sizes.tolist(),
-                    "curves": [c.to_json_dict() for c in model.cluster_curves]}
+    report: dict = {"k": model.k, "cluster_sizes": sizes.tolist()}
 
     empty = np.flatnonzero(sizes == 0)
     if model.k < 2 or empty.size:
@@ -340,14 +346,14 @@ def cmd_predict(args) -> int:
 
 
 def cmd_report(args) -> int:
-    model = load_model(args.model)
-    payload = {"k": model.k,
-               "curves": [c.to_json_dict() for c in model.cluster_curves]}
+    model, curves = load_model_with_curves(args.model)
+    text = dump_json_spliced({"k": model.k}, curves=curves)
     if args.out:
-        save_json(payload, args.out)
+        with atomic_open(args.out) as out:
+            out.write(text + "\n")
         print(f"curves written to {args.out}")
     else:
-        print(dump_json(payload))
+        print(text)
     return 0
 
 

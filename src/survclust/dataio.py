@@ -41,6 +41,14 @@ def dump_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def dump_json_spliced(obj: dict, **encoded: str) -> str:
+    """:func:`dump_json` of ``obj`` with the members ``encoded`` names added
+    as the JSON text given for each, which is written as it is."""
+    members = [f"{json.dumps(key)}:{encoded[key] if key in encoded else dump_json(obj[key])}"
+               for key in sorted({*obj, *encoded})]
+    return "{" + ",".join(members) + "}"
+
+
 @contextmanager
 def atomic_open(path):
     """Text file for writing that replaces ``path`` only if the block succeeds.
@@ -76,11 +84,12 @@ def load_json(path):
         return json.load(fh)
 
 
-def _load(path, what: str, from_dict: Callable[[dict], T]) -> T:
-    """``from_dict`` of the JSON at ``path``; a file that is not JSON or holds a
-    value ``from_dict`` rejects raises :class:`SchemaMismatchError` naming it."""
+def _load(path, what: str, from_text: Callable[[str], T]) -> T:
+    """``from_text`` of the text at ``path``; a file that is not JSON or holds
+    a value ``from_text`` rejects raises :class:`SchemaMismatchError` naming it."""
     try:
-        return from_dict(load_json(path))
+        with open(path) as fh:
+            return from_text(fh.read())
     except (ValueError, LookupError, TypeError, AttributeError, RecursionError,
             SurvClustError) as err:
         raise SchemaMismatchError(
@@ -108,7 +117,7 @@ def schema_from_dict(d: dict) -> FeatureSchema:
 
 
 def load_schema(path) -> FeatureSchema:
-    return _load(path, "schema", schema_from_dict)
+    return _load(path, "schema", lambda text: schema_from_dict(json.loads(text)))
 
 
 # ------------------------------------------------------------- subjects
@@ -511,4 +520,45 @@ def save_model(model: ClusterModel, path):
 
 
 def load_model(path) -> ClusterModel:
-    return _load(path, "model", model_from_dict)
+    return _load(path, "model", lambda text: model_from_dict(json.loads(text)))
+
+
+def load_model_with_curves(path) -> tuple[ClusterModel, str]:
+    """:func:`load_model`'s model, reading the file once, and its curves as
+    JSON text: the file's own text of ``cluster_curves`` if ``fit`` wrote it
+    (see :func:`_curves_text`), else :func:`dump_json` of the model's curves."""
+    def parse(text: str) -> tuple[ClusterModel, str]:
+        raw = json.loads(text)
+        model = model_from_dict(raw)
+        return model, (_curves_text(text, raw["cluster_curves"]) or dump_json(
+            [c.to_json_dict() for c in model.cluster_curves]))
+    return _load(path, "model", parse)
+
+
+_CURVES_START = '{"cluster_curves":'
+_CURVE_KEYS = ["n_events", "n_subjects", "s", "t"]
+
+
+def _curves_text(text: str, curves: list) -> str | None:
+    """The text of the ``cluster_curves`` array of the model file ``text``
+    whose parsed curves are ``curves``, when the file is in the compact,
+    sorted form :func:`dump_json` writes; else None.
+
+    The array is taken to end at the first ``],"format_version":``. Each
+    curve must hold only its four keys; none of their values, as
+    :func:`model_from_dict` accepts them, holds an object, so no earlier
+    ``],"format_version":`` is inside the array. The strings of
+    the text taken must be those keys, in sorted order, curve by curve: had
+    it run past the array's end it would hold another key. The file has no
+    second ``cluster_curves`` key, and the text no whitespace. Numbers are
+    kept as the file spells them."""
+    if not text.startswith(_CURVES_START + "["):
+        return None
+    end = text.find('],"format_version":') + 1
+    span = text[len(_CURVES_START):end]
+    if (not end or any(len(curve) != len(_CURVE_KEYS) for curve in curves)
+            or any(space in span for space in " \t\n\r")
+            or span.split('"')[1::2] != _CURVE_KEYS * len(curves)
+            or text.find('"cluster_curves":', end) >= 0):
+        return None
+    return span

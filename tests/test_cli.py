@@ -1136,6 +1136,179 @@ class TestReport:
             assert all(0.0 <= s <= 1.0 for s in curve["s"])
 
 
+def write_activity_log(tmp_path, seed=12, n=300):
+    """An activity log, profiles and schema of ``n`` users on two plans whose
+    lifetimes differ; the ``fit``/``evaluate`` flags that ingest them."""
+    rng = np.random.default_rng(seed)
+    join = rng.uniform(0.0, 10.0, n)
+    plan = rng.integers(0, 2, n)
+    end = np.minimum(join + rng.exponential(np.where(plan == 0, 3.0, 30.0)), 40.0)
+    owner = np.repeat(np.arange(n), rng.poisson(2.0 * (end - join)))
+    stamps = join[owner] + rng.random(owner.size) * (end - join)[owner]
+    (tmp_path / "activity.csv").write_text("user_id,timestamp,direction,partner_id\n" + "".join(
+        f"u{u},{t!r},sent,u{p}\n"
+        for u, t, p in zip(owner.tolist(), stamps.tolist(),
+                           rng.integers(0, n, owner.size).tolist())))
+    (tmp_path / "profiles.csv").write_text("user_id,join_time,plan\n" + "".join(
+        f"u{i},{t!r},{'ab'[p]}\n" for i, (t, p) in enumerate(zip(join.tolist(), plan.tolist()))))
+    (tmp_path / "schema.json").write_text(json.dumps({"features": [
+        {"name": "plan", "kind": "categorical", "categories": ["a", "b"]}]}))
+    return ["--activity", str(tmp_path / "activity.csv"),
+            "--profiles", str(tmp_path / "profiles.csv"), "--schema", str(tmp_path / "schema.json"),
+            "--cutoff", "5", "--window", "2", "--study-end", "40"]
+
+
+def curve_outputs(tmp_path, capsys, model_path, data_flags):
+    """The bytes of ``evaluate --out``, ``report --out`` and ``report``'s stdout."""
+    outputs = []
+    for argv in (["evaluate", *data_flags, "--t0", "1", "--t1", "4", "--out", "e.json"],
+                 ["report", "--out", "r.json"]):
+        out = tmp_path / argv[-1]
+        assert run(*argv[:-1], str(out), "--model", str(model_path)) == 0
+        outputs.append(out.read_bytes())
+    capsys.readouterr()
+    assert run("report", "--model", str(model_path)) == 0
+    outputs.append(capsys.readouterr().out.encode())
+    return outputs
+
+
+class TestCurvesCopiedFromTheModel:
+    """``evaluate --out`` and ``report`` write the model file's own text of its
+    curves when ``fit`` wrote the file, and encode the loaded curves
+    otherwise; the bytes are those of encoding the whole report."""
+
+    @pytest.fixture(scope="class")
+    def simulated(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("g3")
+        assert run("simulate", "--groups", "3", "--n", "1500", "--seed", "7",
+                   "--noise-features", "3", "--out", str(data)) == 0
+        return data
+
+    def check_canonical(self, tmp_path, capsys, model_path, data_flags):
+        outputs = curve_outputs(tmp_path, capsys, model_path, data_flags)
+        model = load_model(model_path)
+        curves = [c.to_json_dict() for c in model.cluster_curves]
+        for text in outputs:
+            parsed = json.loads(text)
+            assert text == (dataio.dump_json(parsed) + "\n").encode()
+            assert parsed["curves"] == curves
+        assert outputs[1] == outputs[2] == (
+            dataio.dump_json({"k": model.k, "curves": curves}) + "\n").encode()
+        return outputs
+
+    @pytest.mark.parametrize("k", [None, "2", "1"], ids=["natural-k", "k2", "k1"])
+    def test_fitted_models(self, tmp_path, capsys, simulated, k):
+        data = ["--data", str(simulated / "subjects.csv")]
+        model_path = tmp_path / "model.json"
+        assert run("fit", *data, "--schema", str(simulated / "schema.json"),
+                   *(["--k", k] if k else []), "--out", str(model_path)) == 0
+        outputs = self.check_canonical(tmp_path, capsys, model_path, data)
+        file_curves = json.loads(model_path.read_text())["cluster_curves"]
+        assert json.loads(outputs[0])["curves"] == file_curves
+        assert len(file_curves) == int(k) if k else len(file_curves) > 2
+
+    def test_ingested_model(self, tmp_path, capsys):
+        ingest = write_activity_log(tmp_path)
+        model_path = tmp_path / "model.json"
+        assert run("fit", *ingest, "--min-leaf-subjects", "20", "--k", "2",
+                   "--out", str(model_path)) == 0
+        outputs = self.check_canonical(tmp_path, capsys, model_path, ingest)
+        assert json.loads(outputs[0])["curves"] == json.loads(
+            model_path.read_text())["cluster_curves"]
+
+    @pytest.mark.parametrize("rewrite", [
+        lambda model: json.dumps(model, indent=2),
+        lambda model: json.dumps(dict(reversed(model.items())), separators=(",", ":")),
+        lambda model: json.dumps({**model, "cluster_curves": [
+            dict(reversed(curve.items())) for curve in model["cluster_curves"]]},
+            separators=(",", ":")),
+        lambda model: dataio.dump_json(model).replace('"cluster_curves":', '"cluster_curves" :'),
+        lambda model: dataio.dump_json(model).replace('"s":[', '"s":[ ')],
+        ids=["indented", "unsorted", "unsorted-curves", "space-after-key", "space-in-curves"])
+    def test_other_layouts_give_the_same_bytes(self, tmp_path, capsys, rewrite):
+        data, model_path = fitted_model(tmp_path, n=400)
+        data_flags = ["--data", str(data / "subjects.csv")]
+        compact = curve_outputs(tmp_path, capsys, model_path, data_flags)
+        model_path.write_text(rewrite(json.loads(model_path.read_text())))
+        assert curve_outputs(tmp_path, capsys, model_path, data_flags) == compact
+
+    @pytest.mark.parametrize("extra", [
+        {"note": '],"format_version":'},
+        {"a": [], "format_version": 1},  # a "],"format_version":" ends this curve's "a" array
+        {"format_version": 1},  # written after "t", which it ends
+    ], ids=["string", "array-key", "key-after-t"])
+    def test_curve_with_an_extra_key_is_encoded_again(self, tmp_path, capsys, extra):
+        data, model_path = fitted_model(tmp_path, n=400)
+        model = json.loads(model_path.read_text())
+        model["cluster_curves"][-1].update(extra)
+        text = dataio.dump_json(model)
+        if list(extra) == ["format_version"]:
+            text = text.replace('{"format_version":1,', "{").replace(
+                ']}],"format_version":', '],"format_version":1}],"format_version":')
+        model_path.write_text(text + "\n")
+        assert json.loads(text) == model
+        self.check_canonical(tmp_path, capsys, model_path, ["--data", str(data / "subjects.csv")])
+
+    def test_second_cluster_curves_key_is_encoded_again(self, tmp_path, capsys):
+        # JSON keeps the last of two equal keys: the curves the model loads
+        data, model_path = fitted_model(tmp_path, n=400)
+        text = model_path.read_text()
+        curves = json.loads(text)["cluster_curves"]
+        model_path.write_text(text.removesuffix("}\n")
+                              + f',"cluster_curves":{dataio.dump_json(curves[::-1])}}}\n')
+        assert json.loads(model_path.read_text())["cluster_curves"] == curves[::-1]
+        self.check_canonical(tmp_path, capsys, model_path, ["--data", str(data / "subjects.csv")])
+
+    def test_respelled_number_is_echoed_as_spelled(self, tmp_path, capsys):
+        data, model_path = fitted_model(tmp_path, n=400)
+        data_flags = ["--data", str(data / "subjects.csv")]
+        compact = curve_outputs(tmp_path, capsys, model_path, data_flags)
+        text = model_path.read_text()
+        first = text.split('"t":[', 1)[1].split(",", 1)[0]
+        assert "." in first and "e" not in first
+        model_path.write_text(text.replace(f'"t":[{first},', f'"t":[{first}00,', 1))
+        respelled = curve_outputs(tmp_path, capsys, model_path, data_flags)
+        old, new = f'"t":[{first},'.encode(), f'"t":[{first}00,'.encode()
+        assert respelled == [out.replace(old, new, 1) for out in compact]
+        assert all(out.count(new) == 1 for out in respelled)
+
+
+    def test_each_command_reads_the_model_file_once(self, tmp_path, monkeypatch):
+        data, model_path = fitted_model(tmp_path, n=400)
+        data_flags = ["--data", str(data / "subjects.csv")]
+        opened, real_open = [], open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", counting_open)
+        for argv in (["evaluate", *data_flags, "--out", str(tmp_path / "e.json")],
+                     ["evaluate", *data_flags],
+                     ["report", "--out", str(tmp_path / "r.json")], ["report"],
+                     ["predict", *data_flags, "--out", str(tmp_path / "p.csv")]):
+            opened.clear()
+            assert run(*argv, "--model", str(model_path)) == 0
+            assert opened.count(str(model_path)) == 1, argv
+
+
+class TestIncompleteDataFlags:
+    """fit and evaluate reject missing data flags with exit 2 before they
+    open --out or read any file."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["fit", "--data", "subjects.csv"], "need --data and --schema (or the activity trio)"),
+        (["fit", "--activity", "a.csv"],
+         "activity ingestion needs --activity, --profiles and --schema"),
+        (["evaluate", "--model", "m.json"], "need --data (or the activity trio)"),
+    ], ids=["fit-data-without-schema", "fit-activity-alone", "evaluate-without-data"])
+    def test_exits_2_before_opening_out(self, tmp_path, monkeypatch, capsys, argv, message):
+        monkeypatch.chdir(tmp_path)
+        assert run(*argv, "--out", os.path.join("missing", "x.json")) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+        assert not list(tmp_path.iterdir())
+
+
 def test_cli_imports_only_numpy_and_the_standard_library():
     code = ("import sys; before = set(sys.modules); import survclust.cli; "
             "print(*{name.split('.')[0] for name in set(sys.modules) - before})")

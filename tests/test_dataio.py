@@ -16,8 +16,9 @@ from oracles import (reference_classification_dict, reference_hazard_ratio_dict,
 from survclust import (Feature, FeatureSchema, SurvivalDataset, dataio,
                        validate_dataset)
 from survclust.clustering import cluster_assign_dataset, fit_cluster_model
-from survclust.dataio import (dump_json, iter_subject_chunks, iter_subjects_csv,
-                              load_dataset_csv, load_model, model_to_dict,
+from survclust.dataio import (dump_json, dump_json_spliced, iter_subject_chunks,
+                              iter_subjects_csv, load_dataset_csv, load_model,
+                              load_model_with_curves, model_to_dict,
                               save_dataset_csv, save_json, save_model, schema_from_dict,
                               schema_to_dict, tree_from_dict, tree_to_dict)
 from survclust.errors import SchemaMismatchError
@@ -623,6 +624,13 @@ class TestModelJson:
             assert np.array_equal(a.event_times, b.event_times)
             assert np.array_equal(a.survival, b.survival)
 
+    @pytest.mark.parametrize("obj", [{}, {"k": 2}, {"z": [1.5, None], "a": {"b": "\u00e9"}}])
+    def test_spliced_member_is_written_as_given(self, obj):
+        for curves in ([], [{"t": [0.25], "s": [0.5]}], "caf\u00e9"):
+            assert dump_json_spliced(obj, curves=dump_json(curves)) == \
+                dump_json({**obj, "curves": curves})
+        assert dump_json_spliced({"k": 1}, curves="[0.50]") == '{"curves":[0.50],"k":1}'
+
     def test_atomic_write_leaves_no_droppings(self, tmp_path):
         path = tmp_path / "out.json"
         save_json({"x": 1}, path)
@@ -665,3 +673,7 @@ class TestModelRoundTrip:
         for a, b in zip(back.cluster_curves, model.cluster_curves, strict=True):
             assert a.to_json_dict() == b.to_json_dict()
         assert dump_json(model_to_dict(back)) + "\n" == path.read_text()
+        again, curves = load_model_with_curves(path)
+        assert dump_json(model_to_dict(again)) + "\n" == path.read_text()
+        assert curves == dump_json([c.to_json_dict() for c in model.cluster_curves])
+        assert dataio._curves_text(path.read_text(), json.loads(curves)) == curves
