@@ -14,7 +14,8 @@ import json
 import math
 import os
 import tempfile
-from contextlib import contextmanager
+from collections import deque
+from contextlib import closing, contextmanager, nullcontext
 from dataclasses import asdict
 from functools import partial
 from itertools import chain, islice, repeat
@@ -25,7 +26,7 @@ import numpy as np
 from .clustering import ClusterModel
 from .core import CATEGORICAL, NUMERIC, Feature, FeatureSchema, Subject, SurvivalDataset
 from .errors import SchemaMismatchError, SurvClustError
-from .kaplan_meier import SurvivalCurve
+from .kaplan_meier import SurvivalCurve, json_count
 from .tree import (CategoryTest, NumericTest, SplitCandidate, SurvivalTree,
                    TreeConfig, TreeNode)
 
@@ -35,6 +36,14 @@ RESERVED_COLUMNS = ("id", "time", "event")
 # bounds the memory of cells held as Python objects. Chunks read by
 # ``csv.reader``, and chunks written, are sized to about as many characters.
 CHUNK_CHARS = 1 << 16
+# Bytes per range of a subject CSV that one worker process reads: a file of
+# at least two ranges is read in ranges when the process may run on two or
+# more CPUs (see :func:`_read_in_ranges`). On a 2-vCPU machine, in-process
+# ``predict`` of the first 1, 2, 4 and 8 MiB of a 50k-row ``simulate`` CSV
+# read as two ranges was faster than one process in 1, 4, 15 and 23 of 25
+# runs (medians 60 against 49, 72/65, 91/94 and 130/151 ms), so a file is
+# split only from twice the size where the two break even.
+RANGE_BYTES = 4 << 20
 
 
 def dump_json(obj) -> str:
@@ -237,48 +246,42 @@ def _categories(cells: tuple, feature: Feature, strict: bool) -> np.ndarray:
     return codes
 
 
-def _chunk_dataset(schema: FeatureSchema, strict: bool, cells: list) -> SurvivalDataset:
-    """Convert a chunk's cells (id, event, the features, then time) one
-    column at a time, checking them in that order."""
-    ids, events, *features, times = cells
-    events = _events(events)
-    columns = [_numbers(column, f.name, blank_ok=not strict) if f.kind == NUMERIC
-               else _categories(column, f, strict) for f, column in zip(schema, features)]
-    return SurvivalDataset(schema, ids, columns, _numbers(times, "time", blank_ok=False), events)
-
-
 def _tested_chunk(schema: FeatureSchema, strict: bool, tested: set, cells: list) -> tuple:
-    """``(ids, events, columns, times)`` of a chunk as :func:`_chunk_dataset`
-    gives them, but a numeric feature whose position is not in ``tested`` is
-    None, and so is ``time`` unless ``len(schema)`` is in it; those columns are
-    only checked by :func:`_finite`. If that check fails, the chunk is
-    converted whole by :func:`_chunk_dataset`, which raises its error if any."""
+    """``(ids, events, columns, times)`` of a chunk's cells (id, event, the
+    features, then time), converted one column at a time and checked in that
+    order. A numeric feature whose position is not in ``tested`` is None, and
+    so is ``time`` unless ``len(schema)`` is in it; those columns are only
+    checked by :func:`_finite`. If that check fails, the chunk is converted
+    with every position tested, which raises its error if any."""
     ids, events, *columns = cells  # the features, then time
     kinds = [f.kind for f in schema] + [NUMERIC]
-    if _finite([*chain(*[column for i, (kind, column) in enumerate(zip(kinds, columns))
-                         if kind == NUMERIC and i not in tested])]):
-        events = _events(events)  # then the features in order, as _chunk_dataset checks them
-        converted = [_categories(column, f, strict) if f.kind == CATEGORICAL
-                     else _numbers(column, f.name, blank_ok=not strict) if i in tested
-                     else None for i, (f, column) in enumerate(zip(schema, columns))]
-        times = _numbers(columns[-1], "time", blank_ok=False) if len(schema) in tested else None
-        return ids, events, converted, times
-    data = _chunk_dataset(schema, strict, cells)
-    return data.ids, data.events, data.columns, data.times
+    if not _finite([*chain(*[column for i, (kind, column) in enumerate(zip(kinds, columns))
+                             if kind == NUMERIC and i not in tested])]):
+        return _tested_chunk(schema, strict, set(range(len(kinds))), cells)
+    events = _events(events)
+    converted = [_categories(column, f, strict) if f.kind == CATEGORICAL
+                 else _numbers(column, f.name, blank_ok=not strict) if i in tested
+                 else None for i, (f, column) in enumerate(zip(schema, columns))]
+    times = _numbers(columns[-1], "time", blank_ok=False) if len(schema) in tested else None
+    return ids, events, converted, times
 
 
 def read_columns(path, pick: Callable[[list[str]], list[int]],
-                 convert: Callable[[list], T]) -> Iterator[T]:
+                 convert: Callable[[list], T], span: tuple[int, int, int] | None = None
+                 ) -> Iterator[T]:
     """``convert`` of each chunk of a CSV's non-blank rows after the header,
     given as the columns at the positions ``pick(header)`` returns, each a
-    sequence of cells.
+    sequence of cells. With ``span``, ``(start, stop, line)``, only the rows
+    in bytes ``start`` to ``stop`` of the file are read: ``start`` is a line
+    start after the header, and ``line`` lines come before it.
 
     The file is read as UTF-8 text with ``newline=""``, each byte that is
     not UTF-8 read as a lone surrogate, in blocks of ``CHUNK_CHARS``
     characters. A chunk is the whole lines within one block; the line a
     block cuts is carried into the next. Cells are those ``csv.reader``
-    yields. A chunk of plain rows is split on newlines and commas; from the
-    first block holding a quote, CR, NUL, blank line or line longer than
+    yields. A chunk of plain rows is split on newlines and commas, each
+    CRLF read as a newline; from the first block holding a quote, a CR
+    not before a newline, a NUL, a blank line or a line longer than
     ``csv.field_size_limit()`` on, ``csv.reader`` reads the rest of the
     file, so a quoted field may span chunks; its chunks hold about one
     block's characters. A row whose field count differs from the
@@ -293,23 +296,121 @@ def read_columns(path, pick: Callable[[list[str]], list[int]],
     with open(path, newline="", encoding="utf-8", errors="surrogateescape") as fh:
         reader = csv.reader(fh)
         _, header = next(_numbered_rows(reader, 0), (0, []))
-        _check_utf8(fh.name, "".join(header), lambda at: reader.line_num)
+        if (at := _bad_byte(names := "".join(header))) >= 0:
+            raise _byte_error(fh.name, names, at, reader.line_num)
         picked = pick(header)
-        for columns, line in _chunks(fh, len(header), reader.line_num):
-            yield _convert(convert, [columns[i] for i in picked], line)
+        with _open_span(path, *span[:2]) if span else nullcontext(fh) as body:
+            for columns, line in _chunks(body, len(header), span[2] if span else reader.line_num):
+                yield _convert(convert, [columns[i] for i in picked], line)
 
 
-def _check_utf8(name, text: str, line: Callable[[int], int]):
-    """Raise :class:`SchemaMismatchError` at the first character of ``text``
-    read from a byte that is not UTF-8; ``line(i)`` is character i's line."""
-    if text.isascii():
+def _open_span(path, start: int, stop: int) -> io.TextIOWrapper:
+    """Bytes ``start`` to ``stop`` of ``path`` as :func:`read_columns` reads
+    text, named as ``open(path)`` names it."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        data = io.BytesIO(fh.read(stop - start))
+    data.name = fh.name
+    return io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape", newline="")
+
+
+def _line_ranges(path) -> list[tuple[int, int, int]]:
+    """``(start, stop, line)`` of the ranges of ``RANGE_BYTES`` to twice that
+    the rows after the header of the file at ``path`` split into, found in
+    one pass over its bytes: each starts at a line start, after ``line``
+    lines. Empty when the file is smaller than two ranges, splits into
+    fewer, or must be read in one pass: it holds a quote, as a quoted field
+    may hold a line break, or a CR not before a newline, which
+    ``csv.reader`` counts as a line end."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        count = size // RANGE_BYTES
+        if count < 2:
+            return []
+        aims = iter(size * i // count for i in range(1, count))  # the first line start after each
+        starts, aim, lines, at, crs, crlfs, last = [], 0, 0, 0, 0, 0, b""
+        while block := fh.read(1 << 20):
+            if b'"' in block:
+                return []
+            if b"\r" in block:  # counted only then: bytes.count is slower than numpy's
+                crs += block.count(b"\r")
+                crlfs += block.count(b"\r\n")
+            crlfs += last == b"\r" and block.startswith(b"\n")
+            newlines = np.frombuffer(block, dtype=np.uint8) == ord("\n")
+            while aim is not None and (end := block.find(b"\n", max(aim - at, 0))) >= 0:
+                start = at + end + 1
+                if not starts or start > starts[-1][0]:
+                    starts.append((start, lines + int(np.count_nonzero(newlines[:end + 1]))))
+                aim = next(aims, None)
+            lines += int(np.count_nonzero(newlines))
+            at, last = at + len(block), block[-1:]
+    starts = [(start, line) for start, line in starts if start < size]
+    if crs != crlfs or len(starts) < 2:
+        return []
+    stops = [start for start, _ in starts[1:]] + [size]
+    return [(start, stop, line) for (start, line), stop in zip(starts, stops)]
+
+
+def _read_span(path, pick, convert, span) -> tuple[list, Exception | None]:
+    """The chunks :func:`read_columns` gives for ``span``, then the
+    :class:`SchemaMismatchError` or OSError that ended them, if any."""
+    chunks = []
+    try:
+        for chunk in read_columns(path, pick, convert, span):
+            chunks.append(chunk)
+    except (SchemaMismatchError, OSError) as err:
+        return chunks, err
+    return chunks, None
+
+
+def _read_in_ranges(path, pick: Callable[[list[str]], list[int]],
+                    convert: Callable[[list], T]) -> Iterator[T]:
+    """What ``read_columns(path, pick, convert)`` yields and raises, read by
+    one worker process per CPU this process may run on, each reading one
+    of :func:`_line_ranges` at a time, when there are two or more of both
+    and processes can be forked; else read here. Chunks come in file order,
+    and a range's error is raised after every earlier range's chunks, so
+    the first error in the file wins. One range per worker is read ahead
+    of the one being yielded. The workers are shut down when the read
+    ends, fails or is dropped."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    ranges = _line_ranges(path) if cpus > 1 and hasattr(os, "fork") else []
+    if not ranges:
+        yield from read_columns(path, pick, convert)
         return
+    # imported here: at module level they load __mp_main__ into every command
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    workers = min(cpus, len(ranges))
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        queued = iter(ranges)
+        pending = deque(pool.submit(_read_span, path, pick, convert, span)
+                        for span in islice(queued, workers))
+        while pending:
+            chunks, error = pending.popleft().result()
+            pending.extend(pool.submit(_read_span, path, pick, convert, span)
+                           for span in islice(queued, 1))
+            yield from chunks
+            if error is not None:
+                raise error
+
+
+def _bad_byte(text: str) -> int:
+    """Index of the first character of ``text`` read from a byte that is not
+    UTF-8, or -1."""
+    if text.isascii():
+        return -1
     try:
         text.encode("utf-8")
     except UnicodeEncodeError as err:
-        byte = ord(text[err.start]) - 0xDC00  # surrogateescape's code for the byte
-        raise SchemaMismatchError(f"{name}: line {line(err.start)}: "
-                                  f"byte 0x{byte:02x} is not UTF-8") from None
+        return err.start
+    return -1
+
+
+def _byte_error(name, text: str, at: int, line: int) -> SchemaMismatchError:
+    byte = ord(text[at]) - 0xDC00  # surrogateescape's code for the byte
+    return SchemaMismatchError(f"{name}: line {line}: byte 0x{byte:02x} is not UTF-8")
 
 
 def _numbered_rows(reader, first: int) -> Iterator[tuple[int, list[str]]]:
@@ -324,20 +425,23 @@ def _numbered_rows(reader, first: int) -> Iterator[tuple[int, list[str]]]:
 
 def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], int]]]:
     """Per chunk, one sequence of cells per field and the 1-based line on
-    which each row ends."""
+    which each row ends. A bad row's error is raised after the chunk of the
+    rows before it, so the first bad row wins whatever the chunks."""
     carry = ""  # the line the last block cut
     while text := carry + (block := fh.read(CHUNK_CHARS)):
         limit = csv.field_size_limit()
-        if ('"' in text or "\r" in text or "\0" in text
-                or text.startswith("\n") or "\n\n" in text  # a blank line
+        cut = text.rfind("\n") + 1 if block else len(text)  # the last line may lack "\n"
+        whole = text[:cut]
+        if "\r" in whole and whole.count("\r") == whole.count("\r\n"):
+            whole = whole.replace("\r\n", "\n")
+        if ('"' in text or "\r" in whole or "\0" in text
+                or whole.startswith("\n") or "\n\n" in whole  # a blank line
                 or len(text) > limit and max(map(len, text.split("\n"))) > limit):
             # the cut line completed, so that csv.reader sees it whole
             lines = io.StringIO(text + fh.readline(), newline="")
             yield from _reader_chunks(fh.name, chain(lines, fh), width, line)
             return
-        _check_utf8(fh.name, text, lambda at: line + 1 + text.count("\n", 0, at))
-        cut = text.rfind("\n") + 1 if block else len(text)  # the last line may lack "\n"
-        text, carry = text[:cut], text[cut:]
+        text, carry = whole, text[cut:]
         if not text:
             continue
         rows = text.count("\n") + (not text.endswith("\n"))
@@ -346,37 +450,54 @@ def _chunks(fh, width: int, line: int) -> Iterator[tuple[list, Callable[[int], i
         # Each line break becomes a "\n" cell, so the rows all have ``width``
         # fields if and only if every ``width + 1``-th cell is one of them.
         cells = text.removesuffix("\n").replace("\n", ",\n,").split(",")
-        good = rows
+        good, error = rows, None
         if (len(cells) != rows * (width + 1) - 1
                 or cells[width::width + 1].count("\n") != rows - 1):
-            lines = text.split("\n")
-            good = next(i for i, row in enumerate(lines) if row.count(",") != width - 1)
+            good, fields = next((i, row.count(",") + 1) for i, row in enumerate(text.split("\n"))
+                                if row.count(",") != width - 1)
+            error = SchemaMismatchError(f"line {where(good)}: expected {width} fields, "
+                                        f"got {fields}")
+        at = _bad_byte(text)
+        if at >= 0 and (row := text.count("\n", 0, at)) <= good:
+            good, error = row, _byte_error(fh.name, text, at, where(row))
         if good:
             yield [cells[j:good * (width + 1):width + 1] for j in range(width)], where
-        if good < rows:
-            raise SchemaMismatchError(f"line {where(good)}: expected {width} fields, "
-                                      f"got {lines[good].count(',') + 1}")
+        if error:
+            raise error
 
 
 def _reader_chunks(name, lines: Iterator[str], width: int, line: int
                    ) -> Iterator[tuple[list, Callable[[int], int]]]:
+    """:func:`_chunks` of the rows ``csv.reader`` reads from ``lines``."""
     numbered = ((end, row) for end, row in _numbered_rows(csv.reader(lines), line) if row)
-    size = 1  # rows per chunk
-    while chunk := list(islice(numbered, size)):
+    size, error = 1, None  # rows per chunk
+    while not error:
+        chunk = []
+        try:
+            for item in islice(numbered, size):
+                chunk.append(item)
+        except SchemaMismatchError as err:  # csv.reader's, on the row after the chunk
+            error = err
+        if not chunk:
+            break
         ends, rows = zip(*chunk)
         text = "".join(map("".join, rows))
         # the next chunk: as many rows as one block holds at this chunk's
         # characters per row, its cells plus a comma or line break each
         size = len(rows) * CHUNK_CHARS // (len(text) + len(rows) * width or 1) + 1
-        if not text.isascii():
-            for end, row in chunk:
-                _check_utf8(name, "".join(row), lambda at: end)
         good = next((i for i, row in enumerate(rows) if len(row) != width), len(rows))
+        if good < len(rows):
+            error = SchemaMismatchError(f"line {ends[good]}: expected {width} fields, "
+                                        f"got {len(rows[good])}")
+        if not text.isascii():
+            for i, (end, row) in enumerate(chunk[:good + 1]):
+                if (at := _bad_byte(cells := "".join(row))) >= 0:
+                    good, error = i, _byte_error(name, cells, at, end)
+                    break
         if good:
             yield list(zip(*rows[:good])), ends.__getitem__
-        if good < len(rows):
-            raise SchemaMismatchError(f"line {ends[good]}: expected {width} fields, "
-                                      f"got {len(rows[good])}")
+    if error:
+        raise error
 
 
 def _convert(convert: Callable[[list], T], cells: list, line: Callable[[int], int]) -> T:
@@ -392,9 +513,10 @@ def _convert(convert: Callable[[list], T], cells: list, line: Callable[[int], in
         raise
 
 
-def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[SurvivalDataset]:
-    """Read a subject CSV as consecutive datasets, one per chunk: the whole
-    lines within one block of ``CHUNK_CHARS`` characters (see :func:`read_columns`).
+def iter_tested_columns(path, schema: FeatureSchema, strict: bool, tested: set) -> Iterator[tuple]:
+    """:func:`_tested_chunk` of each chunk of a subject CSV (see
+    :func:`read_columns`), read in line-aligned ranges by worker processes
+    when it is large (see :func:`_read_in_ranges`).
 
     Strict mode rejects blank numeric cells and unknown categories; lenient
     mode stores them as NaN and -1 for :func:`validate_dataset` to report.
@@ -402,21 +524,15 @@ def iter_subject_chunks(path, schema: FeatureSchema, strict: bool) -> Iterator[S
     ``event`` other than 0/1 or a non-numeric ``time`` or feature cell
     raises :class:`SchemaMismatchError` naming its 1-based line.
     """
-    return read_columns(path, partial(_check_header, schema),
-                        partial(_chunk_dataset, schema, strict))
-
-
-def iter_tested_columns(path, schema: FeatureSchema, strict: bool, tested: set) -> Iterator[tuple]:
-    """:func:`_tested_chunk` of each chunk of a subject CSV, which is read and
-    checked as :func:`iter_subject_chunks` reads and checks it."""
-    return read_columns(path, partial(_check_header, schema),
-                        partial(_tested_chunk, schema, strict, tested))
+    return _read_in_ranges(path, partial(_check_header, schema),
+                           partial(_tested_chunk, schema, strict, tested))
 
 
 def iter_subjects_csv(path, schema: FeatureSchema, strict: bool = True) -> Iterator[Subject]:
     """Stream subjects; strict mode rejects unknown categories and blank numerics."""
-    for chunk in iter_subject_chunks(path, schema, strict):
-        yield from chunk.subjects()
+    every = set(range(len(schema) + 1))
+    for ids, events, columns, times in iter_tested_columns(path, schema, strict, every):
+        yield from SurvivalDataset(schema, ids, columns, times, events).subjects()
 
 
 def load_dataset_csv(path, schema: FeatureSchema) -> SurvivalDataset:
@@ -433,13 +549,13 @@ def load_tested_dataset(path, schema: FeatureSchema, tested: set) -> SurvivalDat
     columns are taken, and each column's parts once they are joined."""
     kept = [i for i, f in enumerate(schema) if f.kind == CATEGORICAL or i in tested]
     ids, parts = [], [[] for _ in range(len(kept) + 2)]
-    for chunk_ids, events, columns, times in iter_tested_columns(
-            path, schema, False, {*tested, len(schema)}):
-        if sum(column is not None for column in columns) > len(kept):  # converted whole
-            return None
-        ids += chunk_ids
-        for column, part in zip(parts, (*[columns[i] for i in kept], times, events)):
-            column.append(part)
+    with closing(iter_tested_columns(path, schema, False, {*tested, len(schema)})) as chunks:
+        for chunk_ids, events, columns, times in chunks:
+            if sum(column is not None for column in columns) > len(kept):  # converted whole
+                return None
+            ids += chunk_ids
+            for column, part in zip(parts, (*[columns[i] for i in kept], times, events)):
+                column.append(part)
     schema = FeatureSchema(tuple(schema[i] for i in kept))
     if not ids:
         return SurvivalDataset(schema, [], [()] * len(schema), (), ())
@@ -477,7 +593,8 @@ def tree_from_dict(d: dict) -> SurvivalTree:
 
     def build(raw: dict) -> TreeNode:
         if "feature" not in raw:
-            return TreeNode(n_subjects=int(raw["n_subjects"]), n_events=int(raw["n_events"]))
+            return TreeNode(n_subjects=json_count(raw["n_subjects"], "n_subjects"),
+                            n_events=json_count(raw["n_events"], "n_events"))
         feature = schema.index(raw["feature"])
         numeric = schema[feature].kind == NUMERIC
         field, kinds = ("threshold", (int, float)) if numeric else ("category_index", int)
@@ -490,7 +607,7 @@ def tree_from_dict(d: dict) -> SurvivalTree:
                 else 0 <= test.category_index < len(schema[feature].categories)):
             raise SchemaMismatchError(f"the split on {raw['feature']!r} cannot route: {test}")
         split = SplitCandidate(feature, test, float(raw["p_value"]), float(raw["statistic"]))
-        return TreeNode(split=split, n_candidates=int(raw["n_candidates"]),
+        return TreeNode(split=split, n_candidates=json_count(raw["n_candidates"], "n_candidates"),
                         left=build(raw["left"]), right=build(raw["right"]))
 
     return SurvivalTree(schema, build(d["root"]), config)

@@ -36,6 +36,8 @@ class SurvivalCurve:
         s = np.asarray(self.survival, dtype=np.float64)
         if et.ndim != 1 or et.shape != s.shape:
             raise ValueError("event_times and survival must be 1-d arrays of equal length")
+        if not (np.isfinite(et).all() and np.isfinite(s).all()):
+            raise ValueError("event_times and survival must be finite")
         if et.size and np.any(np.diff(et) <= 0):
             raise ValueError("event_times must be strictly increasing")
         if np.any(s < 0) or np.any(s > 1) or (s.size and np.any(np.diff(s) > 0)):
@@ -59,7 +61,15 @@ class SurvivalCurve:
     def from_json_dict(cls, d: dict) -> "SurvivalCurve":
         return cls(np.asarray(d["t"], dtype=np.float64),
                    np.asarray(d["s"], dtype=np.float64),
-                   int(d["n_events"]), int(d["n_subjects"]))
+                   json_count(d["n_events"], "n_events"), json_count(d["n_subjects"], "n_subjects"))
+
+
+def json_count(value, name: str) -> int:
+    """``value``, the count ``name`` read from JSON, if it is a JSON integer:
+    an ``int`` and not a ``bool``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} is {value!r}, not a JSON integer")
+    return value
 
 
 def risk_sets(times, events, members) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

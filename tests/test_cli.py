@@ -553,6 +553,28 @@ class TestHostileModel:
         self.check(tmp_path, capsys, edited,
                    f"{tmp_path / 'model.json'}: malformed model file (ValueError: {error})")
 
+    @pytest.mark.parametrize("key", ["t", "s"])
+    @pytest.mark.parametrize("value", [float("nan"), None], ids=["NaN", "null"])
+    def test_curve_value_not_finite(self, tmp_path, capsys, key, value):
+        def edit(model):
+            model["cluster_curves"][0][key][-1] = value
+            return model
+        self.check(tmp_path, capsys, edit, f"{tmp_path / 'model.json'}: malformed model file "
+                                           "(ValueError: event_times and survival must be finite)")
+
+    @pytest.mark.parametrize("place, key, value", [
+        *[("curve", key, value) for key in ("n_events", "n_subjects") for value in (True, "7", 3.7)],
+        ("leaf", "n_subjects", True), ("leaf", "n_events", True), ("split", "n_candidates", True)])
+    def test_count_not_a_json_integer(self, tmp_path, capsys, place, key, value):
+        def edit(model):
+            node = model["tree"]["root"]
+            while place == "leaf" and "feature" in node:
+                node = node["left"]
+            (model["cluster_curves"][0] if place == "curve" else node)[key] = value
+            return model
+        self.check(tmp_path, capsys, edit, f"{tmp_path / 'model.json'}: malformed model file "
+                                           f"(ValueError: {key} is {value!r}, not a JSON integer)")
+
     def test_missing_cluster_curves(self, tmp_path, capsys):
         def edit(model):
             del model["cluster_curves"]
@@ -633,6 +655,64 @@ class TestHostileModel:
             # the message names the split's feature, in quotes, just before this
             self.check(tmp_path / f"{field}-{value}", capsys, edit,
                        f"' has {field} {value!r}, not a JSON {kind}")
+
+
+def child_pids() -> set:
+    """Pids of this process's children, as Linux lists them (none elsewhere)."""
+    return {int(pid) for path in Path(f"/proc/{os.getpid()}/task").glob("*/children")
+            for pid in path.read_text().split()}
+
+
+class TestReadInRanges:
+    """A subject CSV of two or more ranges is read by worker processes, and
+    predict and evaluate write the same bytes, stdout, stderr and exit code
+    as when it is read in one process; no worker outlives a command."""
+
+    def outcomes(self, tmp_path, capsys, model_path, data, cpus):
+        results = []
+        with mock.patch.object(dataio, "RANGE_BYTES", 16 << 10), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+            assert len(dataio._line_ranges(data)) >= 2
+            for flags in (["predict"], ["evaluate", "--t0", "1", "--t1", "5"]):
+                out = tmp_path / "out"
+                capsys.readouterr()
+                code = run(*flags, "--model", str(model_path), "--data", str(data),
+                           "--out", str(out))
+                assert not child_pids()
+                results.append((code, *capsys.readouterr(),
+                                out.read_bytes() if out.exists() else None))
+                out.unlink(missing_ok=True)
+        return results
+
+    def test_same_outputs_with_one_cpu(self, tmp_path, capsys):
+        data, model_path = fitted_model(tmp_path)
+        subjects = data / "subjects.csv"
+        ranged = self.outcomes(tmp_path, capsys, model_path, subjects, cpus=2)
+        assert ranged == self.outcomes(tmp_path, capsys, model_path, subjects, cpus=1)
+        assert [code for code, *_ in ranged] == [0, 0]
+
+    def test_bad_cell_in_the_last_range(self, tmp_path, capsys):
+        data, model_path = fitted_model(tmp_path)
+        lines = (data / "subjects.csv").read_text().splitlines()
+        lines[-3] = lines[-3].rsplit(",", 1)[0] + ",n/a"
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        ranged = self.outcomes(tmp_path, capsys, model_path, bad, cpus=2)
+        assert ranged == self.outcomes(tmp_path, capsys, model_path, bad, cpus=1)
+        message = f"error: line {len(lines) - 2}: 'n/a' is not a number in column 'noise2'\n"
+        assert ranged == [(2, "", message, None)] * 2
+
+    def test_nan_in_an_untested_column_of_the_first_range(self, tmp_path, capsys):
+        # evaluate drops its read at the chunk, then reads every column again
+        data, model_path = fitted_model(tmp_path)
+        lines = (data / "subjects.csv").read_text().splitlines()
+        lines[3] = lines[3].rsplit(",", 1)[0] + ",nan"
+        bad = tmp_path / "nan.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        ranged = self.outcomes(tmp_path, capsys, model_path, bad, cpus=2)
+        assert ranged == self.outcomes(tmp_path, capsys, model_path, bad, cpus=1)
+        assert [code for code, *_ in ranged] == [0, 2]
+        assert "missing or non-finite value for feature 'noise2'" in ranged[1][2]
 
 
 class TestPredictNan:

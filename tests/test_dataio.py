@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 from unittest import mock
 
 import numpy as np
@@ -16,8 +17,8 @@ from oracles import (reference_classification_dict, reference_hazard_ratio_dict,
 from survclust import (Feature, FeatureSchema, SurvivalDataset, dataio,
                        validate_dataset)
 from survclust.clustering import cluster_assign_dataset, fit_cluster_model
-from survclust.dataio import (dump_json, dump_json_spliced, iter_subject_chunks,
-                              iter_subjects_csv, load_dataset_csv, load_model,
+from survclust.dataio import (dump_json, dump_json_spliced, iter_subjects_csv,
+                              iter_tested_columns, load_dataset_csv, load_model,
                               load_model_with_curves, model_to_dict,
                               save_dataset_csv, save_json, save_model, schema_from_dict,
                               schema_to_dict, tree_from_dict, tree_to_dict)
@@ -145,7 +146,7 @@ class TestSubjectCsv:
         with pytest.raises(SchemaMismatchError, match="line 2: unknown category 'NOPE'"):
             list(iter_subjects_csv(path, mixed_schema(), strict=True))
         with pytest.raises(SchemaMismatchError, match="line 3: 'forty'"):
-            list(iter_subject_chunks(path, mixed_schema(), strict=False))
+            list(iter_tested_columns(path, mixed_schema(), False, {0, 1, 2}))
 
     @pytest.mark.parametrize("budget", BUDGETS)
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -325,6 +326,126 @@ FLOAT_PIECES = ["0", "1", "5", "9", "-", "+", ".", "e", "E", "_", " ", "\t", "\n
                 "1e308", "1e309", "1e-400", "9" * 300, "0" * 300, "5" * 309]
 
 
+RANGE_SCHEMA = FeatureSchema((Feature("x", "numeric"), Feature("g", "categorical", ("M", "F")),
+                              Feature("y", "numeric")))
+RANGE_NUMBERS = st.sampled_from(["0.5", "-2", "1e3", "7", "nan", "inf"])
+
+
+@st.composite
+def range_csvs(draw):
+    """Bytes of a subject CSV over ``RANGE_SCHEMA`` of 20-60 rows: valid
+    rows, and rows with a non-number, blank or unknown cell, a bad event, a
+    wrong field count, a byte that is not UTF-8 or a bare CR, and blank
+    lines; LF or CRLF endings, maybe no final newline."""
+    lines = [b"id,time,event,x,g,y"]
+    for i in range(draw(st.integers(20, 60))):
+        kind = draw(st.sampled_from(["valid"] * 40 + ["non-number", "blank", "unknown", "event",
+                                                      "ragged", "byte", "bare-cr", "blank-line"]))
+        if kind == "blank-line":
+            lines.append(b"")
+            continue
+        cells = [f"s{i}", draw(RANGE_NUMBERS), draw(st.sampled_from(["0", "1"])),
+                 draw(RANGE_NUMBERS), draw(st.sampled_from(["M", "F"])), draw(RANGE_NUMBERS)]
+        at = draw(st.sampled_from([1, 3, 5]))
+        if kind in ("non-number", "blank"):
+            cells[at] = "abc" if kind == "non-number" else ""
+        elif kind == "unknown":
+            cells[4] = "Z"
+        elif kind == "event":
+            cells[2] = "2"
+        elif kind == "ragged":
+            cells = cells[:-1] if draw(st.booleans()) else cells + ["9"]
+        row = ",".join(cells).encode()
+        if kind == "byte":
+            row = row.replace(b",", b"\xff,", 1)
+        elif kind == "bare-cr":
+            row = row.replace(b",", b"\r,", 1)
+        lines.append(row)
+    ending = draw(st.sampled_from([b"\n", b"\r\n"]))
+    text = ending.join(lines) + ending
+    return text if draw(st.booleans()) else text.removesuffix(ending)
+
+
+def ranged_outcome(path, strict, tested, cpus):
+    """The ids, events, then the columns ``iter_tested_columns`` converts
+    for ``tested`` (the categorical ones, the tested numerics and time if
+    tested), joined over chunks, with ``cpus`` CPUs to run on; or the error
+    type and message."""
+    parts = []
+    try:
+        with mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+            for ids, events, columns, times in iter_tested_columns(
+                    path, RANGE_SCHEMA, strict, tested):
+                kept = [column for i, column in enumerate(columns)
+                        if RANGE_SCHEMA[i].kind == "categorical" or i in tested]
+                parts.append([np.array(ids, dtype=object), events, *kept,
+                              *([times] if len(RANGE_SCHEMA) in tested else [])])
+    except SchemaMismatchError as err:
+        return type(err), str(err)
+    if not parts:
+        return "ok", []
+    return "ok", [np.concatenate(column).tolist() if j == 0 else np.concatenate(column).tobytes()
+                  for j, column in enumerate(zip(*parts))]
+
+
+class TestLineRanges:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(range_csvs(), st.booleans(), st.sets(st.integers(0, 3)),
+           st.sampled_from([64, 256]), st.sampled_from(BUDGETS))
+    def test_matches_one_process(self, tmp_path_factory, text, strict, tested, size, budget):
+        path = tmp_path_factory.mktemp("csv") / "subjects.csv"
+        path.write_bytes(text)
+        with mock.patch.object(dataio, "RANGE_BYTES", size), \
+                mock.patch.object(dataio, "CHUNK_CHARS", budget):
+            if len(text) >= 2 * size and b"\r" not in text.replace(b"\r\n", b""):
+                assert len(dataio._line_ranges(path)) >= 2  # a bare CR keeps one
+            assert (ranged_outcome(path, strict, tested, cpus=2)
+                    == ranged_outcome(path, strict, tested, cpus=1))
+
+    def test_rows_before_an_error_are_yielded_first(self, tmp_path):
+        # one row per chunk, so both reads yield every row before the bad one
+        path = tmp_path / "subjects.csv"
+        rows = [f"s{i},{i + 1},1,{i},M,{i}" for i in range(100)]
+        rows[90] += ",9"
+        path.write_text("\n".join(["id,time,event,x,g,y", *rows, ""]))
+        read = {1: [], 2: []}
+        for cpus, ids_read in read.items():
+            with mock.patch.object(dataio, "RANGE_BYTES", 512), \
+                    mock.patch.object(dataio, "CHUNK_CHARS", 1), \
+                    mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
+                assert dataio._line_ranges(path)[-1][2] < 92  # the bad row is in the last range
+                with pytest.raises(SchemaMismatchError, match="line 92: expected 6 fields, got 7"):
+                    for ids, *_ in iter_tested_columns(path, RANGE_SCHEMA, True, {0, 2}):
+                        ids_read += ids
+        assert read[1] == read[2] == [f"s{i}" for i in range(90)]
+
+    def test_ranges_start_at_line_starts(self, tmp_path):
+        path = tmp_path / "subjects.csv"
+        text = b"h\n" + b"".join(b"x" * (i % 7) + b"\n" for i in range(200))
+        path.write_bytes(text)
+        with mock.patch.object(dataio, "RANGE_BYTES", 64):
+            ranges = dataio._line_ranges(path)
+            assert len(ranges) == len(text) // 64
+        assert ranges[0][0] == 2 and ranges[-1][1] == len(text)
+        for (start, stop, line), (after, _, _) in zip(ranges, ranges[1:] + [(len(text), 0, 0)]):
+            assert stop == after and text[start - 1:start] == b"\n"
+            assert line == text[:start].count(b"\n")
+
+    def test_quoted_id_keeps_one_process(self, tmp_path):
+        ds = mixed_dataset()
+        ids = [f"s{i}" for i in range(300)]
+        ids[200] = 'two\nlines, "quoted"'
+        ds = SurvivalDataset(mixed_schema(), ids, [np.arange(300.0), np.arange(300) % 2],
+                             np.arange(1.0, 301.0), np.arange(300) % 3 == 0)
+        path = tmp_path / "subjects.csv"
+        save_dataset_csv(ds, path)
+        with mock.patch.object(dataio, "RANGE_BYTES", 256), \
+                mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}):
+            assert dataio._line_ranges(path) == []
+            assert_matches_reference(path, ds.schema, strict=True)
+            assert load_dataset_csv(path, ds.schema).ids == ds.ids
+
+
 class TestFinite:
     @settings(max_examples=1000, deadline=None, derandomize=True)
     @given(st.lists(st.lists(st.sampled_from(FLOAT_PIECES), max_size=6).map("".join),
@@ -368,6 +489,34 @@ class TestCsvTokenizer:
             ("error", f"line 2: field larger than field limit ({limit})")])
         with pytest.raises(csv.Error, match="field larger than field limit"):
             reader_outcome(path)
+
+    def test_crlf_rows_stay_on_the_split_path(self, tmp_path):
+        path = tmp_path / "text.csv"
+        path.write_bytes(b"h,k\r\na,b\r\nc,d\r\ne,f")
+        with mock.patch.object(dataio, "_reader_chunks", side_effect=AssertionError("csv.reader")):
+            for budget in BUDGETS:
+                with mock.patch.object(dataio, "CHUNK_CHARS", budget):
+                    assert tokenizer_outcome(path) == (
+                        ["h", "k"], [["a", "b"], ["c", "d"], ["e", "f"]]), budget
+
+    @pytest.mark.parametrize("blank", ["", "\n"], ids=["split", "csv.reader"])
+    def test_first_bad_row_wins_over_a_later_bad_byte(self, tmp_path, blank):
+        # whatever the chunks, as a file read in ranges must give one process's error
+        path = tmp_path / "text.csv"
+        path.write_bytes(f"h,k\n{blank}a,b\nc\n".encode() + b"d\xff,e\nf,g\n")
+        for budget in BUDGETS:
+            with mock.patch.object(dataio, "CHUNK_CHARS", budget):
+                assert tokenizer_outcome(path) == (["h", "k"], [["a", "b"], (
+                    "error", f"line {len(blank) + 3}: expected 2 fields, got 1")]), budget
+
+    def test_rows_before_a_csv_error_in_the_same_chunk_are_read(self, tmp_path):
+        limit = csv.field_size_limit()
+        path = tmp_path / "text.csv"
+        path.write_text("h,k\n\na,b\nc,d\n" + "x" * (limit + 1) + ",1\n")
+        for budget in BUDGETS:
+            with mock.patch.object(dataio, "CHUNK_CHARS", budget):
+                assert tokenizer_outcome(path) == (["h", "k"], [["a", "b"], ["c", "d"], (
+                    "error", f"line 5: field larger than field limit ({limit})")]), budget
 
     @pytest.mark.parametrize("ending", ["\n", "\r\n", "\r"])
     def test_byte_not_utf8_on_cr_only_lines_names_the_reader_line(self, tmp_path, ending):
