@@ -13,6 +13,7 @@ import io
 import json
 import math
 import os
+import stat
 import tempfile
 from collections import deque
 from contextlib import closing, contextmanager, nullcontext
@@ -63,9 +64,16 @@ def atomic_open(path):
     """Text file for writing that replaces ``path`` only if the block succeeds.
     A ``path`` that is a directory (not a symlink to one) raises
     IsADirectoryError before the block runs; an OSError making or renaming
-    the temp file is raised again naming ``path``."""
+    the temp file is raised again naming ``path``. The file gets the mode
+    ``open(path, "w")`` gives: an existing target's own, else 0o666 less
+    the umask."""
     if os.path.isdir(path) and not os.path.islink(path):
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    try:
+        mode = stat.S_IMODE(os.stat(path).st_mode)
+    except OSError:
+        os.umask(umask := os.umask(0))  # read without a lasting change
+        mode = 0o666 & ~umask
     directory = os.path.dirname(os.path.abspath(path))
     try:
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
@@ -74,6 +82,7 @@ def atomic_open(path):
     try:
         with os.fdopen(fd, "w") as fh:
             yield fh
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException as err:
         if os.path.exists(tmp):
@@ -142,10 +151,10 @@ def save_dataset_csv(dataset: SurvivalDataset, path):
     """Write the subject CSV one chunk of about ``CHUNK_CHARS`` characters at
     a time (its row count set from the chunk before), each chunk one column
     of cells at a time; an out-of-range category code is written as an
-    empty cell."""
-    levels = [dict(enumerate(f.categories)) for f in dataset.schema]
+    empty cell. Header names and levels are quoted as ids are."""
+    levels = [dict(enumerate(map(_csv_field, f.categories))) for f in dataset.schema]
     with atomic_open(path) as fh:
-        fh.write(",".join(RESERVED_COLUMNS + dataset.schema.names) + "\n")
+        fh.write(",".join(map(_csv_field, RESERVED_COLUMNS + dataset.schema.names)) + "\n")
         start, size = 0, 1
         while start < len(dataset):
             rows = slice(start, start + size)
@@ -314,86 +323,89 @@ def _open_span(path, start: int, stop: int) -> io.TextIOWrapper:
     return io.TextIOWrapper(data, encoding="utf-8", errors="surrogateescape", newline="")
 
 
-def _line_ranges(path) -> list[tuple[int, int, int]]:
-    """``(start, stop, line)`` of the ranges of ``RANGE_BYTES`` to twice that
-    the rows after the header of the file at ``path`` split into, found in
-    one pass over its bytes: each starts at a line start, after ``line``
-    lines. Empty when the file is smaller than two ranges, splits into
-    fewer, or must be read in one pass: it holds a quote, as a quoted field
-    may hold a line break, or a CR not before a newline, which
-    ``csv.reader`` counts as a line end."""
+def _range_starts(path) -> tuple[list[int], int]:
+    """The line starts that split the rows after the header of the file at
+    ``path`` into ranges of ``RANGE_BYTES`` to twice that, and its size.
+    Each is the first line start after one of ``size // RANGE_BYTES``
+    evenly spaced offsets, the first being 0, so only one line is read at
+    each. No starts when the file is smaller than two ranges, splits into
+    fewer, or its header line holds a quote or a CR not before a newline,
+    after which ``csv.reader`` would not count one line per newline."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         count = size // RANGE_BYTES
-        if count < 2:
-            return []
-        aims = iter(size * i // count for i in range(1, count))  # the first line start after each
-        starts, aim, lines, at, crs, crlfs, last = [], 0, 0, 0, 0, 0, b""
-        while block := fh.read(1 << 20):
-            if b'"' in block:
-                return []
-            if b"\r" in block:  # counted only then: bytes.count is slower than numpy's
-                crs += block.count(b"\r")
-                crlfs += block.count(b"\r\n")
-            crlfs += last == b"\r" and block.startswith(b"\n")
-            newlines = np.frombuffer(block, dtype=np.uint8) == ord("\n")
-            while aim is not None and (end := block.find(b"\n", max(aim - at, 0))) >= 0:
-                start = at + end + 1
-                if not starts or start > starts[-1][0]:
-                    starts.append((start, lines + int(np.count_nonzero(newlines[:end + 1]))))
-                aim = next(aims, None)
-            lines += int(np.count_nonzero(newlines))
-            at, last = at + len(block), block[-1:]
-    starts = [(start, line) for start, line in starts if start < size]
-    if crs != crlfs or len(starts) < 2:
-        return []
-    stops = [start for start, _ in starts[1:]] + [size]
-    return [(start, stop, line) for (start, line), stop in zip(starts, stops)]
+        starts = []
+        for i in range(count if count > 1 else 0):
+            fh.seek(size * i // count)
+            line = fh.readline()
+            if i == 0 and (b'"' in line or line.count(b"\r") != line.count(b"\r\n")):
+                return [], size
+            if fh.tell() < size and fh.tell() not in starts[-1:]:
+                starts.append(fh.tell())
+    return (starts if len(starts) > 1 else []), size
 
 
-def _read_span(path, pick, convert, span) -> tuple[list, Exception | None]:
-    """The chunks :func:`read_columns` gives for ``span``, then the
-    :class:`SchemaMismatchError` or OSError that ended them, if any."""
-    chunks = []
+def _read_span(path, pick, convert, start: int, stop: int) -> list | None:
+    """The chunks :func:`read_columns` gives for bytes ``start`` to ``stop``
+    of ``path``, its lines numbered from 0, as no error of it is shown.
+    None if the bytes hold a quote, as a quoted field may hold a line
+    break, or a CR not before a newline, which ``csv.reader`` counts as a
+    line end, or if the read ends in :class:`SchemaMismatchError` or
+    OSError."""
     try:
-        for chunk in read_columns(path, pick, convert, span):
-            chunks.append(chunk)
-    except (SchemaMismatchError, OSError) as err:
-        return chunks, err
-    return chunks, None
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            data = fh.read(stop - start)
+        if b'"' in data or b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+            return None
+        return list(read_columns(path, pick, convert, (start, stop, 0)))
+    except (SchemaMismatchError, OSError):
+        return None
 
 
 def _read_in_ranges(path, pick: Callable[[list[str]], list[int]],
                     convert: Callable[[list], T]) -> Iterator[T]:
     """What ``read_columns(path, pick, convert)`` yields and raises, read by
     one worker process per CPU this process may run on, each reading one
-    of :func:`_line_ranges` at a time, when there are two or more of both
-    and processes can be forked; else read here. Chunks come in file order,
-    and a range's error is raised after every earlier range's chunks, so
-    the first error in the file wins. One range per worker is read ahead
-    of the one being yielded. The workers are shut down when the read
-    ends, fails or is dropped."""
+    of the ranges :func:`_range_starts` finds at a time, when there are two
+    or more of both and processes can be forked; else read here. Chunks
+    come in file order, one range per worker read ahead of the one yielded.
+    From the first range :func:`_read_span` gives no chunks for, the file
+    is read here, the ``\\n`` bytes before that range counted as its lines,
+    as no earlier range holds a quote or a bare CR; so the first error in
+    the file names the line one process names. The workers are shut down
+    when the read ends, fails or is dropped."""
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-    ranges = _line_ranges(path) if cpus > 1 and hasattr(os, "fork") else []
-    if not ranges:
+    starts, size = _range_starts(path) if cpus > 1 and hasattr(os, "fork") else ([], 0)
+    if not starts:
         yield from read_columns(path, pick, convert)
         return
     # imported here: at module level they load __mp_main__ into every command
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
 
-    workers = min(cpus, len(ranges))
+    workers = min(cpus, len(starts))
     with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        queued = iter(ranges)
-        pending = deque(pool.submit(_read_span, path, pick, convert, span)
-                        for span in islice(queued, workers))
+        spans = zip(starts, [*starts[1:], size])
+        pending = deque((start, pool.submit(_read_span, path, pick, convert, start, stop))
+                        for start, stop in islice(spans, workers))
         while pending:
-            chunks, error = pending.popleft().result()
-            pending.extend(pool.submit(_read_span, path, pick, convert, span)
-                           for span in islice(queued, 1))
+            start, read = pending.popleft()
+            if (chunks := read.result()) is None:
+                pool.shutdown(cancel_futures=True)
+                break
+            pending.extend((at, pool.submit(_read_span, path, pick, convert, at, stop))
+                           for at, stop in islice(spans, 1))
             yield from chunks
-            if error is not None:
-                raise error
+        else:
+            return
+    span = None  # the first range: the whole file is read, which streams
+    if start > starts[0]:
+        with open(path, "rb") as fh:
+            lines = sum(fh.read(min(RANGE_BYTES, start - at)).count(b"\n")
+                        for at in range(0, start, RANGE_BYTES))
+        span = (start, size, lines)
+    yield from read_columns(path, pick, convert, span)
 
 
 def _bad_byte(text: str) -> int:

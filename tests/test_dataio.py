@@ -334,18 +334,27 @@ RANGE_NUMBERS = st.sampled_from(["0.5", "-2", "1e3", "7", "nan", "inf"])
 @st.composite
 def range_csvs(draw):
     """Bytes of a subject CSV over ``RANGE_SCHEMA`` of 20-60 rows: valid
-    rows, and rows with a non-number, blank or unknown cell, a bad event, a
-    wrong field count, a byte that is not UTF-8 or a bare CR, and blank
-    lines; LF or CRLF endings, maybe no final newline."""
-    lines = [b"id,time,event,x,g,y"]
+    rows, rows with a quoted id holding a comma, a doubled quote, a CR or
+    an LF, and rows with a non-number, blank or unknown cell, a bad event,
+    a wrong field count, a byte that is not UTF-8 or a bare CR, and blank
+    lines; LF or CRLF endings, maybe no final newline. The header may hold
+    a quote, or end in ``\\r\\r\\n``."""
+    ending = draw(st.sampled_from([b"\n", b"\r\n"]))
+    header = draw(st.sampled_from([b"id,time,event,x,g,y" + ending] * 4
+                                  + [b'"id",time,event,x,g,y' + ending,
+                                     b"id,time,event,x,g,y\r\r\n"]))
+    lines = []
     for i in range(draw(st.integers(20, 60))):
-        kind = draw(st.sampled_from(["valid"] * 40 + ["non-number", "blank", "unknown", "event",
-                                                      "ragged", "byte", "bare-cr", "blank-line"]))
+        kind = draw(st.sampled_from(["valid"] * 40 + ["quoted"] * 2
+                                    + ["non-number", "blank", "unknown", "event",
+                                       "ragged", "byte", "bare-cr", "blank-line"]))
         if kind == "blank-line":
             lines.append(b"")
             continue
         cells = [f"s{i}", draw(RANGE_NUMBERS), draw(st.sampled_from(["0", "1"])),
                  draw(RANGE_NUMBERS), draw(st.sampled_from(["M", "F"])), draw(RANGE_NUMBERS)]
+        if kind == "quoted":
+            cells[0] = '"s%d%sz"' % (i, draw(st.sampled_from([",", '""', "\r", "\n"])))
         at = draw(st.sampled_from([1, 3, 5]))
         if kind in ("non-number", "blank"):
             cells[at] = "abc" if kind == "non-number" else ""
@@ -361,8 +370,7 @@ def range_csvs(draw):
         elif kind == "bare-cr":
             row = row.replace(b",", b"\r,", 1)
         lines.append(row)
-    ending = draw(st.sampled_from([b"\n", b"\r\n"]))
-    text = ending.join(lines) + ending
+    text = header + ending.join(lines) + ending
     return text if draw(st.booleans()) else text.removesuffix(ending)
 
 
@@ -388,62 +396,87 @@ def ranged_outcome(path, strict, tested, cpus):
                   for j, column in enumerate(zip(*parts))]
 
 
+def plain_header(text: bytes) -> bool:
+    """Whether the first line of ``text`` holds no quote and no CR but one
+    before its newline, so the file may be read in ranges."""
+    header = text.split(b"\n", 1)[0]
+    return b'"' not in header and b"\r" not in header.removesuffix(b"\r")
+
+
 class TestLineRanges:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(range_csvs(), st.booleans(), st.sets(st.integers(0, 3)),
-           st.sampled_from([64, 256]), st.sampled_from(BUDGETS))
+           st.sampled_from([32, 64, 256]), st.sampled_from(BUDGETS))
     def test_matches_one_process(self, tmp_path_factory, text, strict, tested, size, budget):
+        # a quote or bare CR first met in a later range, and the rows after
+        # it, are read here; a header holding either keeps one process
         path = tmp_path_factory.mktemp("csv") / "subjects.csv"
         path.write_bytes(text)
         with mock.patch.object(dataio, "RANGE_BYTES", size), \
                 mock.patch.object(dataio, "CHUNK_CHARS", budget):
-            if len(text) >= 2 * size and b"\r" not in text.replace(b"\r\n", b""):
-                assert len(dataio._line_ranges(path)) >= 2  # a bare CR keeps one
+            starts, _ = dataio._range_starts(path)
+            assert (len(starts) >= 2) == (len(text) >= 2 * size and plain_header(text))
             assert (ranged_outcome(path, strict, tested, cpus=2)
                     == ranged_outcome(path, strict, tested, cpus=1))
 
-    def test_rows_before_an_error_are_yielded_first(self, tmp_path):
-        # one row per chunk, so both reads yield every row before the bad one
+    @pytest.mark.parametrize("ending, line", [("\n", 92), ("\r\r\n", 93)])
+    def test_rows_before_an_error_are_yielded_first(self, tmp_path, ending, line):
+        # one row per chunk, so both reads yield every row before the bad
+        # one; a header ending in "\r\r\n" is two lines, and keeps one process
         path = tmp_path / "subjects.csv"
         rows = [f"s{i},{i + 1},1,{i},M,{i}" for i in range(100)]
         rows[90] += ",9"
-        path.write_text("\n".join(["id,time,event,x,g,y", *rows, ""]))
+        path.write_bytes(("id,time,event,x,g,y" + ending + "\n".join([*rows, ""])).encode())
         read = {1: [], 2: []}
         for cpus, ids_read in read.items():
             with mock.patch.object(dataio, "RANGE_BYTES", 512), \
                     mock.patch.object(dataio, "CHUNK_CHARS", 1), \
                     mock.patch.object(os, "sched_getaffinity", lambda pid: set(range(cpus))):
-                assert dataio._line_ranges(path)[-1][2] < 92  # the bad row is in the last range
-                with pytest.raises(SchemaMismatchError, match="line 92: expected 6 fields, got 7"):
+                starts, _ = dataio._range_starts(path)
+                if ending == "\n":  # the bad row is in the last range
+                    assert path.read_bytes()[:starts[-1]].count(b"\n") < 92
+                else:
+                    assert starts == []
+                with pytest.raises(SchemaMismatchError,
+                                   match=f"line {line}: expected 6 fields, got 7"):
                     for ids, *_ in iter_tested_columns(path, RANGE_SCHEMA, True, {0, 2}):
                         ids_read += ids
         assert read[1] == read[2] == [f"s{i}" for i in range(90)]
 
     def test_ranges_start_at_line_starts(self, tmp_path):
+        # the first line start after each of ``count`` evenly spaced offsets
         path = tmp_path / "subjects.csv"
         text = b"h\n" + b"".join(b"x" * (i % 7) + b"\n" for i in range(200))
         path.write_bytes(text)
+        count = len(text) // 64
         with mock.patch.object(dataio, "RANGE_BYTES", 64):
-            ranges = dataio._line_ranges(path)
-            assert len(ranges) == len(text) // 64
-        assert ranges[0][0] == 2 and ranges[-1][1] == len(text)
-        for (start, stop, line), (after, _, _) in zip(ranges, ranges[1:] + [(len(text), 0, 0)]):
-            assert stop == after and text[start - 1:start] == b"\n"
-            assert line == text[:start].count(b"\n")
+            starts, size = dataio._range_starts(path)
+        assert size == len(text) and len(starts) == count and starts[0] == 2
+        assert starts == [text.index(b"\n", len(text) * i // count) + 1 for i in range(count)]
 
-    def test_quoted_id_keeps_one_process(self, tmp_path):
-        ds = mixed_dataset()
+    def test_quoted_range_and_the_rest_are_read_here(self, tmp_path):
         ids = [f"s{i}" for i in range(300)]
         ids[200] = 'two\nlines, "quoted"'
         ds = SurvivalDataset(mixed_schema(), ids, [np.arange(300.0), np.arange(300) % 2],
                              np.arange(1.0, 301.0), np.arange(300) % 3 == 0)
         path = tmp_path / "subjects.csv"
         save_dataset_csv(ds, path)
+        text = path.read_bytes()
+        spans, read_columns = [], dataio.read_columns
+
+        def spy(path, pick, convert, span=None):  # forked workers record in their own copy
+            spans.append(span)
+            return read_columns(path, pick, convert, span)
+
         with mock.patch.object(dataio, "RANGE_BYTES", 256), \
+                mock.patch.object(dataio, "read_columns", spy), \
                 mock.patch.object(os, "sched_getaffinity", lambda pid: {0, 1}):
-            assert dataio._line_ranges(path) == []
+            starts, size = dataio._range_starts(path)
+            start = max(at for at in starts if at <= text.index(b'"two'))
+            assert start > starts[0]
             assert_matches_reference(path, ds.schema, strict=True)
             assert load_dataset_csv(path, ds.schema).ids == ds.ids
+        assert spans == [(start, size, text[:start].count(b"\n"))] * 2
 
 
 class TestFinite:
@@ -682,6 +715,44 @@ class TestSubjectCsvWriter:
         assert path.read_text() == ('id,time,event,x\n"a,b",1.0,1,1.0\n'
                                     '"say ""hi""",2.0,0,2.0\nplain,3.0,1,3.0\n')
         assert load_dataset_csv(path, schema).ids == ds.ids
+
+    def test_levels_and_names_round_trip(self, tmp_path):
+        levels = ("a,b", 'say "hi"', "two\nlines", "plain")
+        schema = FeatureSchema((Feature("g,1", "categorical", levels), Feature('x"', "numeric")))
+        ds = SurvivalDataset(schema, ["s0", "s1", "s2", "s3"], [np.arange(4), np.arange(4.0)],
+                             np.arange(1.0, 5.0), np.array([True, False, True, False]))
+        path = tmp_path / "subjects.csv"
+        save_dataset_csv(ds, path)
+        assert path.read_text().split("\n")[:2] == ['id,time,event,"g,1","x"""',
+                                                    's0,1.0,1,"a,b",0.0']
+        back = load_dataset_csv(path, schema)
+        assert back.ids == ds.ids
+        for a, b in zip(back.columns, ds.columns):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestAtomicOpen:
+    def test_new_file_gets_the_mode_open_gives(self, tmp_path):
+        for umask in (0o022, 0o077):
+            old = os.umask(umask)
+            try:
+                save_json({}, tmp_path / f"new-{umask}.json")
+                with open(tmp_path / f"open-{umask}.json", "w"):
+                    pass
+            finally:
+                os.umask(old)
+            modes = [os.stat(tmp_path / f"{kind}-{umask}.json").st_mode & 0o7777
+                     for kind in ("new", "open")]
+            assert modes == [0o666 & ~umask] * 2
+
+    def test_existing_file_keeps_its_mode(self, tmp_path):
+        path = tmp_path / "model.json"
+        for mode in (0o640, 0o604):
+            path.write_text("old")
+            path.chmod(mode)
+            save_json({}, path)
+            assert path.read_text() == "{}\n"
+            assert path.stat().st_mode & 0o7777 == mode
 
 
 class TestTreeJson:
